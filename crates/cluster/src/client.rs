@@ -13,9 +13,10 @@
 //!   *input* key (the replica that holds the input), then copies the
 //!   output to the output key's own home set so later reads route to it;
 //! * **batches** scatter per-executor sub-batches in parallel (each
-//!   pipelined by the underlying `RemoteClient`), gather per-pair
-//!   results, and re-route a shard's pairs individually when the shard's
-//!   endpoint dies mid-batch.
+//!   pipelined by the underlying `RemoteClient` over a pooled connection,
+//!   which re-dials once by itself when that connection has gone stale),
+//!   gather per-pair results, and re-route a shard's pairs individually
+//!   when the shard's endpoint dies mid-batch.
 //!
 //! Transport failures mark an endpoint unhealthy immediately; a
 //! background thread keeps `PING`ing every endpoint (including unhealthy
@@ -158,6 +159,14 @@ impl ClusterClientBuilder {
 #[derive(Clone)]
 pub struct ClusterClient {
     inner: Arc<Inner>,
+}
+
+impl std::fmt::Debug for ClusterClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClusterClient")
+            .field("endpoints", &self.endpoint_addrs())
+            .finish_non_exhaustive()
+    }
 }
 
 struct Endpoint {
@@ -572,53 +581,55 @@ impl ClusterClient {
         // Pairs served through the shard fast path still need their
         // outputs homed; re-routed pairs handle that inside `run_routed`.
         let mut needs_homing: Vec<Option<usize>> = vec![None; pairs.len()];
+        let run_shard = |executor: usize, idxs: Vec<usize>| {
+            let sub: Vec<(&str, &str)> = idxs.iter().map(|&i| pairs[i]).collect();
+            let endpoint = &self.inner.endpoints[executor];
+            let remaining = budget.map(|d| d.saturating_sub(started.elapsed()));
+            let outcome = if remaining.is_some_and(|d| d.is_zero()) {
+                ShardOutcome::PerPair(vec![Err(RuntimeError::DeadlineExceeded); sub.len()])
+            } else {
+                match endpoint
+                    .client
+                    .run_model_batch_results(model, &sub, remaining)
+                {
+                    Ok(per_pair) => {
+                        self.inner.mark_health(executor, true);
+                        endpoint
+                            .routed
+                            .add(per_pair.iter().filter(|r| r.is_ok()).count() as u64);
+                        ShardOutcome::Served { executor, per_pair }
+                    }
+                    Err(err) => {
+                        // The shard failed as a whole (endpoint died
+                        // mid-batch, or the reply was unusable): its
+                        // pairs re-route individually on surviving
+                        // replicas.
+                        if matches!(err, RuntimeError::Transport(_)) {
+                            self.inner.mark_health(executor, false);
+                        }
+                        ShardOutcome::Reroute
+                    }
+                }
+            };
+            (idxs, outcome)
+        };
+        // One shard runs on the calling thread, which would otherwise
+        // only wait; the others each get a scoped thread.
+        let mut shards = shards.into_iter();
+        let local = shards.next_back();
         let shard_outcomes: Vec<(Vec<usize>, ShardOutcome)> = std::thread::scope(|scope| {
+            let run_shard = &run_shard;
             let handles: Vec<_> = shards
-                .into_iter()
-                .map(|(executor, idxs)| {
-                    scope.spawn(move || {
-                        let sub: Vec<(&str, &str)> = idxs.iter().map(|&i| pairs[i]).collect();
-                        let endpoint = &self.inner.endpoints[executor];
-                        let remaining = budget.map(|d| d.saturating_sub(started.elapsed()));
-                        let outcome = if remaining.is_some_and(|d| d.is_zero()) {
-                            ShardOutcome::PerPair(vec![
-                                Err(RuntimeError::DeadlineExceeded);
-                                sub.len()
-                            ])
-                        } else {
-                            match endpoint
-                                .client
-                                .run_model_batch_results(model, &sub, remaining)
-                            {
-                                Ok(per_pair) => {
-                                    self.inner.mark_health(executor, true);
-                                    endpoint
-                                        .routed
-                                        .add(per_pair.iter().filter(|r| r.is_ok()).count() as u64);
-                                    ShardOutcome::Served { executor, per_pair }
-                                }
-                                Err(err) => {
-                                    // The shard failed as a whole (endpoint
-                                    // died mid-batch, or the reply was
-                                    // unusable): its pairs re-route
-                                    // individually on surviving replicas.
-                                    if matches!(err, RuntimeError::Transport(_)) {
-                                        self.inner.mark_health(executor, false);
-                                    }
-                                    ShardOutcome::Reroute
-                                }
-                            }
-                        };
-                        (idxs, outcome)
-                    })
-                })
+                .map(|(executor, idxs)| scope.spawn(move || run_shard(executor, idxs)))
                 .collect();
+            let local = local.map(|(executor, idxs)| run_shard(executor, idxs));
             handles
                 .into_iter()
                 .map(|h| match h.join() {
                     Ok(v) => v,
                     Err(_) => (Vec::new(), ShardOutcome::Reroute),
                 })
+                .chain(local)
                 .collect()
         });
         for (idxs, outcome) in shard_outcomes {
@@ -693,7 +704,7 @@ impl ClientApi for ClusterClient {
     }
 
     fn put_sparse_tensor(&self, key: &str, value: hpcnet_tensor::Csr) -> Result<()> {
-        self.fanout_write(key, |c| c.put_sparse_tensor(key, value.clone()), |()| {})
+        self.fanout_write(key, |c| c.put_sparse_tensor_ref(key, &value), |()| {})
     }
 
     fn run_model(&self, model: &str, in_key: &str, out_key: &str) -> Result<()> {

@@ -283,6 +283,76 @@ fn batch_reroutes_when_its_shard_endpoint_dies_mid_batch() {
 }
 
 #[test]
+fn restarted_endpoint_costs_a_redial_not_a_failover() {
+    const PAIRS: usize = 24;
+    // Each endpoint keeps its store across its restart, so the only thing
+    // the restart invalidates is the client's pooled connection.
+    let stores = [TensorStore::new(), TensorStore::new()];
+    let launch = |store: &TensorStore, addr: &str| {
+        let orc = Orchestrator::builder()
+            .store(store.clone())
+            .workers(2)
+            .build();
+        orc.register_model(DEMO_MODEL, demo_bundle());
+        NetServer::builder(orc).serve(addr).expect("bind")
+    };
+    let mut servers: Vec<NetServer> = stores
+        .iter()
+        .map(|store| launch(store, "127.0.0.1:0"))
+        .collect();
+    // Replication 1 and no health thread: nothing but the batch path
+    // itself can absorb the stale connection.
+    let client = ClusterClient::builder(addrs(&servers))
+        .replication(1)
+        .health_interval(None)
+        .connect()
+        .expect("connect fleet");
+    let reference = demo_bundle();
+
+    let keys: Vec<(String, String)> = (0..PAIRS)
+        .map(|s| (format!("{{rd{s}}}/in"), format!("{{rd{s}}}/out")))
+        .collect();
+    for (s, (in_key, _)) in keys.iter().enumerate() {
+        client
+            .put_tensor(in_key, &demo_input(s as u64))
+            .expect("put");
+    }
+    let pairs: Vec<(&str, &str)> = keys.iter().map(|(i, o)| (i.as_str(), o.as_str())).collect();
+    client
+        .run_model_batch(DEMO_MODEL, &pairs)
+        .expect("first batch");
+
+    let addr = servers[0].local_addr().to_string();
+    let before = servers.remove(0).shutdown();
+    assert!(before.requests > 0, "the restarted endpoint must own pairs");
+    servers.insert(0, launch(&stores[0], &addr));
+
+    client
+        .run_model_batch(DEMO_MODEL, &pairs)
+        .expect("second batch rides one re-dial");
+    for (s, (_, out_key)) in keys.iter().enumerate() {
+        let got = client.unpack_tensor(out_key).expect("unpack");
+        let want = reference
+            .surrogate
+            .predict(&demo_input(s as u64))
+            .expect("predict");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "pair {s} diverged");
+        }
+    }
+    let metrics = client.metrics_text().expect("metrics");
+    assert_eq!(
+        metric_total(&metrics, "hpcnet_cluster_failovers_total"),
+        0.0,
+        "a restarted endpoint is not a failed one:\n{metrics}"
+    );
+    assert_eq!(client.endpoint_health(), vec![true, true]);
+    // The restarted endpoint served its own share again.
+    let after: Vec<_> = servers.into_iter().map(NetServer::shutdown).collect();
+    assert_eq!(after[0].requests, before.requests);
+}
+
+#[test]
 fn merged_stats_roll_up_every_endpoint() {
     const REQUESTS: usize = 9;
     let servers = fleet(3);

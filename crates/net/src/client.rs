@@ -9,8 +9,9 @@
 //! Transport behavior:
 //!
 //! * **Pooling** — idle connections are kept (up to
-//!   [`RemoteClientBuilder::pool`]) and reused; concurrent calls from
-//!   clones of one client dial extra connections on demand.
+//!   [`RemoteClientBuilder::pool`]) and reused by single calls and
+//!   pipelined batches alike; concurrent calls from clones of one client
+//!   dial extra connections on demand.
 //! * **Retries** — connect/read/write failures are retried with bounded
 //!   exponential backoff ([`RemoteClientBuilder::retries`] /
 //!   [`RemoteClientBuilder::backoff`]); when the budget is exhausted the
@@ -18,12 +19,14 @@
 //!   (`Overloaded`, `DeadlineExceeded`, `MissingTensor`, ...) are *never*
 //!   retried — they travel back exactly as their in-process counterparts.
 //! * **At-least-once caveat** — a request whose reply is lost to a
-//!   transport fault is re-sent on a fresh connection. Every operation
+//!   transport fault is re-sent on a fresh connection (a batch: its first
+//!   window, once, when a pooled connection turns out to be stale before
+//!   any reply was read). Every operation
 //!   but `run_model` is idempotent; a retried `run_model` re-executes the
 //!   surrogate, which is deterministic, so the stored output is
 //!   unchanged (only the server's request counters tick twice).
 
-use std::collections::VecDeque;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -36,7 +39,9 @@ use hpcnet_telemetry::{
 };
 use hpcnet_tensor::Csr;
 
-use crate::protocol::{decode_response, read_frame, write_frame, FrameOutcome, Request, Response};
+use crate::protocol::{
+    decode_response, encode_frame, payload, read_frame, FrameOutcome, Opcode, Response, VERSION,
+};
 
 /// Service label on spans this client records (DESIGN.md §16).
 const TRACE_SERVICE: &str = "remote_client";
@@ -124,6 +129,14 @@ pub struct RemoteClient {
     inner: Arc<ClientInner>,
 }
 
+impl std::fmt::Debug for RemoteClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RemoteClient")
+            .field("addr", &self.inner.config.addr)
+            .finish_non_exhaustive()
+    }
+}
+
 struct ClientInner {
     config: RemoteClientBuilder,
     pool: Mutex<Vec<TcpStream>>,
@@ -158,18 +171,16 @@ impl RemoteClient {
         // relaxed: pure ID counter — uniqueness is all that matters, no
         // other memory is published through it.
         let nonce = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let payload = nonce.to_le_bytes().to_vec();
-        match self.call(Request::Ping {
-            payload: payload.clone(),
-        })? {
-            Response::Pong(echo) if echo == payload => Ok(()),
+        let nonce = nonce.to_le_bytes();
+        match self.call(Opcode::Ping, |buf| buf.extend_from_slice(&nonce))? {
+            Response::Pong(echo) if echo == nonce => Ok(()),
             other => Err(unexpected(&other)),
         }
     }
 
     /// The server's cumulative serving statistics.
     pub fn serving_stats(&self) -> Result<ServingStats> {
-        match self.call(Request::Stats)? {
+        match self.call(Opcode::Stats, |_| {})? {
             Response::Text(json) => serde_json::from_str(&json)
                 .map_err(|e| RuntimeError::Protocol(format!("unparsable stats: {e}"))),
             other => Err(unexpected(&other)),
@@ -179,7 +190,7 @@ impl RemoteClient {
     /// The server's telemetry registry as Prometheus text (serving *and*
     /// `hpcnet_net_*` series).
     pub fn metrics_text(&self) -> Result<String> {
-        match self.call(Request::Metrics)? {
+        match self.call(Opcode::Metrics, |_| {})? {
             Response::Text(text) => Ok(text),
             other => Err(unexpected(&other)),
         }
@@ -205,12 +216,8 @@ impl RemoteClient {
             // explicit deadline clamps to 1 µs.
             Some(d) => (d.as_micros() as u64).max(1),
         };
-        self.expect_ok(Request::RunModel {
-            model: model.to_string(),
-            in_key: in_key.to_string(),
-            out_key: out_key.to_string(),
-            deadline_micros,
-            trace,
+        self.expect_ok(Opcode::RunModel, |buf| {
+            payload::run_model(buf, model, in_key, out_key, deadline_micros, trace)
         })
     }
 
@@ -229,12 +236,9 @@ impl RemoteClient {
         let ctx = TraceContext::root();
         let root_id = SpanId(trace::next_id());
         let timer = SpanTimer::start();
-        let result = self.expect_ok(Request::RunModel {
-            model: model.to_string(),
-            in_key: in_key.to_string(),
-            out_key: out_key.to_string(),
-            deadline_micros,
-            trace: Some(ctx.child_of(root_id)),
+        let trace = Some(ctx.child_of(root_id));
+        let result = self.expect_ok(Opcode::RunModel, |buf| {
+            payload::run_model(buf, model, in_key, out_key, deadline_micros, trace)
         });
         let mut span = timer
             .finish(stage_names::REQUEST, TRACE_SERVICE)
@@ -259,7 +263,7 @@ impl RemoteClient {
     /// recorder always has the originating spans.
     pub fn trace_dump(&self) -> Result<Vec<Trace>> {
         let local = self.inner.recorder.snapshot();
-        let remote = match self.call(Request::Traces) {
+        let remote = match self.call(Opcode::Traces, |_| {}) {
             Ok(Response::Text(json)) => traces_from_json(&json)
                 .map_err(|e| RuntimeError::Protocol(format!("unparsable traces: {e}")))?,
             Ok(other) => return Err(unexpected(&other)),
@@ -269,10 +273,14 @@ impl RemoteClient {
     }
 
     /// One request/reply exchange with pooling and transport retries.
-    fn call(&self, request: Request) -> Result<Response> {
+    /// `body` appends the request's payload to the frame buffer: the
+    /// frame is encoded once, in place, and the same bytes are re-sent on
+    /// a retry.
+    fn call(&self, opcode: Opcode, body: impl FnOnce(&mut Vec<u8>)) -> Result<Response> {
         let cfg = &self.inner.config;
-        let payload = request.encode();
-        let opcode = request.opcode();
+        let seq = self.next_seq();
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, VERSION, opcode, seq, body);
         let mut backoff = cfg.backoff;
         let mut last_err = String::new();
         for attempt in 0..=cfg.retries {
@@ -281,16 +289,13 @@ impl RemoteClient {
                 backoff = (backoff * 2).min(cfg.max_backoff);
             }
             let mut stream = match self.checkout() {
-                Ok(s) => s,
+                Ok((s, _)) => s,
                 Err(e) => {
                     last_err = e;
                     continue;
                 }
             };
-            // relaxed: pure ID counter — uniqueness is all that matters,
-            // no other memory is published through it.
-            let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = write_frame(&mut stream, opcode, seq, &payload) {
+            if let Err(e) = stream.write_all(&frame) {
                 last_err = format!("write: {e}");
                 continue; // stream dropped; retry on a fresh connection
             }
@@ -330,22 +335,27 @@ impl RemoteClient {
         )))
     }
 
-    /// A connection from the pool, or a fresh dial.
-    fn checkout(&self) -> std::result::Result<TcpStream, String> {
-        if let Some(s) = self
+    fn next_seq(&self) -> u32 {
+        // relaxed: pure ID counter — uniqueness is all that matters, no
+        // other memory is published through it.
+        self.inner.seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// A connection from the pool (`true`), or a fresh dial (`false`).
+    fn checkout(&self) -> std::result::Result<(TcpStream, bool), String> {
+        let pooled = self
             .inner
             .pool
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-        {
-            return Ok(s);
+            .pop();
+        match pooled {
+            Some(s) => Ok((s, true)),
+            None => Ok((self.dial()?, false)),
         }
-        self.dial()
     }
 
-    /// Dial a fresh connection (never consults the pool — pipelined
-    /// batches use this so a stale pooled stream cannot fail mid-batch).
+    /// Dial a fresh connection (never consults the pool).
     fn dial(&self) -> std::result::Result<TcpStream, String> {
         let cfg = &self.inner.config;
         let addrs: Vec<SocketAddr> = cfg
@@ -379,26 +389,45 @@ impl RemoteClient {
         }
     }
 
-    fn expect_ok(&self, request: Request) -> Result<()> {
-        match self.call(request)? {
+    fn expect_ok(&self, opcode: Opcode, body: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        match self.call(opcode, body)? {
             Response::Ok => Ok(()),
             other => Err(unexpected(&other)),
         }
     }
 
+    /// Store a sparse tensor without taking ownership of it: the CSR
+    /// arrays are encoded straight into the frame. What
+    /// [`ClientApi::put_sparse_tensor`] does, for callers (the cluster's
+    /// replica fan-out) that send one tensor to several endpoints.
+    pub fn put_sparse_tensor_ref(&self, key: &str, value: &Csr) -> Result<()> {
+        self.expect_ok(Opcode::PutSparse, |buf| {
+            payload::put_sparse(buf, key, value)
+        })
+    }
+
     /// Run a batch of `(in_key, out_key)` pairs *pipelined* over one
-    /// dedicated connection: up to [`PIPELINE_WINDOW`] `RUN_MODEL` frames
-    /// are kept in flight, and replies (which the server produces in
-    /// request order per connection) are matched back by sequence number.
-    /// Returns one result per pair, in pair order.
+    /// pooled connection, a window of [`PIPELINE_WINDOW`] `RUN_MODEL`
+    /// frames at a time: each window is encoded into one buffer and
+    /// written with one `write`, then its replies (which the server
+    /// produces in request order per connection) are read and matched
+    /// back by sequence number. A window arrives at the server together,
+    /// so the server submits it to the orchestrator as one coalesced
+    /// round. Returns one result per pair, in pair order.
     ///
     /// The outer `Err` is a transport/protocol fault that interrupted the
     /// exchange — some pairs may have executed server-side (the usual
     /// at-least-once caveat; re-running a deterministic surrogate stores
     /// the same outputs). Inner errors are the per-pair typed failures.
     ///
+    /// A pooled connection may have gone stale since its last use (the
+    /// server restarted, an idle timeout fired). When it fails with a
+    /// transport error before any reply of this batch was read, the
+    /// batch is re-sent once on a fresh connection; a fault after the
+    /// first reply, or on a fresh connection, is surfaced.
+    ///
     /// `deadline` covers the whole batch: each frame carries the budget
-    /// remaining when it is written, and pairs whose budget is already
+    /// remaining when it is encoded, and pairs whose budget is already
     /// exhausted are answered locally with
     /// [`RuntimeError::DeadlineExceeded`] without touching the wire.
     pub fn run_model_batch_results(
@@ -415,91 +444,92 @@ impl RemoteClient {
             Some(d) => Instant::now().checked_add(d),
             None => None,
         };
-        let mut stream = self.dial().map_err(RuntimeError::Transport)?;
-        let mut results: Vec<Option<Result<()>>> = vec![None; pairs.len()];
-        // Indices and sequence numbers of frames written but not yet
-        // answered, in wire order.
-        let mut inflight: VecDeque<(usize, u32)> = VecDeque::new();
-        let mut next = 0usize;
-        while next < pairs.len() || !inflight.is_empty() {
-            while inflight.len() < PIPELINE_WINDOW && next < pairs.len() {
+        let (mut stream, pooled) = self.checkout().map_err(RuntimeError::Transport)?;
+        let mut results = Vec::with_capacity(pairs.len());
+        let mut outcome = self.batch_exchange(&mut stream, model, pairs, deadline_at, &mut results);
+        if pooled && results.is_empty() && matches!(outcome, Err(RuntimeError::Transport(_))) {
+            stream = self.dial().map_err(RuntimeError::Transport)?;
+            outcome = self.batch_exchange(&mut stream, model, pairs, deadline_at, &mut results);
+        }
+        outcome?;
+        self.checkin(stream);
+        Ok(results)
+    }
+
+    /// One attempt at a pipelined batch over `stream`. Per-pair results
+    /// are pushed onto `results` as their replies are read, so on `Err`
+    /// its length is the number of replies consumed before the fault.
+    fn batch_exchange(
+        &self,
+        stream: &mut TcpStream,
+        model: &str,
+        pairs: &[(&str, &str)],
+        deadline_at: Option<Instant>,
+        results: &mut Vec<Result<()>>,
+    ) -> Result<()> {
+        let mut frames = Vec::new();
+        let mut seqs = Vec::with_capacity(PIPELINE_WINDOW);
+        for window in pairs.chunks(PIPELINE_WINDOW) {
+            frames.clear();
+            seqs.clear();
+            for (in_key, out_key) in window {
                 let deadline_micros = match deadline_at {
                     None => 0,
                     Some(at) => {
                         let remaining = at.saturating_duration_since(Instant::now());
                         if remaining.is_zero() {
-                            // Budget exhausted: every unsent pair gets the
-                            // typed answer locally.
-                            for slot in results.iter_mut().skip(next) {
-                                slot.get_or_insert(Err(RuntimeError::DeadlineExceeded));
-                            }
-                            next = pairs.len();
                             break;
                         }
                         (remaining.as_micros() as u64).max(1)
                     }
                 };
-                if next >= pairs.len() {
-                    break;
-                }
-                let (in_key, out_key) = pairs[next];
-                // relaxed: pure ID counter — uniqueness is all that
-                // matters, no other memory is published through it.
-                let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-                let payload = Request::RunModel {
-                    model: model.to_string(),
-                    in_key: in_key.to_string(),
-                    out_key: out_key.to_string(),
-                    deadline_micros,
-                    trace: None,
-                }
-                .encode();
-                write_frame(
-                    &mut stream,
-                    crate::protocol::Opcode::RunModel,
-                    seq,
-                    &payload,
-                )
-                .map_err(|e| RuntimeError::Transport(format!("batch write: {e}")))?;
-                inflight.push_back((next, seq));
-                next += 1;
+                let seq = self.next_seq();
+                encode_frame(&mut frames, VERSION, Opcode::RunModel, seq, |buf| {
+                    payload::run_model(buf, model, in_key, out_key, deadline_micros, None)
+                });
+                seqs.push(seq);
             }
-            let Some((idx, seq)) = inflight.pop_front() else {
-                continue;
-            };
-            match read_frame(&mut stream) {
-                Ok(FrameOutcome::Frame(raw)) => {
-                    if raw.seq != seq {
-                        return Err(RuntimeError::Protocol(format!(
-                            "batch reply seq {} does not match request seq {seq}",
-                            raw.seq
-                        )));
-                    }
-                    let response =
-                        decode_response(&raw).map_err(|e| RuntimeError::Protocol(e.to_string()))?;
-                    results[idx] = Some(match response {
-                        Response::Ok => Ok(()),
-                        Response::Error(e) => Err(e.to_runtime()),
-                        other => Err(unexpected(&other)),
-                    });
-                }
-                Ok(FrameOutcome::Corrupt { reason, .. }) => {
+            stream
+                .write_all(&frames)
+                .map_err(|e| RuntimeError::Transport(format!("batch write: {e}")))?;
+            // Buffered for the window: the replies leave the server in one
+            // write, and exactly `seqs.len()` of them are owed, so nothing
+            // is left behind in the buffer when it is dropped.
+            let mut replies = BufReader::new(&*stream);
+            for &seq in &seqs {
+                let raw = match read_frame(&mut replies) {
+                    Ok(FrameOutcome::Frame(raw)) => raw,
                     // The remaining replies on this stream cannot be
                     // trusted to frame correctly; surface the fault.
+                    Ok(FrameOutcome::Corrupt { reason, .. }) => {
+                        return Err(RuntimeError::Protocol(format!(
+                            "corrupt batch reply: {reason}"
+                        )));
+                    }
+                    Err(e) => return Err(RuntimeError::Transport(format!("batch read: {e}"))),
+                };
+                if raw.seq != seq {
                     return Err(RuntimeError::Protocol(format!(
-                        "corrupt batch reply: {reason}"
+                        "batch reply seq {} does not match request seq {seq}",
+                        raw.seq
                     )));
                 }
-                Err(e) => {
-                    return Err(RuntimeError::Transport(format!("batch read: {e}")));
-                }
+                let response =
+                    decode_response(&raw).map_err(|e| RuntimeError::Protocol(e.to_string()))?;
+                results.push(match response {
+                    Response::Ok => Ok(()),
+                    Response::Error(e) => Err(e.to_runtime()),
+                    other => Err(unexpected(&other)),
+                });
+            }
+            if seqs.len() < window.len() {
+                // Budget exhausted mid-window: every unsent pair gets the
+                // typed answer locally.
+                break;
             }
         }
-        self.checkin(stream);
-        Ok(results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(RuntimeError::Disconnected)))
-            .collect())
+        results.resize(pairs.len(), Err(RuntimeError::DeadlineExceeded));
+        Ok(())
     }
 }
 
@@ -515,17 +545,13 @@ fn unexpected(r: &Response) -> RuntimeError {
 
 impl ClientApi for RemoteClient {
     fn put_tensor(&self, key: &str, value: &[f64]) -> Result<()> {
-        self.expect_ok(Request::PutTensor {
-            key: key.to_string(),
-            values: value.to_vec(),
+        self.expect_ok(Opcode::PutTensor, |buf| {
+            payload::put_tensor(buf, key, value)
         })
     }
 
     fn put_sparse_tensor(&self, key: &str, value: Csr) -> Result<()> {
-        self.expect_ok(Request::PutSparse {
-            key: key.to_string(),
-            tensor: value,
-        })
+        self.put_sparse_tensor_ref(key, &value)
     }
 
     fn run_model(&self, model: &str, in_key: &str, out_key: &str) -> Result<()> {
@@ -567,18 +593,14 @@ impl ClientApi for RemoteClient {
     }
 
     fn unpack_tensor(&self, key: &str) -> Result<Vec<f64>> {
-        match self.call(Request::GetTensor {
-            key: key.to_string(),
-        })? {
+        match self.call(Opcode::GetTensor, |buf| payload::key(buf, key))? {
             Response::Tensor(values) => Ok(values),
             other => Err(unexpected(&other)),
         }
     }
 
     fn del_tensor(&self, key: &str) -> Result<bool> {
-        match self.call(Request::Del {
-            key: key.to_string(),
-        })? {
+        match self.call(Opcode::Del, |buf| payload::key(buf, key))? {
             Response::Deleted(existed) => Ok(existed),
             other => Err(unexpected(&other)),
         }

@@ -78,11 +78,14 @@ pub const HEADER_LEN: usize = 12;
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
+// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte through `k` further zero bytes, so eight lookups
+/// retire eight input bytes per step instead of one.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -95,26 +98,58 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// Fold `data` into the running (pre-inversion) CRC state `c`.
+fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = data.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
 
 /// CRC-32/IEEE over a contiguous buffer.
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_parts(&[data])
 }
 
-/// CRC-32/IEEE over the concatenation of `parts` (without copying).
+/// CRC-32/IEEE over the concatenation of `parts` (without copying): the
+/// running state carries across parts, so any split of a buffer yields
+/// the checksum of the whole.
 pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for part in parts {
-        for &b in *part {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
+        c = crc32_update(c, part);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -390,50 +425,92 @@ impl Request {
 
     /// Encode the payload bytes (header excluded).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
+        let mut buf = Vec::new();
+        self.write_payload(&mut buf);
+        buf
+    }
+
+    /// Append this request to `buf` as one complete frame; returns the
+    /// frame's wire length.
+    pub fn encode_frame(&self, buf: &mut Vec<u8>, version: u8, seq: u32) -> usize {
+        encode_frame(buf, version, self.opcode(), seq, |buf| {
+            self.write_payload(buf)
+        })
+    }
+
+    fn write_payload(&self, buf: &mut Vec<u8>) {
         match self {
-            Request::PutTensor { key, values } => {
-                w.str16(key);
-                w.f64_slice(values);
-            }
-            Request::PutSparse { key, tensor } => {
-                w.str16(key);
-                w.u32(tensor.nrows() as u32);
-                w.u32(tensor.ncols() as u32);
-                w.u32(tensor.nnz() as u32);
-                for &p in tensor.indptr() {
-                    w.u32(p as u32);
-                }
-                for &i in tensor.indices() {
-                    w.u32(i as u32);
-                }
-                for &v in tensor.values() {
-                    w.f64(v);
-                }
-            }
-            Request::GetTensor { key } | Request::Del { key } => w.str16(key),
+            Request::PutTensor { key, values } => payload::put_tensor(buf, key, values),
+            Request::PutSparse { key, tensor } => payload::put_sparse(buf, key, tensor),
+            Request::GetTensor { key } | Request::Del { key } => payload::key(buf, key),
             Request::RunModel {
                 model,
                 in_key,
                 out_key,
                 deadline_micros,
                 trace,
-            } => {
-                w.str16(model);
-                w.str16(in_key);
-                w.str16(out_key);
-                w.u64(*deadline_micros);
-                // The v2 tail is only emitted when there is a context to
-                // carry, so a trace-less v2 frame stays v1-identical.
-                if let Some(ctx) = trace {
-                    w.u8(RUN_MODEL_FLAG_TRACE);
-                    w.bytes(&ctx.to_wire());
-                }
-            }
+            } => payload::run_model(buf, model, in_key, out_key, *deadline_micros, *trace),
             Request::Stats | Request::Metrics | Request::Traces => {}
-            Request::Ping { payload } => w.bytes(payload),
+            Request::Ping { payload } => buf.extend_from_slice(payload),
         }
-        w.into_vec()
+    }
+}
+
+/// Request payload encoders over *borrowed* parts: the one place each
+/// payload schema is written. [`Request::encode`] goes through them, and
+/// the clients call them directly so a `put_tensor(&[f64])` is encoded
+/// straight into its frame buffer without first being copied into an
+/// owned [`Request`].
+pub(crate) mod payload {
+    use super::{Csr, PayloadWriter, TraceContext, CRC_LEN, RUN_MODEL_FLAG_TRACE};
+
+    /// `PutTensor`: key, then a counted run of `f64` bit patterns.
+    pub fn put_tensor(buf: &mut Vec<u8>, key: &str, values: &[f64]) {
+        let mut w = PayloadWriter::new(buf);
+        w.str16(key);
+        w.u32(values.len() as u32);
+        w.reserve(values.len() * 8 + CRC_LEN);
+        w.f64_run(values);
+    }
+
+    /// `PutSparse`: key, shape, then the three CSR arrays.
+    pub fn put_sparse(buf: &mut Vec<u8>, key: &str, tensor: &Csr) {
+        let mut w = PayloadWriter::new(buf);
+        w.str16(key);
+        w.u32(tensor.nrows() as u32);
+        w.u32(tensor.ncols() as u32);
+        w.u32(tensor.nnz() as u32);
+        w.reserve((tensor.indptr().len() + tensor.nnz()) * 4 + tensor.nnz() * 8 + CRC_LEN);
+        w.u32_run(tensor.indptr());
+        w.u32_run(tensor.indices());
+        w.f64_run(tensor.values());
+    }
+
+    /// `GetTensor` / `Del`: just the key.
+    pub fn key(buf: &mut Vec<u8>, key: &str) {
+        PayloadWriter::new(buf).str16(key);
+    }
+
+    /// `RunModel`: three strings, the deadline, and the optional v2 tail.
+    pub fn run_model(
+        buf: &mut Vec<u8>,
+        model: &str,
+        in_key: &str,
+        out_key: &str,
+        deadline_micros: u64,
+        trace: Option<TraceContext>,
+    ) {
+        let mut w = PayloadWriter::new(buf);
+        w.str16(model);
+        w.str16(in_key);
+        w.str16(out_key);
+        w.u64(deadline_micros);
+        // The v2 tail is only emitted when there is a context to carry,
+        // so a trace-less v2 frame stays v1-identical.
+        if let Some(ctx) = trace {
+            w.u8(RUN_MODEL_FLAG_TRACE);
+            w.bytes(&ctx.to_wire());
+        }
     }
 }
 
@@ -556,10 +633,28 @@ impl Response {
 
     /// Encode the payload bytes (header excluded).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
+        let mut buf = Vec::new();
+        self.write_payload(&mut buf);
+        buf
+    }
+
+    /// Append this response to `buf` as one complete frame; returns the
+    /// frame's wire length.
+    pub fn encode_frame(&self, buf: &mut Vec<u8>, version: u8, seq: u32) -> usize {
+        encode_frame(buf, version, self.opcode(), seq, |buf| {
+            self.write_payload(buf)
+        })
+    }
+
+    fn write_payload(&self, buf: &mut Vec<u8>) {
+        let mut w = PayloadWriter::new(buf);
         match self {
             Response::Ok => {}
-            Response::Tensor(values) => w.f64_slice(values),
+            Response::Tensor(values) => {
+                w.u32(values.len() as u32);
+                w.reserve(values.len() * 8 + CRC_LEN);
+                w.f64_run(values);
+            }
             Response::Deleted(existed) => w.u8(u8::from(*existed)),
             Response::Text(text) => w.bytes(text.as_bytes()),
             Response::Pong(payload) => w.bytes(payload),
@@ -569,7 +664,6 @@ impl Response {
                 w.str16(&e.message);
             }
         }
-        w.into_vec()
     }
 }
 
@@ -610,6 +704,36 @@ pub enum FrameOutcome {
     },
 }
 
+/// Bytes after the payload: the CRC-32.
+const CRC_LEN: usize = 4;
+
+/// Append one complete frame to `buf`: the header with the length left
+/// open, whatever payload `body` appends, the length patched in, and the
+/// checksum. The frame is built in place — every frame this crate sends
+/// is assembled here, so a payload is written once and never copied into
+/// a second buffer. Returns the frame's wire length.
+pub(crate) fn encode_frame(
+    buf: &mut Vec<u8>,
+    version: u8,
+    opcode: Opcode,
+    seq: u32,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&MAGIC);
+    buf.push(version);
+    buf.push(opcode as u8);
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(&[0; 4]);
+    body(buf);
+    let len = buf.len() - start - HEADER_LEN;
+    debug_assert!(len <= MAX_FRAME_PAYLOAD);
+    buf[start + 8..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&buf[start + 2..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf.len() - start
+}
+
 /// Serialize one frame at the current [`VERSION`]. Returns the total
 /// bytes written (for byte accounting).
 pub fn write_frame(
@@ -621,9 +745,8 @@ pub fn write_frame(
     write_frame_with_version(w, VERSION, opcode, seq, payload)
 }
 
-/// Serialize one frame carrying an explicit protocol version — how the
-/// server answers a v1 request with a v1 response (and how tests craft
-/// old-version frames).
+/// Serialize one frame carrying an explicit protocol version — how tests
+/// craft old-version frames from already-encoded payload bytes.
 pub fn write_frame_with_version(
     w: &mut impl Write,
     version: u8,
@@ -631,18 +754,12 @@ pub fn write_frame_with_version(
     seq: u32,
     payload: &[u8],
 ) -> Result<usize, WireError> {
-    debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    buf.extend_from_slice(&MAGIC);
-    buf.push(version);
-    buf.push(opcode as u8);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    let crc = crc32(&buf[2..]);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    let mut buf = Vec::with_capacity(frame_len(payload.len()));
+    let n = encode_frame(&mut buf, version, opcode, seq, |buf| {
+        buf.extend_from_slice(payload)
+    });
     w.write_all(&buf)?;
-    Ok(buf.len())
+    Ok(n)
 }
 
 /// Read and validate one frame. `Err` is fatal (close the connection);
@@ -660,7 +777,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<FrameOutcome, WireError> {
     if len as usize > MAX_FRAME_PAYLOAD {
         return Err(WireError::Oversize(len));
     }
-    let mut rest = vec![0u8; len as usize + 4];
+    // One allocation: payload and checksum land together, the checksum
+    // is cut off below and the buffer becomes the frame's payload.
+    let mut rest = vec![0u8; len as usize + CRC_LEN];
     r.read_exact(&mut rest)?;
     let payload = &rest[..len as usize];
     let received = u32::from_le_bytes(to_array(&rest[len as usize..]));
@@ -688,7 +807,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<FrameOutcome, WireError> {
 
 /// Total wire bytes of a frame with an `n`-byte payload.
 pub fn frame_len(n: usize) -> usize {
-    HEADER_LEN + n + 4
+    HEADER_LEN + n + CRC_LEN
 }
 
 /// Decode a validated frame as a request (server side).
@@ -811,13 +930,20 @@ pub fn decode_response(frame: &RawFrame) -> Result<Response, WireError> {
 // Payload cursors
 // ---------------------------------------------------------------------
 
-struct PayloadWriter {
-    buf: Vec<u8>,
+/// Appends payload fields to a frame (or bare payload) buffer.
+struct PayloadWriter<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl PayloadWriter {
-    fn new() -> Self {
-        PayloadWriter { buf: Vec::new() }
+impl<'a> PayloadWriter<'a> {
+    fn new(buf: &'a mut Vec<u8>) -> Self {
+        PayloadWriter { buf }
+    }
+
+    /// Make room for a bulk run (and the checksum behind it) up front, so
+    /// a large payload grows its buffer once.
+    fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     fn u8(&mut self, v: u8) {
@@ -830,10 +956,6 @@ impl PayloadWriter {
 
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     fn bytes(&mut self, b: &[u8]) {
@@ -849,16 +971,24 @@ impl PayloadWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// u32 count prefix + raw f64 bit patterns.
-    fn f64_slice(&mut self, values: &[f64]) {
-        self.u32(values.len() as u32);
-        for &v in values {
-            self.f64(v);
+    /// Raw little-endian `f64` bit patterns, appended as one block (the
+    /// fixed-width chunk loop compiles to a straight copy on
+    /// little-endian targets).
+    fn f64_run(&mut self, values: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + values.len() * 8, 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(values) {
+            dst.copy_from_slice(&v.to_bits().to_le_bytes());
         }
     }
 
-    fn into_vec(self) -> Vec<u8> {
-        self.buf
+    /// Indices as little-endian `u32`s, appended as one block.
+    fn u32_run(&mut self, values: &[usize]) {
+        let start = self.buf.len();
+        self.buf.resize(start + values.len() * 4, 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(values) {
+            dst.copy_from_slice(&(*v as u32).to_le_bytes());
+        }
     }
 }
 
@@ -897,10 +1027,6 @@ impl<'a> PayloadReader<'a> {
 
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(to_array(self.take(8)?)))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     fn str16(&mut self) -> Result<String, WireError> {
@@ -1003,6 +1129,63 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32_parts(&[b"1234", b"56789"]), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC the sliced one replaced, kept as the
+    /// reference it must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Seeded bytes (splitmix64), so failures reproduce.
+    fn seeded_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        // Every length around the 8-byte stride, at every start alignment.
+        let buf = seeded_bytes(1, 70 + 8);
+        for start in 0..8 {
+            for len in 0..=70 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+        // Seeded random buffers up to 64 KiB.
+        for (seed, len) in [(2, 71), (3, 1_000), (4, 4_097), (5, 65_535), (6, 65_536)] {
+            let data = seeded_bytes(seed, len);
+            assert_eq!(crc32(&data), crc32_bytewise(&data), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn crc32_parts_is_invariant_under_every_split() {
+        let data = seeded_bytes(7, 67);
+        let whole = crc32_bytewise(&data);
+        for i in 0..=data.len() {
+            assert_eq!(crc32_parts(&[&data[..i], &data[i..]]), whole, "split {i}");
+            for j in i..=data.len() {
+                assert_eq!(
+                    crc32_parts(&[&data[..i], &data[i..j], &data[j..]]),
+                    whole,
+                    "splits {i}, {j}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1131,17 +1314,18 @@ mod tests {
 
     #[test]
     fn zero_length_keys_are_rejected() {
-        let mut w = PayloadWriter::new();
-        w.str16("");
+        let mut payload = Vec::new();
+        PayloadWriter::new(&mut payload).str16("");
         let frame = RawFrame {
             version: VERSION,
             opcode: Opcode::GetTensor as u8,
             seq: 0,
-            payload: w.into_vec(),
+            payload,
         };
         assert!(matches!(decode_request(&frame), Err(WireError::EmptyKey)));
         // And RunModel validates both of its keys.
-        let mut w = PayloadWriter::new();
+        let mut payload = Vec::new();
+        let mut w = PayloadWriter::new(&mut payload);
         w.str16("model");
         w.str16("");
         w.str16("out");
@@ -1150,7 +1334,7 @@ mod tests {
             version: VERSION,
             opcode: Opcode::RunModel as u8,
             seq: 0,
-            payload: w.into_vec(),
+            payload,
         };
         assert!(matches!(decode_request(&frame), Err(WireError::EmptyKey)));
     }
@@ -1280,12 +1464,13 @@ mod tests {
         }
         .encode();
         // The v1 form: three strings + deadline, nothing after.
-        let mut w = PayloadWriter::new();
+        let mut v1 = Vec::new();
+        let mut w = PayloadWriter::new(&mut v1);
         w.str16("net");
         w.str16("in");
         w.str16("out");
         w.u64(7);
-        assert_eq!(with_none, w.into_vec());
+        assert_eq!(with_none, v1);
     }
 
     #[test]

@@ -27,21 +27,22 @@
 //! [`Orchestrator::shutdown`] for its own drain. Nothing already admitted
 //! is dropped.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::io::Write;
+use std::hash::{Hash, Hasher};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hpcnet_runtime::{Client, Orchestrator, Result, RuntimeError, ServingStats};
-use hpcnet_telemetry::{Counter, Gauge, Registry};
+use hpcnet_runtime::{Client, Orchestrator, PendingRun, Result, RuntimeError, ServingStats};
+use hpcnet_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::protocol::{
-    self, decode_request, read_frame, write_frame_with_version, ErrorFrame, FrameOutcome, Opcode,
-    Request, Response,
+    self, decode_request, read_frame, ErrorFrame, FrameOutcome, Opcode, Request, Response,
 };
 
 /// Connections currently open.
@@ -115,21 +116,19 @@ impl NetServerBuilder {
         let local_addr = listener
             .local_addr()
             .map_err(|e| RuntimeError::Transport(format!("local addr: {e}")))?;
+        // Instrument handles are resolved once, against the orchestrator's
+        // own registry, so METRICS exposes serving and network series side
+        // by side.
+        let metrics = NetMetrics::bind(self.orchestrator.telemetry_registry());
         let shared = Arc::new(ServerShared {
             orchestrator: self.orchestrator,
-            metrics: NetMetrics::new(),
+            metrics,
             window: self.window,
             stop: AtomicBool::new(false),
             next_conn_id: AtomicU64::new(0),
             live: Mutex::new(HashMap::new()),
             joiners: Mutex::new(Vec::new()),
         });
-        // Resolve instrument handles once, against the orchestrator's own
-        // registry, so METRICS exposes serving and network series side by
-        // side.
-        shared
-            .metrics
-            .bind(&shared.orchestrator.telemetry_registry());
         let accept = {
             let shared = shared.clone();
             std::thread::Builder::new()
@@ -220,84 +219,71 @@ struct ServerShared {
     next_conn_id: AtomicU64,
     /// Live connection streams, for half-closing at shutdown.
     live: Mutex<HashMap<u64, TcpStream>>,
-    /// Reader and executor handles of every connection ever accepted.
+    /// Reader and executor handles of connections whose threads have not
+    /// been joined yet: the accept loop reaps finished ones, `shutdown`
+    /// joins the rest.
     joiners: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// Cached handles for the `hpcnet_net_*` series. Per-op instruments are
-/// resolved lazily (the op set is small and fixed, but resolving on first
-/// use keeps unused series out of the exposition).
-struct NetMetrics {
-    inner: Mutex<Option<BoundMetrics>>,
-}
+/// Request opcodes are `0x01..=REQUEST_OPS`; slot `op - 1` of
+/// [`NetMetrics::per_op`] holds that opcode's instruments.
+const REQUEST_OPS: usize = Opcode::Traces as usize;
 
-struct BoundMetrics {
+/// Cached handles for the `hpcnet_net_*` series. Per-op instruments are
+/// resolved on first use (that keeps unused series out of the
+/// exposition) and cached, so recording a request is two atomic updates
+/// rather than two labelled registry lookups.
+struct NetMetrics {
     registry: Arc<Registry>,
     connections: Arc<Gauge>,
     connections_total: Arc<Counter>,
     bytes_read: Arc<Counter>,
     bytes_written: Arc<Counter>,
     protocol_errors: Arc<Counter>,
+    per_op: [OnceLock<(Arc<Counter>, Arc<Histogram>)>; REQUEST_OPS],
 }
 
 impl NetMetrics {
-    fn new() -> Self {
-        NetMetrics {
-            inner: Mutex::new(None),
-        }
-    }
-
-    fn bind(&self, registry: &Arc<Registry>) {
+    fn bind(registry: Arc<Registry>) -> Self {
         registry.set_helps(NET_METRIC_HELP);
-        *self.inner.lock().unwrap_or_else(PoisonError::into_inner) = Some(BoundMetrics {
-            registry: registry.clone(),
+        NetMetrics {
             connections: registry.gauge(CONNECTIONS_GAUGE),
             connections_total: registry.counter(CONNECTIONS_TOTAL),
             bytes_read: registry.counter(BYTES_READ_TOTAL),
             bytes_written: registry.counter(BYTES_WRITTEN_TOTAL),
             protocol_errors: registry.counter(PROTOCOL_ERRORS_TOTAL),
-        });
-    }
-
-    fn with(&self, f: impl FnOnce(&BoundMetrics)) {
-        let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(m) = guard.as_ref() {
-            f(m);
+            per_op: Default::default(),
+            registry,
         }
     }
 
     fn connection_opened(&self) {
-        self.with(|m| {
-            m.connections.inc();
-            m.connections_total.inc();
-        });
+        self.connections.inc();
+        self.connections_total.inc();
     }
 
     fn connection_closed(&self) {
-        self.with(|m| m.connections.dec());
-    }
-
-    fn bytes_read(&self, n: usize) {
-        self.with(|m| m.bytes_read.add(n as u64));
-    }
-
-    fn bytes_written(&self, n: usize) {
-        self.with(|m| m.bytes_written.add(n as u64));
-    }
-
-    fn protocol_error(&self) {
-        self.with(|m| m.protocol_errors.inc());
+        self.connections.dec();
     }
 
     fn request(&self, op: Opcode, elapsed: Duration) {
-        self.with(|m| {
-            m.registry
-                .counter_with(NET_REQUESTS_TOTAL, &[("op", op.name())])
-                .inc();
-            m.registry
-                .time_histogram(REQUEST_SECONDS, &[("op", op.name())])
-                .record_duration(elapsed);
+        // Only request opcodes reach here (`decode_request` rejects the
+        // rest); anything else is simply not recorded.
+        let Some(slot) = (op as usize)
+            .checked_sub(1)
+            .and_then(|i| self.per_op.get(i))
+        else {
+            return;
+        };
+        let (count, seconds) = slot.get_or_init(|| {
+            let labels = [("op", op.name())];
+            (
+                self.registry.counter_with(NET_REQUESTS_TOTAL, &labels),
+                self.registry.time_histogram(REQUEST_SECONDS, &labels),
+            )
         });
+        count.inc();
+        seconds.record_duration(elapsed);
     }
 }
 
@@ -373,8 +359,24 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
             .joiners
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
+        reap_finished(&mut joiners);
         joiners.push(reader);
         joiners.push(executor);
+    }
+}
+
+/// Join the connection threads that have already exited, so a long-lived
+/// server retains handles in proportion to its *live* connections, not
+/// to every connection it ever accepted. `join` on a finished thread
+/// returns at once.
+fn reap_finished(joiners: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < joiners.len() {
+        if joiners[i].is_finished() {
+            let _ = joiners.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -392,27 +394,28 @@ fn drop_connection(shared: &ServerShared, conn_id: u64) {
     shared.metrics.connection_closed();
 }
 
-/// One unit of work handed from the reader to the executor. Both carry
+/// One unit of work handed from the reader to the executor. It carries
 /// the request frame's protocol version so the reply can echo it — a v1
 /// client of a v2 server sees pure v1 traffic.
-enum Job {
-    /// A decoded request to execute.
-    Run {
-        seq: u32,
-        version: u8,
-        request: Request,
-        received: Instant,
-    },
-    /// A frame that failed validation or decoding: answer with a typed
-    /// protocol error, do not execute anything.
-    Reject {
-        seq: u32,
-        version: u8,
-        message: String,
-    },
+struct Job {
+    seq: u32,
+    version: u8,
+    received: Instant,
+    work: Work,
 }
 
-fn reader_loop(mut stream: TcpStream, tx: SyncSender<Job>, shared: Arc<ServerShared>) {
+enum Work {
+    /// A decoded request to execute.
+    Run(Request),
+    /// A frame that failed validation or decoding: answer with a typed
+    /// protocol error carrying this message, do not execute anything.
+    Reject(String),
+}
+
+fn reader_loop(stream: TcpStream, tx: SyncSender<Job>, shared: Arc<ServerShared>) {
+    // Buffered: a window of pipelined frames that arrived in one segment
+    // is framed from memory instead of two `read`s per frame.
+    let mut stream = BufReader::new(stream);
     loop {
         let outcome = match read_frame(&mut stream) {
             Ok(o) => o,
@@ -420,32 +423,29 @@ fn reader_loop(mut stream: TcpStream, tx: SyncSender<Job>, shared: Arc<ServerSha
             // Dropping `tx` is the hang-up signal for the executor.
             Err(_) => return,
         };
-        let job = match outcome {
+        let (seq, version, work) = match outcome {
             FrameOutcome::Frame(raw) => {
                 shared
                     .metrics
-                    .bytes_read(protocol::frame_len(raw.payload.len()));
-                match decode_request(&raw) {
-                    Ok(request) => Job::Run {
-                        seq: raw.seq,
-                        version: raw.version,
-                        request,
-                        received: Instant::now(),
-                    },
-                    Err(e) => Job::Reject {
-                        seq: raw.seq,
-                        version: raw.version,
-                        message: e.to_string(),
-                    },
-                }
+                    .bytes_read
+                    .add(protocol::frame_len(raw.payload.len()) as u64);
+                let work = match decode_request(&raw) {
+                    Ok(request) => Work::Run(request),
+                    Err(e) => Work::Reject(e.to_string()),
+                };
+                (raw.seq, raw.version, work)
             }
             // A corrupt frame has no trustworthy version byte; answer at
             // the current version.
-            FrameOutcome::Corrupt { seq, reason } => Job::Reject {
-                seq,
-                version: protocol::VERSION,
-                message: reason.to_string(),
-            },
+            FrameOutcome::Corrupt { seq, reason } => {
+                (seq, protocol::VERSION, Work::Reject(reason.to_string()))
+            }
+        };
+        let job = Job {
+            seq,
+            version,
+            received: Instant::now(),
+            work,
         };
         // Blocks when the in-flight window is full — TCP backpressure.
         if tx.send(job).is_err() {
@@ -462,45 +462,41 @@ fn executor_loop(
     shared: Arc<ServerShared>,
 ) {
     let client = shared.orchestrator.client();
+    // A job pulled off the channel by a round that could not take it.
+    let mut held: Option<Job> = None;
+    let mut served: Vec<(Opcode, Instant)> = Vec::new();
     // Drains naturally: once the reader drops `tx` (EOF or shutdown's
     // half-close), `recv` yields the queued remainder and then errors.
-    while let Ok(job) = rx.recv() {
-        let (seq, version, response, op, started) = match job {
-            Job::Run {
-                seq,
-                version,
-                request,
-                received,
-            } => {
-                let op = request.opcode();
-                let response = execute(&client, &shared.orchestrator, request);
-                (seq, version, response, Some(op), received)
+    while let Some(job) = held.take().or_else(|| rx.recv().ok()) {
+        // One round's replies, in request order, leave in one write.
+        let mut out = Vec::new();
+        match job.work {
+            Work::Run(Request::RunModel { .. }) => {
+                held = run_pipelined(&client, &shared, &rx, job, &mut out, &mut served);
             }
-            Job::Reject {
-                seq,
-                version,
-                message,
-            } => {
-                shared.metrics.protocol_error();
-                (
-                    seq,
-                    version,
-                    Response::Error(ErrorFrame::from_runtime(&RuntimeError::Protocol(message))),
-                    None,
-                    Instant::now(),
-                )
+            Work::Run(request) => {
+                served.push((request.opcode(), job.received));
+                execute(&client, &shared.orchestrator, request).encode_frame(
+                    &mut out,
+                    job.version,
+                    job.seq,
+                );
             }
-        };
-        let payload = response.encode();
-        match write_frame_with_version(&mut stream, version, response.opcode(), seq, &payload) {
-            Ok(n) => {
-                let _ = stream.flush();
-                shared.metrics.bytes_written(n);
+            Work::Reject(message) => {
+                shared.metrics.protocol_errors.inc();
+                error_response(&RuntimeError::Protocol(message)).encode_frame(
+                    &mut out,
+                    job.version,
+                    job.seq,
+                );
             }
-            Err(_) => break,
         }
-        if let Some(op) = op {
-            shared.metrics.request(op, started.elapsed());
+        if stream.write_all(&out).is_err() {
+            break;
+        }
+        shared.metrics.bytes_written.add(out.len() as u64);
+        for (op, received) in served.drain(..) {
+            shared.metrics.request(op, received.elapsed());
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
@@ -512,12 +508,112 @@ fn executor_loop(
     shared.metrics.connection_closed();
 }
 
+/// A `RUN_MODEL` of the current round: submitted and awaiting the
+/// orchestrator, or already answered.
+enum Slot {
+    Pending(PendingRun),
+    Ready(Response),
+}
+
+/// Serve `first` (a `RUN_MODEL`) together with the `RUN_MODEL`s already
+/// queued behind it: all are submitted to the orchestrator before any
+/// reply is awaited, so the worker's backlog drain coalesces them into
+/// one round and one batched forward pass. Replies are appended to `out`
+/// in request order. Returns the job that ended the drain, if one was
+/// pulled off the channel — it opens the next round.
+///
+/// What a client could observe is unchanged from one-at-a-time execution
+/// (DESIGN.md §12): every request keeps its own deadline, trace context,
+/// guard outcome and typed reply; the drain stops at the first job that
+/// is not a `RUN_MODEL` and at the first one that shares a key with an
+/// earlier request of the round in a way that orders them (reads or
+/// overwrites an output, overwrites an input), so dependent requests
+/// still execute in sequence; and a full admission queue holds the rest
+/// back rather than rejecting requests the connection itself queued.
+fn run_pipelined(
+    client: &Client,
+    shared: &ServerShared,
+    rx: &Receiver<Job>,
+    first: Job,
+    out: &mut Vec<u8>,
+    served: &mut Vec<(Opcode, Instant)>,
+) -> Option<Job> {
+    let mut round: Vec<(u32, u8, Instant, Slot)> = Vec::new();
+    // Hashes of the keys the round reads and writes. A collision only
+    // ends the round early.
+    let (mut reads, mut writes): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+    let mut held = None;
+    let mut next = Some(first);
+    while let Some(job) = next.take() {
+        let Work::Run(
+            request @ Request::RunModel {
+                model,
+                in_key,
+                out_key,
+                deadline_micros,
+                trace,
+            },
+        ) = &job.work
+        else {
+            held = Some(job);
+            break;
+        };
+        let (input, output) = (key_hash(in_key), key_hash(out_key));
+        if writes.contains(&input) || writes.contains(&output) || reads.contains(&output) {
+            held = Some(job);
+            break;
+        }
+        let deadline = (*deadline_micros != 0).then(|| Duration::from_micros(*deadline_micros));
+        let slot = match client.try_submit_run_model(model, in_key, out_key, deadline, *trace) {
+            Ok(Some(pending)) => Slot::Pending(pending),
+            // The queue is full before the round has anything in it: the
+            // blocking path gives the counted `Overloaded` (or serves the
+            // request, if room appeared meanwhile).
+            Ok(None) if round.is_empty() => {
+                Slot::Ready(execute(client, &shared.orchestrator, request.clone()))
+            }
+            Ok(None) => {
+                held = Some(job);
+                break;
+            }
+            Err(e) => Slot::Ready(error_response(&e)),
+        };
+        reads.push(input);
+        writes.push(output);
+        round.push((job.seq, job.version, job.received, slot));
+        if round.len() < shared.window {
+            next = rx.try_recv().ok();
+        }
+    }
+    for (seq, version, received, slot) in round {
+        let response = match slot {
+            Slot::Pending(pending) => client
+                .wait_run_model(pending)
+                .map_or_else(|e| error_response(&e), |()| Response::Ok),
+            Slot::Ready(response) => response,
+        };
+        response.encode_frame(out, version, seq);
+        served.push((Opcode::RunModel, received));
+    }
+    held
+}
+
+fn key_hash(key: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    hasher.finish()
+}
+
+fn error_response(e: &RuntimeError) -> Response {
+    Response::Error(ErrorFrame::from_runtime(e))
+}
+
 /// Execute one decoded request against the orchestrator, mapping every
 /// failure into a typed error frame.
 fn execute(client: &Client, orchestrator: &Orchestrator, request: Request) -> Response {
     let result: Result<Response> = match request {
         Request::PutTensor { key, values } => {
-            client.put_tensor(&key, &values).map(|()| Response::Ok)
+            client.put_tensor_owned(&key, values).map(|()| Response::Ok)
         }
         Request::PutSparse { key, tensor } => client
             .put_sparse_tensor(&key, tensor)
@@ -545,7 +641,7 @@ fn execute(client: &Client, orchestrator: &Orchestrator, request: Request) -> Re
             &orchestrator.trace_dump(),
         ))),
     };
-    result.unwrap_or_else(|e| Response::Error(ErrorFrame::from_runtime(&e)))
+    result.unwrap_or_else(|e| error_response(&e))
 }
 
 #[cfg(test)]
@@ -635,6 +731,49 @@ mod tests {
 
         let stats = server.shutdown();
         assert_eq!(stats.requests, 1);
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_not_retained() {
+        const CONNECTIONS: usize = 300;
+        let orchestrator = Orchestrator::builder().workers(1).build();
+        let server = NetServer::builder(orchestrator)
+            .serve("127.0.0.1:0")
+            .unwrap();
+        let retained = || server.shared.joiners.lock().unwrap().len();
+        let ping = Request::Ping {
+            payload: b"x".to_vec(),
+        };
+        for seq in 0..CONNECTIONS {
+            // A full round trip, so the connection was accepted and served
+            // before it closes.
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            let r = request_response(&mut stream, &ping, seq as u32);
+            assert_eq!(r, Response::Pong(b"x".to_vec()));
+        }
+        // Wait for the last connections' threads to wind down, then let one
+        // more accept run the reaper.
+        let gauge = server
+            .shared
+            .orchestrator
+            .telemetry_registry()
+            .gauge(CONNECTIONS_GAUGE);
+        for _ in 0..500 {
+            if gauge.get() == 0.0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        request_response(&mut stream, &ping, 0);
+        assert!(
+            retained() <= 16,
+            "{} handles retained after {CONNECTIONS} closed connections",
+            retained()
+        );
+        drop(stream);
+        server.shutdown();
     }
 
     #[test]

@@ -475,3 +475,249 @@ fn panicking_validator_surfaces_as_typed_error_frame_over_tcp() {
     assert_eq!(stats.requests, 2);
     assert_eq!(stats.errors, 1);
 }
+
+/// `keys[i]` as the `(in, out)` pair list a batch call takes.
+fn as_pairs(keys: &[(String, String)]) -> Vec<(&str, &str)> {
+    keys.iter().map(|(i, o)| (i.as_str(), o.as_str())).collect()
+}
+
+#[test]
+fn consecutive_batches_reuse_one_pooled_connection() {
+    let server = demo_server(|b| b.workers(1).build());
+    let client = RemoteClient::connect(server.local_addr().to_string()).expect("connect");
+    let keys: Vec<(String, String)> = (0..20)
+        .map(|s| (format!("pool/in{s}"), format!("pool/out{s}")))
+        .collect();
+    for (s, (in_key, _)) in keys.iter().enumerate() {
+        client
+            .put_tensor(in_key, &demo_input(s as u64))
+            .expect("put");
+    }
+    let connections = |client: &RemoteClient| {
+        metric_total(
+            &client.metrics_text().expect("metrics"),
+            "hpcnet_net_connections_total",
+            "",
+        )
+    };
+    let before = connections(&client);
+    for _ in 0..2 {
+        let results = client
+            .run_model_batch_results(DEMO_MODEL, &as_pairs(&keys), None)
+            .expect("batch");
+        assert_eq!(results.len(), keys.len());
+        assert!(results.iter().all(Result::is_ok), "got {results:?}");
+    }
+    assert_eq!(
+        connections(&client),
+        before,
+        "a batch must ride the pooled connection, not dial its own"
+    );
+    assert_eq!(
+        before, 1.0,
+        "puts, batches and metrics share one connection"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn batch_after_a_server_restart_costs_one_redial() {
+    // Two servers, one after the other, on the same address and over the
+    // same store: the client's pooled connection belongs to the first and
+    // is dead by the time the second batch is sent.
+    let store = TensorStore::new();
+    let launch = |addr: &str| {
+        let orchestrator = Orchestrator::builder()
+            .store(store.clone())
+            .workers(1)
+            .build();
+        orchestrator.register_model(DEMO_MODEL, demo_bundle());
+        NetServer::builder(orchestrator).serve(addr).expect("bind")
+    };
+    let first = launch("127.0.0.1:0");
+    let addr = first.local_addr().to_string();
+    let client = RemoteClient::builder(addr.as_str())
+        .retries(0)
+        .connect()
+        .expect("connect");
+    let keys: Vec<(String, String)> = (0..6)
+        .map(|s| (format!("rs/in{s}"), format!("rs/out{s}")))
+        .collect();
+    for (s, (in_key, _)) in keys.iter().enumerate() {
+        client
+            .put_tensor(in_key, &demo_input(s as u64))
+            .expect("put");
+    }
+    let batch = || client.run_model_batch_results(DEMO_MODEL, &as_pairs(&keys), None);
+    assert!(batch().expect("first batch").iter().all(Result::is_ok));
+    first.shutdown();
+
+    let second = launch(&addr);
+    // `retries(0)`: the one re-dial is the batch path's own, not the
+    // per-call retry budget.
+    let results = batch().expect("a stale pooled connection must cost a re-dial, not the batch");
+    assert!(results.iter().all(Result::is_ok), "got {results:?}");
+    let metrics = client.metrics_text().expect("metrics");
+    assert_eq!(
+        metric_total(&metrics, "hpcnet_net_connections_total", ""),
+        1.0,
+        "exactly one new connection: the re-dial, then pooled again"
+    );
+    let reference = demo_bundle();
+    for (s, (_, out_key)) in keys.iter().enumerate() {
+        let got = client.unpack_tensor(out_key).expect("unpack");
+        let want = reference
+            .surrogate
+            .predict(&demo_input(s as u64))
+            .expect("predict");
+        assert_eq!(got, want, "pair {s}");
+    }
+    second.shutdown();
+
+    // Nothing listening any more: the re-dial fails and the fault is the
+    // typed transport error the cluster's re-route keys on.
+    let err = batch().expect_err("no server");
+    assert!(matches!(err, RuntimeError::Transport(_)), "got {err:?}");
+}
+
+/// A guarded demo server with one worker whose validator takes `pause`
+/// per call (so requests submitted together are still queued when the
+/// worker comes back for them) and rejects every third input, which the
+/// fallback then answers.
+fn slow_guarded_server(pause: Duration) -> NetServer {
+    let orchestrator = Orchestrator::builder()
+        .store(TensorStore::new())
+        .workers(1)
+        .build();
+    orchestrator.register_guarded_model(
+        DEMO_MODEL,
+        demo_bundle(),
+        QualityGuard::new(move |input: &[f64], _out: &[f64]| {
+            std::thread::sleep(pause);
+            input[0] < 2.5
+        })
+        .with_fallback(|input: &[f64]| vec![input[0], -1.0, -2.0, -3.0]),
+    );
+    NetServer::builder(orchestrator)
+        .serve("127.0.0.1:0")
+        .expect("bind")
+}
+
+/// Demo inputs whose first element (0, 1, 2, 3, 0, ...) the guard of
+/// [`slow_guarded_server`] keys on.
+fn marked_input(s: usize) -> Vec<f64> {
+    let mut input = demo_input(s as u64);
+    input[0] = (s % 4) as f64;
+    input
+}
+
+#[test]
+fn pipelined_batch_is_coalesced_with_per_pair_results_in_order() {
+    const PAIRS: usize = 16;
+    const ABSENT: usize = 5;
+    let server = slow_guarded_server(Duration::from_millis(5));
+    let client = RemoteClient::connect(server.local_addr().to_string()).expect("connect");
+    for s in (0..PAIRS).filter(|&s| s != ABSENT) {
+        client
+            .put_tensor(&format!("co/in{s}"), &marked_input(s))
+            .expect("put");
+    }
+    let keys = |prefix: &str| -> Vec<(String, String)> {
+        (0..PAIRS)
+            .map(|s| (format!("co/in{s}"), format!("co/{prefix}{s}")))
+            .collect()
+    };
+
+    // The reference: sixteen single calls, one request per round.
+    let singles = keys("single");
+    for (s, (in_key, out_key)) in singles.iter().enumerate() {
+        let result = client.run_model(DEMO_MODEL, in_key, out_key);
+        assert_eq!(result.is_ok(), s != ABSENT, "single {s}: {result:?}");
+    }
+    let before = client.serving_stats().expect("stats");
+    assert_eq!(before.batches, before.requests, "singles are not coalesced");
+
+    let batched = keys("batch");
+    let results = client
+        .run_model_batch_results(DEMO_MODEL, &as_pairs(&batched), None)
+        .expect("batch");
+    assert_eq!(results.len(), PAIRS);
+    for (s, result) in results.iter().enumerate() {
+        if s == ABSENT {
+            assert_eq!(
+                result,
+                &Err(RuntimeError::MissingTensor(format!("co/in{s}"))),
+                "the typed error belongs to its own pair"
+            );
+        } else {
+            assert_eq!(result, &Ok(()), "pair {s}");
+        }
+    }
+    let after = client.serving_stats().expect("stats");
+    let (requests, rounds) = (
+        after.requests - before.requests,
+        after.batches - before.batches,
+    );
+    assert_eq!(requests, PAIRS as u64);
+    assert!(
+        rounds < requests,
+        "the window must be served in fewer forward passes than requests \
+         (mean batch size > 1), got {rounds} for {requests}"
+    );
+    // Each request kept its own guard outcome: the same inputs fell back.
+    assert_eq!(
+        after.quality_fallbacks - before.quality_fallbacks,
+        before.quality_fallbacks
+    );
+    assert!(before.quality_fallbacks > 0 && before.quality_hits > 0);
+
+    for s in (0..PAIRS).filter(|&s| s != ABSENT) {
+        let single = client.unpack_tensor(&singles[s].1).expect("single out");
+        let batch = client.unpack_tensor(&batched[s].1).expect("batch out");
+        assert_eq!(single.len(), batch.len());
+        for (a, b) in single.iter().zip(&batch) {
+            assert_eq!(a.to_bits(), b.to_bits(), "pair {s} diverged");
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_frames_keep_their_own_deadlines() {
+    let server = slow_guarded_server(Duration::from_millis(300));
+    let addr = server.local_addr().to_string();
+    let client = RemoteClient::connect(addr.as_str()).expect("connect");
+    for s in 0..4 {
+        client
+            .put_tensor(&format!("dl/in{s}"), &marked_input(0))
+            .expect("put");
+    }
+    let occupant = {
+        let client = client.clone();
+        std::thread::spawn(move || client.run_model(DEMO_MODEL, "dl/in3", "dl/out3"))
+    };
+    std::thread::sleep(Duration::from_millis(100));
+
+    // Three frames queued behind a 300 ms validation with 20 ms between
+    // them: each is answered with its own typed deadline error.
+    let keys: Vec<(String, String)> = (0..3)
+        .map(|s| (format!("dl/in{s}"), format!("dl/out{s}")))
+        .collect();
+    let results = client
+        .run_model_batch_results(
+            DEMO_MODEL,
+            &as_pairs(&keys),
+            Some(Duration::from_millis(20)),
+        )
+        .expect("the batch itself completes");
+    assert_eq!(results, vec![Err(RuntimeError::DeadlineExceeded); 3]);
+    occupant.join().expect("occupant").expect("slow run");
+
+    // With room in the budget the same frames are served.
+    let results = client
+        .run_model_batch_results(DEMO_MODEL, &as_pairs(&keys), Some(Duration::from_secs(30)))
+        .expect("batch");
+    assert_eq!(results, vec![Ok(()); 3]);
+    assert!(client.serving_stats().expect("stats").deadline_expired >= 3);
+    server.shutdown();
+}

@@ -166,11 +166,14 @@ impl ReplayBuffer {
             }
         }
         let mut shards = self.shards.write();
-        shards
+        // Bound to a local: as a tail expression the shard's `MutexGuard`
+        // temporary would outlive `shards`, which it borrows from.
+        let admitted = shards
             .entry(model.to_string())
             .or_insert_with(|| Mutex::new(ModelBuffer::new(model)))
             .lock()
-            .push(self.capacity, sample)
+            .push(self.capacity, sample);
+        admitted
     }
 
     /// Samples currently buffered for `model`.

@@ -17,7 +17,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use hpcnet_telemetry::{Trace, TraceContext};
 
 use crate::server::{Orchestrator, ServerRequest, ServingShared};
@@ -70,9 +70,16 @@ impl Client {
     /// Fails with [`RuntimeError::InvalidKey`] on a malformed key and
     /// [`RuntimeError::ShuttingDown`] once the orchestrator is draining.
     pub fn put_tensor(&self, key: &str, value: &[f64]) -> Result<()> {
+        self.put_tensor_owned(key, value.to_vec())
+    }
+
+    /// [`Client::put_tensor`] for a caller that already owns the row (the
+    /// networked front end, which decoded it off the wire): the vector
+    /// moves into the store instead of being copied.
+    pub fn put_tensor_owned(&self, key: &str, value: Vec<f64>) -> Result<()> {
         let key = TensorKey::new(key)?;
         self.ensure_admitting()?;
-        self.store.put_dense(key.as_str(), value.to_vec());
+        self.store.put_dense(key.as_str(), value);
         Ok(())
     }
 
@@ -128,12 +135,40 @@ impl Client {
         deadline: Option<Duration>,
         trace: Option<TraceContext>,
     ) -> Result<()> {
+        match self.try_submit_run_model(model, in_key, out_key, deadline, trace)? {
+            Some(pending) => self.wait_run_model(pending),
+            None => Err(self.overloaded(model)),
+        }
+    }
+
+    /// The non-blocking half of [`Client::run_model_with_context`]:
+    /// validate, stamp the deadline, enqueue, and return a token to
+    /// redeem with [`Client::wait_run_model`]. A caller holding several
+    /// independent requests (the networked front end with pipelined
+    /// frames) submits them all before waiting on any, so the worker's
+    /// backlog drain serves them in one round and one batched forward
+    /// pass — each still with its own deadline, trace context, guard
+    /// outcome and typed reply.
+    ///
+    /// A full admission queue is `Ok(None)` and counts no rejection: the
+    /// caller still holds the request and decides — the blocking calls
+    /// turn it into the counted [`RuntimeError::Overloaded`], the front
+    /// end retries once its earlier requests have been answered instead
+    /// of failing a request on a queue it filled itself.
+    pub fn try_submit_run_model(
+        &self,
+        model: &str,
+        in_key: &str,
+        out_key: &str,
+        deadline: Option<Duration>,
+        trace: Option<TraceContext>,
+    ) -> Result<Option<PendingRun>> {
         let in_key = TensorKey::new(in_key)?;
         let out_key = TensorKey::new(out_key)?;
         self.ensure_admitting()?;
         let deadline = self.compute_deadline(deadline)?;
         let (reply_tx, reply_rx) = bounded(1);
-        self.submit(ServerRequest::RunModel {
+        let admitted = self.try_enqueue(ServerRequest::RunModel {
             model: model.to_string(),
             in_key,
             out_key,
@@ -142,7 +177,12 @@ impl Client {
             trace,
             reply: reply_tx,
         })?;
-        reply_rx.recv().map_err(|_| self.closed_error())?
+        Ok(admitted.then_some(PendingRun { reply: reply_rx }))
+    }
+
+    /// Block until the server answers a submitted request.
+    pub fn wait_run_model(&self, pending: PendingRun) -> Result<()> {
+        pending.reply.recv().map_err(|_| self.closed_error())?
     }
 
     /// Run a model over many `(in_key, out_key)` pairs in one request.
@@ -184,7 +224,7 @@ impl Client {
         self.ensure_admitting()?;
         let deadline = self.compute_deadline(deadline)?;
         let (reply_tx, reply_rx) = bounded(1);
-        self.submit(ServerRequest::RunBatch {
+        let admitted = self.try_enqueue(ServerRequest::RunBatch {
             model: model.to_string(),
             pairs,
             deadline,
@@ -192,6 +232,9 @@ impl Client {
             trace: None,
             reply: reply_tx,
         })?;
+        if !admitted {
+            return Err(self.overloaded(model));
+        }
         let results = reply_rx.recv().map_err(|_| self.closed_error())?;
         results.into_iter().find(|r| r.is_err()).unwrap_or(Ok(()))
     }
@@ -256,28 +299,34 @@ impl Client {
         }
     }
 
-    /// Bounded admission: a full queue is an `Overloaded` rejection, not
-    /// a block; the rejection is counted in the orchestrator's telemetry
-    /// (and an `overload_rejected` event lands in the anomaly ring).
-    fn submit(&self, req: ServerRequest) -> Result<()> {
+    /// Bounded admission: `Ok(false)` when the queue is full — never a
+    /// block.
+    fn try_enqueue(&self, req: ServerRequest) -> Result<bool> {
         match self.tx.try_send(req) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(req)) => {
-                let model = match &req {
-                    ServerRequest::RunModel { model, .. }
-                    | ServerRequest::RunBatch { model, .. } => model.as_str(),
-                    ServerRequest::Drain => "",
-                };
-                self.shared
-                    .metrics
-                    .record_overload(model, self.shared.queue_depth);
-                Err(RuntimeError::Overloaded {
-                    queue_depth: self.shared.queue_depth,
-                })
-            }
+            Ok(()) => Ok(true),
+            Err(TrySendError::Full(_)) => Ok(false),
             Err(TrySendError::Disconnected(_)) => Err(self.closed_error()),
         }
     }
+
+    /// A full queue is an `Overloaded` rejection; the rejection is
+    /// counted in the orchestrator's telemetry (and an
+    /// `overload_rejected` event lands in the anomaly ring).
+    fn overloaded(&self, model: &str) -> RuntimeError {
+        self.shared
+            .metrics
+            .record_overload(model, self.shared.queue_depth);
+        RuntimeError::Overloaded {
+            queue_depth: self.shared.queue_depth,
+        }
+    }
+}
+
+/// A submitted `run_model` whose reply has not been collected yet: the
+/// token [`Client::try_submit_run_model`] hands out and
+/// [`Client::wait_run_model`] redeems.
+pub struct PendingRun {
+    reply: Receiver<Result<()>>,
 }
 
 /// The in-process client is the reference implementation of the shared
@@ -485,6 +534,79 @@ mod tests {
         );
         // Nothing reached the workers.
         assert_eq!(orc.serving_stats().requests, 0);
+    }
+
+    #[test]
+    fn submitted_requests_are_awaited_later_and_a_full_queue_is_not_a_rejection() {
+        use std::sync::mpsc::channel;
+        // One worker, a queue of one, and a validator that reports in and
+        // then blocks until the test lets it go: the first request occupies
+        // the worker, the second fills the queue. (`orc` is declared first
+        // so that a failing assertion drops `release` before the
+        // orchestrator joins its worker.)
+        let orc = Orchestrator::builder().workers(1).queue_depth(1).build();
+        let (entered, validating) = channel::<()>();
+        let (release, gate) = channel::<()>();
+        let hooks = std::sync::Mutex::new((entered, gate));
+        let mlp = Mlp::new(&Topology::mlp(vec![2, 3, 1]), &mut seeded(3, "cl")).unwrap();
+        orc.register_guarded_model(
+            "net",
+            crate::server::ModelBundle {
+                surrogate: mlp.into(),
+                autoencoder: None,
+                scaler: None,
+                output_scaler: None,
+            },
+            crate::QualityGuard::new(move |_, _| {
+                let hooks = hooks.lock().unwrap();
+                let _ = hooks.0.send(());
+                let _ = hooks.1.recv();
+                true
+            }),
+        );
+        let client = orc.client();
+        client.put_tensor("in", &[0.4, -0.4]).unwrap();
+        let first = client
+            .try_submit_run_model("net", "in", "out1", None, None)
+            .unwrap()
+            .expect("empty queue admits");
+        // Once the validator runs, the worker has drained its backlog and
+        // will not look at the queue again before it is released.
+        validating.recv().unwrap();
+        let second = client
+            .try_submit_run_model("net", "in", "out2", None, None)
+            .unwrap()
+            .expect("the worker took the first request off the queue");
+        // Full: the non-blocking half hands the decision back and counts
+        // nothing; the blocking call is the counted rejection.
+        assert!(client
+            .try_submit_run_model("net", "in", "out3", None, None)
+            .unwrap()
+            .is_none());
+        assert_eq!(orc.serving_stats().overload_rejected, 0);
+        assert_eq!(
+            client.run_model("net", "in", "out3"),
+            Err(RuntimeError::Overloaded { queue_depth: 1 })
+        );
+        assert_eq!(orc.serving_stats().overload_rejected, 1);
+        // Validation and the enqueue-time deadline still answer at once.
+        assert!(matches!(
+            client.try_submit_run_model("net", "", "out", None, None),
+            Err(RuntimeError::InvalidKey(_))
+        ));
+        assert!(matches!(
+            client.try_submit_run_model("net", "in", "out", Some(Duration::ZERO), None),
+            Err(RuntimeError::DeadlineExceeded)
+        ));
+
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(client.wait_run_model(first), Ok(()));
+        assert_eq!(client.wait_run_model(second), Ok(()));
+        assert_eq!(
+            client.unpack_tensor("out1").unwrap(),
+            client.unpack_tensor("out2").unwrap()
+        );
     }
 
     #[test]
