@@ -5,8 +5,8 @@
 //!
 //! This is deliberately not a full parser: the rules are token-shaped
 //! (method calls, macro invocations, path segments), so per-line code
-//! text with literals blanked is enough — and it keeps the driver free of
-//! external dependencies like `syn`.
+//! text with literal contents blanked is enough — and it keeps the driver
+//! free of external dependencies like `syn`.
 
 /// One source file, split line-by-line into code and comment channels.
 #[derive(Debug)]
@@ -18,12 +18,6 @@ pub struct FileMap {
     /// Per-line comment text (without the `//` / `/* */` delimiters
     /// beyond what the comment itself contains).
     pub comments: Vec<String>,
-    /// Per-line string literal contents captured while blanking (normal,
-    /// raw, and byte strings; char literals are skipped). A multi-line
-    /// literal is attributed to the line its closing quote is on. Escape
-    /// sequences are kept verbatim (`\n` stays two characters), which is
-    /// fine for the exact-match rules that consume this channel.
-    pub literals: Vec<Vec<String>>,
 }
 
 impl FileMap {
@@ -47,20 +41,17 @@ pub fn strip(source: &str) -> FileMap {
     let b = source.as_bytes();
     let mut code = Vec::new();
     let mut comments = Vec::new();
-    let mut literals = Vec::new();
     let mut code_line = String::new();
     let mut comment_line = String::new();
-    let mut literal_line: Vec<String> = Vec::new();
     let mut i = 0;
     // The previous code byte, used to tell raw strings (`r"..."`) from
-    // identifiers ending in `r` (`for`), and lifetimes from char literals.
+    // identifiers ending in `r` (`for`), and a lifetime from a char literal.
     let mut prev_code: u8 = b' ';
 
     macro_rules! newline {
         () => {
             code.push(std::mem::take(&mut code_line));
             comments.push(std::mem::take(&mut comment_line));
-            literals.push(std::mem::take(&mut literal_line));
         };
     }
 
@@ -108,10 +99,8 @@ pub fn strip(source: &str) -> FileMap {
                     i,
                     &mut code,
                     &mut comments,
-                    &mut literals,
                     &mut code_line,
                     &mut comment_line,
-                    &mut literal_line,
                 );
                 prev_code = b'"';
             }
@@ -136,11 +125,9 @@ pub fn strip(source: &str) -> FileMap {
                     // Raw string: no escapes; ends at `"` + `hashes` hashes.
                     code_line.push_str(if saw_b { "br\"" } else { "r\"" });
                     j += 1;
-                    let mut content = String::new();
                     'raw: while j < b.len() {
                         if b[j] == b'\n' {
                             newline!();
-                            content.push('\n');
                             j += 1;
                         } else if b[j] == b'"' {
                             let mut k = 0;
@@ -149,14 +136,11 @@ pub fn strip(source: &str) -> FileMap {
                             }
                             if k == hashes {
                                 code_line.push('"');
-                                literal_line.push(content);
                                 j += 1 + hashes;
                                 break 'raw;
                             }
-                            content.push('"');
                             j += 1;
                         } else {
-                            content.push(b[j] as char);
                             j += 1;
                         }
                     }
@@ -170,10 +154,8 @@ pub fn strip(source: &str) -> FileMap {
                         i + 1,
                         &mut code,
                         &mut comments,
-                        &mut literals,
                         &mut code_line,
                         &mut comment_line,
-                        &mut literal_line,
                     );
                     prev_code = b'"';
                 } else if saw_b && !raw && b.get(i + 1).copied() == Some(b'\'') {
@@ -210,56 +192,35 @@ pub fn strip(source: &str) -> FileMap {
     if !code_line.is_empty() || !comment_line.is_empty() {
         newline!();
     }
-    FileMap {
-        code,
-        comments,
-        literals,
-    }
+    FileMap { code, comments }
 }
 
 /// Consume a `"`-delimited string starting at `i` (which points at the
-/// opening quote), blanking its contents into the `literals` channel.
-/// Returns the index after the closing quote. Multi-line strings emit
-/// their line breaks.
-#[allow(clippy::too_many_arguments)]
+/// opening quote), blanking its contents. Returns the index after the
+/// closing quote. Multi-line strings emit their line breaks.
 fn consume_string(
     b: &[u8],
     mut i: usize,
     code: &mut Vec<String>,
     comments: &mut Vec<String>,
-    literals: &mut Vec<Vec<String>>,
     code_line: &mut String,
     comment_line: &mut String,
-    literal_line: &mut Vec<String>,
 ) -> usize {
     code_line.push('"');
     i += 1;
-    let mut content = String::new();
     while i < b.len() {
         match b[i] {
-            b'\\' => {
-                content.push('\\');
-                if let Some(&next) = b.get(i + 1) {
-                    content.push(next as char);
-                }
-                i += 2;
-            }
+            b'\\' => i += 2,
             b'\n' => {
                 code.push(std::mem::take(code_line));
                 comments.push(std::mem::take(comment_line));
-                literals.push(std::mem::take(literal_line));
-                content.push('\n');
                 i += 1;
             }
             b'"' => {
                 code_line.push('"');
-                literal_line.push(content);
                 return i + 1;
             }
-            _ => {
-                content.push(b[i] as char);
-                i += 1;
-            }
+            _ => i += 1,
         }
     }
     i
@@ -301,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn char_literals_do_not_open_strings() {
+    fn char_literal_does_not_open_a_string() {
         let m = strip("let q = '\"'; let n = '\\n'; y.expect(\"msg\");\n");
         assert!(m.code[0].contains(".expect(\"\")"), "code: {}", m.code[0]);
     }
@@ -312,14 +273,6 @@ mod tests {
         assert!(m.code[0].contains("b.unwrap()"));
         assert!(!m.code[0].contains("still"));
         assert!(m.comments[0].contains("two"));
-    }
-
-    #[test]
-    fn literal_contents_are_captured_per_line() {
-        let m = strip("let a = \"infer\"; // \"guard\" in a comment\nlet b = r#\"raw\"#;\n");
-        assert_eq!(m.literals[0], vec!["infer".to_string()]);
-        assert_eq!(m.literals[1], vec!["raw".to_string()]);
-        assert!(m.code[0].contains("\"\""), "contents still blanked");
     }
 
     #[test]

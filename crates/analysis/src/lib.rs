@@ -6,10 +6,8 @@
 //! cannot enforce the project-specific invariants that keep it correct —
 //! this driver does. It also guards the dual-precision kernel modules in
 //! `hpcnet-tensor`/`hpcnet-nn` against stray `f64` literals that would
-//! skew their `f32` instantiations, and keeps distributed-trace span
-//! names on the shared `stage_names` const table so traces from
-//! different hops stitch together. See [`rules`] for the rule catalogue
-//! and DESIGN.md §13–§14 and §16 for the policy discussion.
+//! skew their `f32` instantiations. See [`rules`] for the rule catalogue
+//! and DESIGN.md §13–§14 for the policy discussion.
 //!
 //! Run it with `cargo run -p hpcnet-analysis`; it prints `file:line:`
 //! diagnostics and exits non-zero when any rule fires.

@@ -1,9 +1,8 @@
 //! The project-specific lint rules.
 //!
-//! Six rules: four concurrency-correctness invariants of the serving
-//! stack (see DESIGN.md §13), one precision invariant of the
-//! dual-precision kernel modules (DESIGN.md §14), and one tracing
-//! invariant (DESIGN.md §16):
+//! Five rules: four concurrency-correctness invariants of the serving
+//! stack (see DESIGN.md §13) and one precision invariant of the
+//! dual-precision kernel modules (DESIGN.md §14):
 //!
 //! * `no-panic` — no `unwrap`/`expect`/panicking macro in non-test code
 //!   of the serving crates. A panic on the serving path kills a worker or
@@ -27,11 +26,6 @@
 //!   one can't instantiate at `f32`, so either breaks or skews the f32
 //!   twin of the kernel. Use the `Scalar::ZERO` associated const (or an
 //!   explicitly justified literal) instead.
-//! * `stage-name-literal` — stage/span names in serving-crate non-test
-//!   code must come from the `hpcnet_telemetry::trace::stage_names`
-//!   const table, never be written as string literals: a typo'd or
-//!   drifted name silently splits a request's span tree and its
-//!   per-stage metrics across two labels.
 //!
 //! Escape hatch: `// hpcnet-lint: allow(<rule>) -- <reason>` on the
 //! offending line or the line above. An allow without a reason is itself
@@ -81,8 +75,6 @@ pub struct RuleSet {
     /// Enforce `f64-literal` (only fires in files carrying the
     /// [`KERNEL_MARKER`] comment).
     pub f64_literal: bool,
-    /// Enforce `stage-name-literal`.
-    pub stage_name_literal: bool,
 }
 
 impl RuleSet {
@@ -94,17 +86,14 @@ impl RuleSet {
             guard_blocking: true,
             result_error_type: true,
             f64_literal: true,
-            stage_name_literal: true,
         }
     }
 
     /// Telemetry: everything except the error-type rule (telemetry has
-    /// no `RuntimeError` dependency by design) and the stage-name rule
-    /// (telemetry is where the `stage_names` const table is *defined*).
+    /// no `RuntimeError` dependency by design).
     pub fn telemetry() -> Self {
         RuleSet {
             result_error_type: false,
-            stage_name_literal: false,
             ..Self::serving()
         }
     }
@@ -119,7 +108,6 @@ impl RuleSet {
             guard_blocking: false,
             result_error_type: false,
             f64_literal: true,
-            stage_name_literal: false,
         }
     }
 }
@@ -153,23 +141,6 @@ const BLOCKING_CALLS: &[&str] = &[
 
 /// Macros that panic.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// The canonical span/stage names. Source of truth is
-/// `hpcnet_telemetry::trace::stage_names`; this crate is deliberately
-/// dependency-free, so the values are mirrored here and pinned against
-/// drift by the telemetry crate's own tests.
-const STAGE_NAMES: &[&str] = &[
-    "request",
-    "queue_wait",
-    "fetch",
-    "encode",
-    "infer",
-    "infer_f32",
-    "guard",
-    "fallback",
-    "shard",
-    "retrain",
-];
 
 /// Per-line allow annotations parsed from comments.
 #[derive(Debug, Default)]
@@ -510,9 +481,8 @@ pub fn check_file(file: &Path, source: &str, rules: RuleSet) -> Vec<Violation> {
     let mut depth = 0i64;
     let mut guards: Vec<(String, i64)> = Vec::new();
 
-    for idx in 0..map.len() {
+    for (idx, &in_test) in tests.iter().enumerate() {
         let code = &map.code[idx];
-        let in_test = tests[idx];
 
         if !in_test && rules.no_panic {
             for name in ["unwrap", "expect"] {
@@ -558,23 +528,6 @@ pub fn check_file(file: &Path, source: &str, rules: RuleSet) -> Vec<Violation> {
                     ),
                     &mut violations,
                 );
-            }
-        }
-
-        if !in_test && rules.stage_name_literal {
-            for lit in &map.literals[idx] {
-                if STAGE_NAMES.contains(&lit.as_str()) {
-                    push(
-                        idx,
-                        "stage-name-literal",
-                        format!(
-                            "stage name \"{lit}\" written as a string literal; \
-                             use the `hpcnet_telemetry::trace::stage_names` \
-                             const so span names cannot drift between hops"
-                        ),
-                        &mut violations,
-                    );
-                }
             }
         }
 
@@ -920,50 +873,5 @@ mod tests {
         let v = check(src, RuleSet::serving());
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("serde_json::Error"));
-    }
-
-    #[test]
-    fn stage_name_literal_flags_exact_literals() {
-        let src = "fn f() { timer.finish(\"infer\", svc); t.span_named(\"queue_wait\"); }\n";
-        let v = check(src, RuleSet::serving());
-        assert_eq!(
-            v.iter().filter(|v| v.rule == "stage-name-literal").count(),
-            2
-        );
-        assert!(v[0].message.contains("stage_names"));
-    }
-
-    #[test]
-    fn stage_name_literal_passes_consts_substrings_and_other_strings() {
-        let src = "\
-fn f() {
-    timer.finish(stage_names::INFER, svc);       // the const table: fine
-    log(\"inference took too long\");               // substring, not the name
-    span.annotate(\"endpoint\", addr);             // non-stage annotation key
-}
-";
-        assert!(check(src, RuleSet::serving()).is_empty());
-    }
-
-    #[test]
-    fn stage_name_literal_respects_tests_comments_and_allows() {
-        let src = "\
-// hpcnet-lint: allow(stage-name-literal) -- pinned wire-format fixture
-const FIXTURE: &str = \"guard\";
-fn f() { g(); } // \"infer\" in a comment is fine
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { assert_eq!(span.name, \"fallback\"); }
-}
-";
-        assert!(check(src, RuleSet::serving()).is_empty());
-    }
-
-    #[test]
-    fn stage_name_literal_is_off_for_telemetry_and_kernels() {
-        let src = "fn f() { timer.finish(\"shard\", svc); }\n";
-        assert!(check(src, RuleSet::telemetry()).is_empty());
-        assert!(check(src, RuleSet::kernels()).is_empty());
     }
 }

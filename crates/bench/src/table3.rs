@@ -1,10 +1,13 @@
 //! Table 3: the AMG counter study — CPU-only vs original-on-GPU vs
-//! Auto-HPCnet-on-GPU (FLOPs, L2 miss rate, memory bandwidth, wall clock).
+//! Auto-HPCnet-on-GPU (FLOPs, L2 miss rate, memory bandwidth, wall clock)
+//! — with the set-associative cache simulator and the report row it is
+//! assembled from.
 
 use std::time::Instant;
 
 use hpcnet_apps::{AmgApp, HpcApp};
-use hpcnet_runtime::{CacheSim, DeviceProfile, PerfReport};
+use hpcnet_runtime::DeviceProfile;
+use serde::{Deserialize, Serialize};
 
 use crate::profile::{build_with_fallback, RunProfile};
 
@@ -12,6 +15,124 @@ use crate::profile::{build_with_fallback, RunProfile};
 const TIMED_PROBLEMS: usize = 20;
 /// Memory-trace length fed to the cache simulator.
 const TRACE_LEN: usize = 200_000;
+
+/// A set-associative LRU cache simulator fed with byte addresses.
+///
+/// Used to estimate L2-level miss rates of the solver's memory stream vs
+/// the surrogate's (Table 3's "L2 level cache-miss rate" row).
+#[derive(Debug, Clone)]
+pub struct CacheSim {
+    line_bytes: u64,
+    sets: usize,
+    ways: usize,
+    /// `tags[set]` = lines in LRU order (front = most recent).
+    tags: Vec<Vec<u64>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl CacheSim {
+    /// Build a cache of `size_bytes` with `line_bytes` lines and `ways`
+    /// associativity. Size must be divisible by `line_bytes * ways`.
+    pub fn new(size_bytes: u64, line_bytes: u64, ways: usize) -> Self {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        let lines = size_bytes / line_bytes;
+        let sets = (lines as usize / ways).max(1);
+        CacheSim {
+            line_bytes,
+            sets,
+            ways,
+            tags: vec![Vec::with_capacity(ways); sets],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// A 1 MiB, 16-way, 64-byte-line cache — an L2-slice-scale default.
+    pub fn l2_default() -> Self {
+        CacheSim::new(1 << 20, 64, 16)
+    }
+
+    /// Access one byte address; returns whether it hit.
+    pub fn access(&mut self, addr: u64) -> bool {
+        let line = addr / self.line_bytes;
+        let set = (line as usize) % self.sets;
+        let ways = &mut self.tags[set];
+        if let Some(pos) = ways.iter().position(|&t| t == line) {
+            let tag = ways.remove(pos);
+            ways.insert(0, tag);
+            self.hits += 1;
+            true
+        } else {
+            if ways.len() == self.ways {
+                ways.pop();
+            }
+            ways.insert(0, line);
+            self.misses += 1;
+            false
+        }
+    }
+
+    /// Feed a whole address stream.
+    pub fn run(&mut self, addrs: &[u64]) {
+        for &a in addrs {
+            self.access(a);
+        }
+    }
+
+    /// Total accesses so far.
+    pub fn accesses(&self) -> u64 {
+        self.hits + self.misses
+    }
+
+    /// Miss rate in `[0, 1]`.
+    pub fn miss_rate(&self) -> f64 {
+        if self.accesses() == 0 {
+            return 0.0;
+        }
+        self.misses as f64 / self.accesses() as f64
+    }
+}
+
+/// One column of the Table 3 counter study.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PerfReport {
+    /// Configuration label ("CPU-only", "Original code on GPU", ...).
+    pub label: String,
+    /// Floating-point operations (counted exactly in the kernels).
+    pub flops: u64,
+    /// L2-level cache miss rate from the cache simulator.
+    pub l2_miss_rate: f64,
+    /// Memory bandwidth in MB/s (bytes moved / wall time).
+    pub mem_bandwidth_mbs: f64,
+    /// Wall-clock (or modeled, flagged by `modeled`) seconds.
+    pub wall_seconds: f64,
+    /// Whether the time is a device-model estimate rather than measured.
+    pub modeled: bool,
+}
+
+impl PerfReport {
+    /// Render one table row (FLOPs in G or M depending on magnitude).
+    pub fn row(&self) -> String {
+        let flops = if self.flops >= 1_000_000_000 {
+            format!("{:.3}G", self.flops as f64 / 1e9)
+        } else {
+            format!("{:.3}M", self.flops as f64 / 1e6)
+        };
+        format!(
+            "{:<24} {:>13} {:>10.2}% {:>12.1} {:>12.6}{}",
+            self.label,
+            flops,
+            100.0 * self.l2_miss_rate,
+            self.mem_bandwidth_mbs,
+            self.wall_seconds,
+            if self.modeled { " (modeled)" } else { "" }
+        )
+    }
+}
 
 /// Run the counter study; returns the three report rows.
 pub fn run(profile: RunProfile) -> Vec<PerfReport> {
@@ -141,4 +262,74 @@ pub fn render(rows: &[PerfReport]) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sequential_stream_mostly_hits_after_first_touch() {
+        let mut sim = CacheSim::new(1 << 16, 64, 8);
+        // Walk 4 KiB of memory 8 times.
+        let mut addrs = Vec::new();
+        for _ in 0..8 {
+            for a in (0..4096u64).step_by(8) {
+                addrs.push(a);
+            }
+        }
+        sim.run(&addrs);
+        // First pass misses 64 lines, the rest hit.
+        assert!(sim.miss_rate() < 0.05, "miss rate {}", sim.miss_rate());
+    }
+
+    #[test]
+    fn working_set_larger_than_cache_thrashes() {
+        let mut sim = CacheSim::new(1 << 12, 64, 2); // 4 KiB cache
+        let mut addrs = Vec::new();
+        for _ in 0..4 {
+            for a in (0..(1u64 << 16)).step_by(64) {
+                addrs.push(a);
+            }
+        }
+        sim.run(&addrs);
+        assert!(sim.miss_rate() > 0.9, "miss rate {}", sim.miss_rate());
+    }
+
+    #[test]
+    fn repeated_single_line_hits_forever() {
+        let mut sim = CacheSim::l2_default();
+        for _ in 0..100 {
+            sim.access(0x1234);
+        }
+        assert_eq!(sim.accesses(), 100);
+        assert!((sim.miss_rate() - 0.01).abs() < 1e-12); // 1 cold miss
+    }
+
+    #[test]
+    fn lru_evicts_least_recent() {
+        // 2-way set: touch A, B, then C in the same set: A evicted.
+        let mut sim = CacheSim::new(128, 64, 2); // 1 set, 2 ways
+        assert!(!sim.access(0));
+        assert!(!sim.access(64));
+        assert!(!sim.access(128)); // evicts line 0
+        assert!(!sim.access(0)); // miss again
+        assert!(sim.access(128)); // still resident
+    }
+
+    #[test]
+    fn report_row_formats() {
+        let r = PerfReport {
+            label: "CPU-only".into(),
+            flops: 30_660_000_000,
+            l2_miss_rate: 0.3747,
+            mem_bandwidth_mbs: 3523.15,
+            wall_seconds: 2.47,
+            modeled: false,
+        };
+        let row = r.row();
+        assert!(row.contains("CPU-only"));
+        assert!(row.contains("30.660G"));
+        assert!(row.contains("37.47%"));
+    }
 }

@@ -32,9 +32,9 @@ use std::time::{Duration, Instant};
 
 use hpcnet_net::RemoteClient;
 use hpcnet_runtime::{ClientApi, Result, RuntimeError, ServingStats};
-use hpcnet_telemetry::trace::{self, merge_traces, stage_names};
+use hpcnet_telemetry::trace::{self, merge_traces};
 use hpcnet_telemetry::{
-    FlightRecorder, FlightRecorderConfig, Registry, SpanId, SpanRecord, SpanTimer, Trace,
+    FlightRecorder, FlightRecorderConfig, Registry, SpanId, SpanRecord, SpanTimer, Stage, Trace,
     TraceContext,
 };
 
@@ -388,7 +388,7 @@ impl ClusterClient {
             model, in_key, out_key, budget, started, ctx, root_id, &mut spans,
         );
         let mut root = timer
-            .finish(stage_names::REQUEST, TRACE_SERVICE)
+            .finish(Stage::Request, TRACE_SERVICE)
             .annotate("model", model);
         // The root's id was handed to the shard attempts before the span
         // finished, so overwrite the freshly minted one.
@@ -451,7 +451,7 @@ impl ClusterClient {
                 Some(ctx.child_of(shard_id)),
             );
             let mut shard_span = shard_timer
-                .finish(stage_names::SHARD, TRACE_SERVICE)
+                .finish(Stage::Shard, TRACE_SERVICE)
                 .with_parent(root_id)
                 .annotate("endpoint", &endpoint.addr);
             shard_span.span_id = shard_id;

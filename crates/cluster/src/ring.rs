@@ -1,7 +1,7 @@
 //! Consistent-hash ring with virtual nodes.
 //!
 //! Tensor keys are mapped to endpoints by hashing each endpoint onto the
-//! ring at [`HashRing::vnodes`] pseudo-random points and walking
+//! ring at `vnodes` ([`HashRing::new`]) pseudo-random points and walking
 //! clockwise from the key's own hash to the first point. Virtual nodes
 //! smooth the per-endpoint share toward 1/N, and — the property the
 //! fleet is built around — adding or removing one endpoint remaps only

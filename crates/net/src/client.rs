@@ -33,9 +33,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use hpcnet_runtime::{ClientApi, Result, RuntimeError, ServingStats};
-use hpcnet_telemetry::trace::{self, merge_traces, stage_names, traces_from_json};
+use hpcnet_telemetry::trace::{self, merge_traces, traces_from_json};
 use hpcnet_telemetry::{
-    FlightRecorder, FlightRecorderConfig, SpanId, SpanTimer, Trace, TraceContext,
+    FlightRecorder, FlightRecorderConfig, SpanId, SpanTimer, Stage, Trace, TraceContext,
 };
 use hpcnet_tensor::Csr;
 
@@ -88,8 +88,7 @@ impl RemoteClientBuilder {
     }
 
     /// Initial backoff before the first retry (default 50 ms); doubles
-    /// per retry, capped by [`RemoteClientBuilder::max_backoff`]
-    /// (default 2 s).
+    /// per retry, capped by `max` (default 2 s).
     pub fn backoff(mut self, initial: Duration, max: Duration) -> Self {
         self.backoff = initial;
         self.max_backoff = max.max(initial);
@@ -241,7 +240,7 @@ impl RemoteClient {
             payload::run_model(buf, model, in_key, out_key, deadline_micros, trace)
         });
         let mut span = timer
-            .finish(stage_names::REQUEST, TRACE_SERVICE)
+            .finish(Stage::Request, TRACE_SERVICE)
             .annotate("model", model)
             .annotate("endpoint", &self.inner.config.addr);
         // The root's id went over the wire before the span finished, so

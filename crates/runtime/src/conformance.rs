@@ -43,8 +43,8 @@
 
 use std::time::Duration;
 
-use hpcnet_telemetry::trace::{stage_names, tags};
-use hpcnet_telemetry::SpanStatus;
+use hpcnet_telemetry::trace::tags;
+use hpcnet_telemetry::{SpanStatus, Stage};
 
 use crate::{ClientApi, Result, RuntimeError};
 
@@ -362,15 +362,11 @@ impl<'a> Conformance<'a> {
             root.parent.is_none(),
             "conformance: the root span must have no parent"
         );
-        for stage in [
-            stage_names::QUEUE_WAIT,
-            stage_names::FETCH,
-            stage_names::ENCODE,
-            stage_names::INFER,
-        ] {
+        for stage in [Stage::QueueWait, Stage::Fetch, Stage::Encode, Stage::Infer] {
             assert!(
                 t.span_named(stage).is_some(),
-                "conformance: stage child span `{stage}` missing from the trace; spans: {:?}",
+                "conformance: stage child span `{}` missing from the trace; spans: {:?}",
+                stage.as_str(),
                 t.spans.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
             );
         }

@@ -23,8 +23,8 @@
 //! * [`device`] — an analytic device model (CPU / V100-class GPU) used for
 //!   the GPU columns of Fig. 5 and Table 3 (we have no GPU; every GPU
 //!   number is clearly a model output — see DESIGN.md),
-//! * [`perf`] — exact FLOP counters and a set-associative cache simulator
-//!   regenerating Table 3's counter study,
+//! * [`perf`] — [`ServingStats`], the cumulative serving statistics
+//!   assembled on demand from the telemetry registry,
 //! * [`metrics`] — the serving telemetry surface (DESIGN.md §11): every
 //!   orchestrator owns a private `hpcnet_telemetry::Registry` with
 //!   queue-wait and per-stage latency histograms per model, exported via
@@ -53,7 +53,7 @@ pub use hpcnet_telemetry::{
     Event, HistogramSnapshot, RegistrySnapshot, SpanRecord, SpanStatus, Trace, TraceContext,
     TraceId,
 };
-pub use perf::{CacheSim, PerfReport, ServingStats};
+pub use perf::ServingStats;
 pub use server::{ModelBundle, OnlineTimers, Orchestrator, OrchestratorBuilder, QualityGuard};
 pub use store::{TensorKey, TensorStore};
 

@@ -1,20 +1,25 @@
 //! Serving-side telemetry: every metric the orchestrator maintains in its
 //! private [`hpcnet_telemetry::Registry`], with cached per-model handles
-//! so the hot path records lock-free, plus the mapping that derives the
-//! legacy [`ServingStats`] view from a registry snapshot.
+//! so the hot path records lock-free. This registry plus the trace
+//! [`FlightRecorder`] is the *only* place serving activity is written;
+//! [`ServingStats`], [`crate::OnlineTimers`] and the slow-request log are
+//! views computed from them on demand (DESIGN.md §11).
 //!
 //! Metric names follow DESIGN.md §11: `hpcnet_serving_*`, with `_total`
 //! counters, `_seconds` latency histograms (recorded in nanoseconds,
 //! scaled at exposition), a `model` label on per-model series, and a
-//! `stage` label (`fetch` / `encode` / `infer` / `guard` / `fallback`)
+//! `stage` label (a [`Stage::as_str`]: `fetch` / `encode` / `infer` /
+//! `infer_f32` / `guard` / `fallback`, plus the background `retrain`)
 //! on the per-stage timing histogram.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hpcnet_telemetry::trace::stage_names;
-use hpcnet_telemetry::{Counter, FlightRecorder, FlightRecorderConfig, Histogram, Registry};
+use hpcnet_telemetry::trace::tags;
+use hpcnet_telemetry::{
+    Counter, FlightRecorder, FlightRecorderConfig, Histogram, Registry, SpanStatus, Stage, Trace,
+};
 use parking_lot::RwLock;
 
 use crate::perf::ServingStats;
@@ -51,6 +56,10 @@ serving_metric_consts! {
     pub const QUEUE_WAIT_SECONDS: &str = "hpcnet_serving_queue_wait_seconds";
     /// Per-group stage timings, labeled by `model` and `stage`.
     pub const STAGE_SECONDS: &str = "hpcnet_serving_stage_seconds";
+    /// Time to load one model into the registry (file read, deserialize,
+    /// insert), labeled by `model`. Not a `stage`: it happens outside
+    /// any request.
+    pub const MODEL_LOAD_SECONDS: &str = "hpcnet_serving_model_load_seconds";
     /// Requests rejected at enqueue because the admission queue was full.
     pub const OVERLOAD_REJECTED_TOTAL: &str = "hpcnet_serving_overload_rejected_total";
     /// Admitted requests whose deadline passed before execution.
@@ -108,58 +117,71 @@ pub const EVENT_MODEL_SWAP: &str = "model_swap";
 /// version was reinstalled; `value` carries the restored version.
 pub const EVENT_MODEL_ROLLBACK: &str = "model_rollback";
 
+/// The stages timed once per executed group, in serving order:
+/// [`Stage::REQUEST_STAGES`] after the per-request `queue_wait`.
+const GROUP_STAGES: [Stage; 6] = [
+    Stage::Fetch,
+    Stage::Encode,
+    Stage::Infer,
+    Stage::InferF32,
+    Stage::Guard,
+    Stage::Fallback,
+];
+
+/// Timing split of one executed group, one slot per [`GROUP_STAGES`]
+/// entry. The slots are disjoint: `infer` is the f64 forward alone, net
+/// of the `infer_f32`, `guard` and `fallback` work timed inside the same
+/// wall-clock window. This array is what gets written — once to the
+/// stage histograms, once as the stage children of each traced request.
+pub(crate) struct StageTimes(pub(crate) [Duration; GROUP_STAGES.len()]);
+
+impl StageTimes {
+    /// `(slot, stage, duration)` of every stage the group records, in
+    /// serving order: `fetch`/`encode`/`infer` always, the conditional
+    /// stages only when they did work.
+    pub(crate) fn recorded(&self) -> impl Iterator<Item = (usize, Stage, Duration)> + '_ {
+        GROUP_STAGES
+            .into_iter()
+            .zip(self.0)
+            .enumerate()
+            .filter(|(_, (stage, d))| {
+                !d.is_zero() || !matches!(stage, Stage::InferF32 | Stage::Guard | Stage::Fallback)
+            })
+            .map(|(slot, (stage, d))| (slot, stage, d))
+    }
+}
+
+fn stage_histogram(reg: &Registry, model: &str, stage: Stage) -> Arc<Histogram> {
+    reg.time_histogram(
+        STAGE_SECONDS,
+        &[("model", model), ("stage", stage.as_str())],
+    )
+}
+
 /// Cached instrument handles for one model: resolved against the registry
 /// once, then recorded into lock-free.
 pub(crate) struct ModelMetrics {
     requests: Arc<Counter>,
     errors: Arc<Counter>,
     queue_wait: Arc<Histogram>,
-    fetch: Arc<Histogram>,
-    encode: Arc<Histogram>,
-    infer: Arc<Histogram>,
-    infer_f32: Arc<Histogram>,
-    guard: Arc<Histogram>,
-    fallback: Arc<Histogram>,
+    /// One histogram per [`GROUP_STAGES`] slot.
+    stages: [Arc<Histogram>; GROUP_STAGES.len()],
 }
 
 impl ModelMetrics {
     fn new(reg: &Registry, model: &str) -> Self {
-        let stage = |s: &str| reg.time_histogram(STAGE_SECONDS, &[("model", model), ("stage", s)]);
         ModelMetrics {
             requests: reg.counter_with(REQUESTS_TOTAL, &[("model", model)]),
             errors: reg.counter_with(ERRORS_TOTAL, &[("model", model)]),
             queue_wait: reg.time_histogram(QUEUE_WAIT_SECONDS, &[("model", model)]),
-            fetch: stage(stage_names::FETCH),
-            encode: stage(stage_names::ENCODE),
-            infer: stage(stage_names::INFER),
-            infer_f32: stage(stage_names::INFER_F32),
-            guard: stage(stage_names::GUARD),
-            fallback: stage(stage_names::FALLBACK),
+            stages: GROUP_STAGES.map(|stage| stage_histogram(reg, model, stage)),
         }
     }
 }
 
-/// Timing split of one executed group. `infer` is the whole
-/// inference-and-scatter wall time *including* f32-kernel, guard, and
-/// fallback work; [`ServingMetrics::record_group`] attributes the
-/// `infer_f32`/guard/fallback shares to their own stages.
-#[derive(Clone, Default)]
-pub(crate) struct StageTimes {
-    pub(crate) fetch: Duration,
-    pub(crate) encode: Duration,
-    pub(crate) infer: Duration,
-    pub(crate) infer_f32: Duration,
-    pub(crate) guard: Duration,
-    pub(crate) fallback: Duration,
-    pub(crate) busy: Duration,
-}
-
-/// Bound on retained slow-request log lines (the newest are kept).
-const SLOW_LOG_CAPACITY: usize = 256;
-
 /// The orchestrator's metrics front end: a private registry plus cached
-/// handles for the global counters, one [`ModelMetrics`] per model, the
-/// trace [`FlightRecorder`], and the bounded slow-request log.
+/// handles for the global counters, one [`ModelMetrics`] per model, and
+/// the trace [`FlightRecorder`].
 pub(crate) struct ServingMetrics {
     registry: Arc<Registry>,
     recorder: Arc<FlightRecorder>,
@@ -176,7 +198,6 @@ pub(crate) struct ServingMetrics {
     traces_retained: Arc<Counter>,
     slow_requests: Arc<Counter>,
     per_model: RwLock<HashMap<String, Arc<ModelMetrics>>>,
-    slow_log: RwLock<std::collections::VecDeque<String>>,
 }
 
 impl ServingMetrics {
@@ -202,7 +223,6 @@ impl ServingMetrics {
             traces_retained: registry.counter(TRACES_RETAINED_TOTAL),
             slow_requests: registry.counter(SLOW_REQUESTS_TOTAL),
             per_model: RwLock::new(HashMap::new()),
-            slow_log: RwLock::new(std::collections::VecDeque::new()),
             registry,
         }
     }
@@ -212,29 +232,34 @@ impl ServingMetrics {
         &self.recorder
     }
 
-    /// Offer a completed request trace to the flight recorder.
-    pub(crate) fn record_trace(&self, trace: hpcnet_telemetry::Trace) {
+    /// Offer a completed trace to the flight recorder. A request that
+    /// ran past the slow threshold is counted and its
+    /// [`slow_request_line`] printed to stderr here, once; the line can
+    /// be re-read later through [`slow_log`](Self::slow_log).
+    pub(crate) fn record_trace(&self, mut trace: Trace) {
+        self.recorder.classify(&mut trace);
+        if trace.has_tag(tags::SLOW) {
+            let threshold = self.recorder.slow_threshold();
+            if let Some(line) = slow_request_line(&trace, threshold) {
+                self.slow_requests.inc();
+                eprintln!("{line}");
+            }
+        }
         if self.recorder.record(trace) {
             self.traces_retained.inc();
         }
     }
 
-    /// Log one slow request: a structured JSON line to stderr plus the
-    /// bounded in-memory tail [`slow_log`](Self::slow_log) tests and
-    /// operators can read back.
-    pub(crate) fn record_slow_request(&self, line: String) {
-        self.slow_requests.inc();
-        eprintln!("{line}");
-        let mut log = self.slow_log.write();
-        if log.len() >= SLOW_LOG_CAPACITY {
-            log.pop_front();
-        }
-        log.push_back(line);
-    }
-
-    /// Retained slow-request log lines, oldest first.
+    /// The slow-request log, oldest first: a view rendering every
+    /// `slow`-tagged request trace the flight recorder still retains.
     pub(crate) fn slow_log(&self) -> Vec<String> {
-        self.slow_log.read().iter().cloned().collect()
+        let threshold = self.recorder.slow_threshold();
+        self.recorder
+            .snapshot()
+            .iter()
+            .filter(|t| t.has_tag(tags::SLOW))
+            .filter_map(|t| slow_request_line(t, threshold))
+            .collect()
     }
 
     pub(crate) fn registry(&self) -> &Registry {
@@ -287,30 +312,24 @@ impl ServingMetrics {
     }
 
     /// Charge one executed model group: request/error counts, batch shape,
-    /// and the per-stage timing split.
-    pub(crate) fn record_group(&self, model: &str, size: usize, errors: usize, times: &StageTimes) {
+    /// the per-stage timing split, and the worker's busy time.
+    pub(crate) fn record_group(
+        &self,
+        model: &str,
+        size: usize,
+        errors: usize,
+        times: &StageTimes,
+        busy: Duration,
+    ) {
         let m = self.model(model);
         m.requests.add(size as u64);
         m.errors.add(errors as u64);
-        m.fetch.record_duration(times.fetch);
-        m.encode.record_duration(times.encode);
-        m.infer.record_duration(
-            times
-                .infer
-                .saturating_sub(times.infer_f32 + times.guard + times.fallback),
-        );
-        if !times.infer_f32.is_zero() {
-            m.infer_f32.record_duration(times.infer_f32);
-        }
-        if !times.guard.is_zero() {
-            m.guard.record_duration(times.guard);
-        }
-        if !times.fallback.is_zero() {
-            m.fallback.record_duration(times.fallback);
+        for (slot, _, d) in times.recorded() {
+            m.stages[slot].record_duration(d);
         }
         self.batches.inc();
         self.batch_size.record(size as u64);
-        self.busy.record_duration(times.busy);
+        self.busy.record_duration(busy);
     }
 
     /// Charge `n` requests that failed outside any recorded group — e.g.
@@ -366,11 +385,13 @@ impl ServingMetrics {
         self.registry
             .counter_with(RETRAIN_RUNS_TOTAL, &[("model", model)])
             .inc();
+        stage_histogram(&self.registry, model, Stage::Retrain).record_duration(took);
+    }
+
+    /// Charge one model load (cold path: handle resolved per call).
+    pub(crate) fn record_model_load(&self, model: &str, took: Duration) {
         self.registry
-            .time_histogram(
-                STAGE_SECONDS,
-                &[("model", model), ("stage", stage_names::RETRAIN)],
-            )
+            .time_histogram(MODEL_LOAD_SECONDS, &[("model", model)])
             .record_duration(took);
     }
 
@@ -401,33 +422,72 @@ impl ServingMetrics {
             .inc();
     }
 
-    /// The legacy cumulative-stats view, derived from the registry.
+    /// The cumulative-stats view, derived from the registry.
     pub(crate) fn stats(&self) -> ServingStats {
         ServingStats::from_registry_snapshot(&self.registry.snapshot())
     }
+}
+
+/// One structured slow-request log line — everything an operator needs
+/// to see where the time went without pulling the full trace dump — as a
+/// pure function of the request's recorded trace: model / pairs /
+/// coalesced are the `request` span's annotations, the error its status,
+/// the per-stage micros its stage children. `None` for a trace without
+/// a `request` span (e.g. a retrain audit trace).
+pub(crate) fn slow_request_line(t: &Trace, threshold: Duration) -> Option<String> {
+    let request = t.span_named(Stage::Request)?;
+    let annotation = |key: &str| {
+        request
+            .annotations
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    };
+    let count = |key: &str| annotation(key).and_then(|v| v.parse::<u64>().ok());
+    let mut stages = serde_json::Map::new();
+    for child in t.children_of(request.span_id) {
+        stages.insert(
+            child.name.clone(),
+            serde_json::Value::from(child.duration_nanos / 1_000),
+        );
+    }
+    let error = match &request.status {
+        SpanStatus::Ok => None,
+        SpanStatus::Error(message) => Some(message),
+    };
+    Some(
+        serde_json::json!({
+            "slow_request": {
+                "trace_id": t.trace_id.to_string(),
+                "model": annotation("model"),
+                "pairs": count("pairs"),
+                "coalesced": count("coalesced"),
+                "total_micros": request.duration_nanos / 1_000,
+                "threshold_micros": threshold.as_micros() as u64,
+                "stages_micros": stages,
+                "tags": t.tags,
+                "error": error,
+            }
+        })
+        .to_string(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn times(busy_ms: u64) -> StageTimes {
-        StageTimes {
-            fetch: Duration::from_millis(1),
-            encode: Duration::from_millis(2),
-            infer: Duration::from_millis(7),
-            infer_f32: Duration::ZERO,
-            guard: Duration::from_millis(1),
-            fallback: Duration::from_millis(2),
-            busy: Duration::from_millis(busy_ms),
-        }
+    /// fetch 1 ms, encode 2 ms, infer 4 ms net, `f32_ms` of f32 forward,
+    /// guard 1 ms, fallback 2 ms.
+    fn times(f32_ms: u64) -> StageTimes {
+        StageTimes([1, 2, 4, f32_ms, 1, 2].map(Duration::from_millis))
     }
 
     #[test]
     fn stats_view_matches_recorded_groups() {
         let m = ServingMetrics::new(Arc::new(Registry::new()), FlightRecorderConfig::default());
-        m.record_group("a", 9, 1, &times(10));
-        m.record_group("b", 1, 0, &times(5));
+        m.record_group("a", 9, 1, &times(0), Duration::from_millis(10));
+        m.record_group("b", 1, 0, &times(0), Duration::from_millis(5));
         m.record_overload("a", 64);
         m.record_deadline_expired("b", 3, "in-key");
         m.record_quality(4, 2, 1);
@@ -448,38 +508,22 @@ mod tests {
     }
 
     #[test]
-    fn stage_split_attributes_guard_and_fallback() {
+    fn each_stage_slot_lands_on_its_own_label() {
         let m = ServingMetrics::new(Arc::new(Registry::new()), FlightRecorderConfig::default());
-        m.record_group("g", 2, 0, &times(11));
-        let snap = m.registry().snapshot();
-        let stage = |s: &str| {
-            snap.find_histogram(STAGE_SECONDS, &[("model", "g"), ("stage", s)])
-                .unwrap()
-                .sum
-        };
-        // infer had 7 ms wall, of which 1 ms guard + 2 ms fallback.
-        assert_eq!(stage("infer"), 4_000_000);
-        assert_eq!(stage("guard"), 1_000_000);
-        assert_eq!(stage("fallback"), 2_000_000);
-        assert_eq!(stage("fetch"), 1_000_000);
-    }
-
-    #[test]
-    fn f32_stage_and_counters_are_carved_out() {
-        let m = ServingMetrics::new(Arc::new(Registry::new()), FlightRecorderConfig::default());
-        let mut t = times(9);
-        t.infer_f32 = Duration::from_millis(3);
-        m.record_group("q", 4, 0, &t);
+        m.record_group("g", 2, 0, &times(0), Duration::from_millis(11));
+        m.record_group("g", 4, 0, &times(3), Duration::from_millis(9));
         m.record_f32(3, 1);
         let snap = m.registry().snapshot();
         let stage = |s: &str| {
-            snap.find_histogram(STAGE_SECONDS, &[("model", "q"), ("stage", s)])
-                .unwrap()
-                .sum
+            let h = snap.find_histogram(STAGE_SECONDS, &[("model", "g"), ("stage", s)]);
+            h.map(|h| (h.count, h.sum))
         };
-        // 7 ms infer wall minus 3 ms f32 + 1 ms guard + 2 ms fallback.
-        assert_eq!(stage("infer"), 1_000_000);
-        assert_eq!(stage("infer_f32"), 3_000_000);
+        assert_eq!(stage("fetch"), Some((2, 2_000_000)));
+        assert_eq!(stage("infer"), Some((2, 8_000_000)));
+        assert_eq!(stage("guard"), Some((2, 2_000_000)));
+        assert_eq!(stage("fallback"), Some((2, 4_000_000)));
+        // A conditional stage that did no work records no sample.
+        assert_eq!(stage("infer_f32"), Some((1, 3_000_000)));
         let s = m.stats();
         assert_eq!(s.f32_served, 3);
         assert_eq!(s.f32_fallbacks, 1);
@@ -491,7 +535,7 @@ mod tests {
             Arc::new(Registry::disabled()),
             FlightRecorderConfig::default(),
         );
-        m.record_group("a", 9, 1, &times(10));
+        m.record_group("a", 9, 1, &times(0), Duration::from_millis(10));
         m.record_overload("a", 64);
         let s = m.stats();
         assert_eq!(s.requests, 0);

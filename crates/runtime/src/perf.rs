@@ -1,6 +1,5 @@
-//! Performance counters: a set-associative cache simulator, the
-//! counter-report assembly for the paper's Table 3, and cumulative
-//! statistics for the batched serving path.
+//! Cumulative statistics for the batched serving path, as a view of the
+//! telemetry registry.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -46,10 +45,11 @@ pub const BATCH_HIST_BUCKETS: usize = 11;
 /// request volume per model, how well the coalescing loop is batching, and
 /// end-to-end throughput over worker busy time.
 ///
-/// Since the telemetry redesign this is a *view*: the orchestrator records
-/// into its `hpcnet_telemetry::Registry` and assembles a `ServingStats`
-/// on demand (see [`ServingStats::from_registry_snapshot`]). The
-/// `record_*` mutators remain for standalone accumulation.
+/// This is a *view*: the orchestrator records into its
+/// `hpcnet_telemetry::Registry` and assembles a `ServingStats` on demand
+/// (see [`ServingStats::from_registry_snapshot`]); nothing writes to it
+/// but [`ServingStats::merge`], the fleet rollup. With telemetry
+/// disabled every field reads zero.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ServingStats {
     /// Total requests executed — one per `(in_key, out_key)` pair, whether
@@ -174,22 +174,6 @@ impl ServingStats {
         s
     }
 
-    /// Charge one executed model group of `size` requests, `errors` of
-    /// which failed, that kept a worker busy for `busy`.
-    pub fn record_group(&mut self, model: &str, size: usize, errors: usize, busy: Duration) {
-        self.requests += size as u64;
-        self.errors += errors as u64;
-        self.batches += 1;
-        let bucket = if size == 0 {
-            0
-        } else {
-            (usize::BITS - 1 - size.leading_zeros()) as usize
-        };
-        self.batch_hist[bucket.min(BATCH_HIST_BUCKETS - 1)] += 1;
-        *self.per_model.entry(model.to_string()).or_insert(0) += size as u64;
-        self.busy += busy;
-    }
-
     /// Fold another server's cumulative stats into this one — the
     /// cluster-wide rollup (`hpcnet-cluster` merges one snapshot per
     /// endpoint into a fleet view). Counts and busy time add; the
@@ -226,29 +210,6 @@ impl ServingStats {
         self.retrain_rejected += other.retrain_rejected;
     }
 
-    /// Charge one admission rejection (bounded queue full).
-    pub fn record_overload_rejection(&mut self) {
-        self.overload_rejected += 1;
-    }
-
-    /// Charge `n` requests expired in the queue before execution.
-    pub fn record_deadline_expired(&mut self, n: u64) {
-        self.deadline_expired += n;
-    }
-
-    /// Charge quality-guard outcomes for one executed group.
-    pub fn record_quality(&mut self, hits: u64, fallbacks: u64, rejected: u64) {
-        self.quality_hits += hits;
-        self.quality_fallbacks += fallbacks;
-        self.quality_rejected += rejected;
-    }
-
-    /// Charge reduced-precision outcomes for one executed group.
-    pub fn record_f32(&mut self, served: u64, fallbacks: u64) {
-        self.f32_served += served;
-        self.f32_fallbacks += fallbacks;
-    }
-
     /// Fraction of guarded requests answered by the surrogate (the
     /// serving-side analog of `GuardStats::surrogate_rate`).
     pub fn quality_hit_rate(&self) -> f64 {
@@ -266,171 +227,43 @@ impl ServingStats {
         }
         self.requests as f64 / self.batches as f64
     }
-
-    /// Requests per second of worker busy time. With concurrent workers
-    /// this can understate wall-clock throughput (busy time is summed
-    /// across workers), so treat it as a conservative floor.
-    pub fn requests_per_sec(&self) -> f64 {
-        let secs = self.busy.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.requests as f64 / secs
-    }
-
-    /// Render the non-empty histogram buckets as `(label, count)` rows,
-    /// e.g. `("8-15", 3)`.
-    pub fn histogram(&self) -> Vec<(String, u64)> {
-        self.batch_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let lo = 1u64 << i;
-                let label = if i == BATCH_HIST_BUCKETS - 1 {
-                    format!("{lo}+")
-                } else {
-                    format!("{}-{}", lo, (1u64 << (i + 1)) - 1)
-                };
-                (label, c)
-            })
-            .collect()
-    }
-}
-
-/// A set-associative LRU cache simulator fed with byte addresses.
-///
-/// Used to estimate L2-level miss rates of the solver's memory stream vs
-/// the surrogate's (Table 3's "L2 level cache-miss rate" row).
-#[derive(Debug, Clone)]
-pub struct CacheSim {
-    line_bytes: u64,
-    sets: usize,
-    ways: usize,
-    /// `tags[set]` = lines in LRU order (front = most recent).
-    tags: Vec<Vec<u64>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl CacheSim {
-    /// Build a cache of `size_bytes` with `line_bytes` lines and `ways`
-    /// associativity. Size must be divisible by `line_bytes * ways`.
-    pub fn new(size_bytes: u64, line_bytes: u64, ways: usize) -> Self {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        let lines = size_bytes / line_bytes;
-        let sets = (lines as usize / ways).max(1);
-        CacheSim {
-            line_bytes,
-            sets,
-            ways,
-            tags: vec![Vec::with_capacity(ways); sets],
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// A 1 MiB, 16-way, 64-byte-line cache — an L2-slice-scale default.
-    pub fn l2_default() -> Self {
-        CacheSim::new(1 << 20, 64, 16)
-    }
-
-    /// Access one byte address; returns whether it hit.
-    pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.line_bytes;
-        let set = (line as usize) % self.sets;
-        let ways = &mut self.tags[set];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            let tag = ways.remove(pos);
-            ways.insert(0, tag);
-            self.hits += 1;
-            true
-        } else {
-            if ways.len() == self.ways {
-                ways.pop();
-            }
-            ways.insert(0, line);
-            self.misses += 1;
-            false
-        }
-    }
-
-    /// Feed a whole address stream.
-    pub fn run(&mut self, addrs: &[u64]) {
-        for &a in addrs {
-            self.access(a);
-        }
-    }
-
-    /// Total accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss rate in `[0, 1]`.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            return 0.0;
-        }
-        self.misses as f64 / self.accesses() as f64
-    }
-}
-
-/// One column of the Table 3 counter study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PerfReport {
-    /// Configuration label ("CPU-only", "Original code on GPU", ...).
-    pub label: String,
-    /// Floating-point operations (counted exactly in the kernels).
-    pub flops: u64,
-    /// L2-level cache miss rate from the cache simulator.
-    pub l2_miss_rate: f64,
-    /// Memory bandwidth in MB/s (bytes moved / wall time).
-    pub mem_bandwidth_mbs: f64,
-    /// Wall-clock (or modeled, flagged by `modeled`) seconds.
-    pub wall_seconds: f64,
-    /// Whether the time is a device-model estimate rather than measured.
-    pub modeled: bool,
-}
-
-impl PerfReport {
-    /// Render one table row (FLOPs in G or M depending on magnitude).
-    pub fn row(&self) -> String {
-        let flops = if self.flops >= 1_000_000_000 {
-            format!("{:.3}G", self.flops as f64 / 1e9)
-        } else {
-            format!("{:.3}M", self.flops as f64 / 1e6)
-        };
-        format!(
-            "{:<24} {:>13} {:>10.2}% {:>12.1} {:>12.6}{}",
-            self.label,
-            flops,
-            100.0 * self.l2_miss_rate,
-            self.mem_bandwidth_mbs,
-            self.wall_seconds,
-            if self.modeled { " (modeled)" } else { "" }
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One group of `size` requests for `model`, `errors` failed, `busy_ms`
+    /// of worker time — as `from_registry_snapshot` would assemble it.
+    fn one_group(model: &str, size: u64, errors: u64, busy_ms: u64) -> ServingStats {
+        let mut batch_hist = [0; BATCH_HIST_BUCKETS];
+        batch_hist[(63 - size.leading_zeros()) as usize] = 1;
+        ServingStats {
+            requests: size,
+            errors,
+            batches: 1,
+            batch_hist,
+            per_model: HashMap::from([(model.to_string(), size)]),
+            busy: Duration::from_millis(busy_ms),
+            ..ServingStats::default()
+        }
+    }
+
     #[test]
     fn merge_folds_counts_histograms_and_models() {
-        let mut a = ServingStats::default();
-        a.record_group("mlp", 4, 1, Duration::from_millis(10));
-        let mut b = ServingStats::default();
-        b.record_group("mlp", 4, 0, Duration::from_millis(30));
-        b.record_group("cnn", 1, 0, Duration::from_millis(5));
-        b.record_overload_rejection();
-        b.record_deadline_expired(2);
-        b.record_quality(3, 1, 1);
-        b.record_f32(2, 1);
+        let mut a = one_group("mlp", 4, 1, 10);
+        let mut b = one_group("mlp", 4, 0, 30);
+        b.merge(&one_group("cnn", 1, 0, 5));
+        b.merge(&ServingStats {
+            overload_rejected: 1,
+            deadline_expired: 2,
+            quality_hits: 3,
+            quality_fallbacks: 1,
+            quality_rejected: 1,
+            f32_served: 2,
+            f32_fallbacks: 1,
+            ..ServingStats::default()
+        });
 
         a.merge(&b);
         assert_eq!(a.requests, 9);
@@ -448,6 +281,8 @@ mod tests {
         assert_eq!(a.per_model["cnn"], 1);
         // Batch-size buckets add element-wise: two size-4 groups land in
         // one bucket, the size-1 group in another.
+        assert_eq!(a.batch_hist[2], 2);
+        assert_eq!(a.batch_hist[0], 1);
         assert_eq!(a.batch_hist.iter().sum::<u64>(), 3);
         // Merging an empty snapshot is the identity.
         let before = a.clone();
@@ -458,116 +293,35 @@ mod tests {
     }
 
     #[test]
-    fn sequential_stream_mostly_hits_after_first_touch() {
-        let mut sim = CacheSim::new(1 << 16, 64, 8);
-        // Walk 4 KiB of memory 8 times.
-        let mut addrs = Vec::new();
-        for _ in 0..8 {
-            for a in (0..4096u64).step_by(8) {
-                addrs.push(a);
-            }
-        }
-        sim.run(&addrs);
-        // First pass misses 64 lines, the rest hit.
-        assert!(sim.miss_rate() < 0.05, "miss rate {}", sim.miss_rate());
-    }
-
-    #[test]
-    fn working_set_larger_than_cache_thrashes() {
-        let mut sim = CacheSim::new(1 << 12, 64, 2); // 4 KiB cache
-        let mut addrs = Vec::new();
-        for _ in 0..4 {
-            for a in (0..(1u64 << 16)).step_by(64) {
-                addrs.push(a);
-            }
-        }
-        sim.run(&addrs);
-        assert!(sim.miss_rate() > 0.9, "miss rate {}", sim.miss_rate());
-    }
-
-    #[test]
-    fn repeated_single_line_hits_forever() {
-        let mut sim = CacheSim::l2_default();
-        for _ in 0..100 {
-            sim.access(0x1234);
-        }
-        assert_eq!(sim.accesses(), 100);
-        assert!((sim.miss_rate() - 0.01).abs() < 1e-12); // 1 cold miss
-    }
-
-    #[test]
-    fn lru_evicts_least_recent() {
-        // 2-way set: touch A, B, then C in the same set: A evicted.
-        let mut sim = CacheSim::new(128, 64, 2); // 1 set, 2 ways
-        assert!(!sim.access(0));
-        assert!(!sim.access(64));
-        assert!(!sim.access(128)); // evicts line 0
-        assert!(!sim.access(0)); // miss again
-        assert!(sim.access(128)); // still resident
-    }
-
-    #[test]
-    fn serving_stats_buckets_and_rates() {
-        let mut s = ServingStats::default();
-        s.record_group("m", 1, 0, Duration::from_millis(10));
-        s.record_group("m", 7, 1, Duration::from_millis(10));
-        s.record_group("n", 8, 0, Duration::from_millis(30));
-        assert_eq!(s.requests, 16);
-        assert_eq!(s.errors, 1);
-        assert_eq!(s.batches, 3);
-        assert_eq!(s.batch_hist[0], 1); // size 1
-        assert_eq!(s.batch_hist[2], 1); // size 7 -> [4, 8)
-        assert_eq!(s.batch_hist[3], 1); // size 8 -> [8, 16)
-        assert_eq!(s.per_model["m"], 8);
-        assert_eq!(s.per_model["n"], 8);
+    fn serving_stats_ratio_getters() {
+        let mut s = one_group("m", 1, 0, 10);
+        s.merge(&one_group("m", 7, 1, 10));
+        s.merge(&one_group("n", 8, 0, 30));
         assert!((s.mean_batch_size() - 16.0 / 3.0).abs() < 1e-12);
-        assert!((s.requests_per_sec() - 16.0 / 0.05).abs() < 1e-6);
-        let hist = s.histogram();
-        assert_eq!(
-            hist,
-            vec![
-                ("1-1".to_string(), 1),
-                ("4-7".to_string(), 1),
-                ("8-15".to_string(), 1)
-            ]
-        );
-    }
-
-    #[test]
-    fn serving_stats_huge_batch_lands_in_open_bucket() {
-        let mut s = ServingStats::default();
-        s.record_group("m", 5000, 0, Duration::ZERO);
-        assert_eq!(s.batch_hist[BATCH_HIST_BUCKETS - 1], 1);
-        assert_eq!(s.histogram(), vec![("1024+".to_string(), 1)]);
-        assert_eq!(s.requests_per_sec(), 0.0); // no busy time recorded
+        s.quality_hits = 6;
+        s.quality_fallbacks = 2;
+        assert!((s.quality_hit_rate() - 0.75).abs() < 1e-12);
         let empty = ServingStats::default();
         assert_eq!(empty.mean_batch_size(), 0.0);
+        assert_eq!(empty.quality_hit_rate(), 0.0);
     }
 
     #[test]
-    fn serving_stats_quality_and_admission_counters() {
-        let mut s = ServingStats::default();
-        assert_eq!(s.quality_hit_rate(), 0.0);
-        s.record_overload_rejection();
-        s.record_overload_rejection();
-        s.record_deadline_expired(3);
-        s.record_quality(6, 2, 0);
-        assert_eq!(s.overload_rejected, 2);
-        assert_eq!(s.deadline_expired, 3);
-        assert_eq!(s.quality_hits, 6);
-        assert_eq!(s.quality_fallbacks, 2);
-        assert_eq!(s.quality_rejected, 0);
-        assert!((s.quality_hit_rate() - 0.75).abs() < 1e-12);
-        // Admission/deadline counters never contaminate execution counts.
-        assert_eq!(s.requests, 0);
-        assert_eq!(s.errors, 0);
+    fn huge_batch_lands_in_open_bucket() {
+        let reg = hpcnet_telemetry::Registry::new();
+        reg.value_histogram(metrics::BATCH_SIZE, &[]).record(5000);
+        let s = ServingStats::from_registry_snapshot(&reg.snapshot());
+        assert_eq!(s.batch_hist[BATCH_HIST_BUCKETS - 1], 1);
+        assert_eq!(s.batch_hist.iter().sum::<u64>(), 1);
     }
 
     #[test]
     fn serving_stats_serde_roundtrips_busy_as_seconds() {
-        let mut s = ServingStats::default();
-        s.record_group("m", 4, 1, Duration::from_millis(250));
-        s.record_quality(3, 1, 0);
+        let s = ServingStats {
+            quality_hits: 3,
+            quality_fallbacks: 1,
+            ..one_group("m", 4, 1, 250)
+        };
         let json = serde_json::to_string(&s).unwrap();
         assert!(
             json.contains("\"busy\":0.25"),
@@ -586,8 +340,11 @@ mod tests {
 
     #[test]
     fn serving_stats_f32_counters_roundtrip_and_default() {
-        let mut s = ServingStats::default();
-        s.record_f32(5, 2);
+        let s = ServingStats {
+            f32_served: 5,
+            f32_fallbacks: 2,
+            ..ServingStats::default()
+        };
         let json = serde_json::to_string(&s).unwrap();
         let back: ServingStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back.f32_served, 5);
@@ -641,21 +398,5 @@ mod tests {
         assert_eq!(s.model_versions["m"], 3);
         assert_eq!(s.model_versions["n"], 5);
         assert_eq!(s.retrain_swaps, 3);
-    }
-
-    #[test]
-    fn report_row_formats() {
-        let r = PerfReport {
-            label: "CPU-only".into(),
-            flops: 30_660_000_000,
-            l2_miss_rate: 0.3747,
-            mem_bandwidth_mbs: 3523.15,
-            wall_seconds: 2.47,
-            modeled: false,
-        };
-        let row = r.row();
-        assert!(row.contains("CPU-only"));
-        assert!(row.contains("30.660G"));
-        assert!(row.contains("37.47%"));
     }
 }

@@ -27,8 +27,8 @@ use crossbeam::channel::{Receiver, RecvTimeoutError};
 use hpcnet_online::{
     FineTuneOutcome, FineTuner, Probation, ProbationVerdict, ReplayBuffer, RetrainConfig,
 };
-use hpcnet_telemetry::trace::{self, stage_names, tags};
-use hpcnet_telemetry::{SpanRecord, Trace, TraceId};
+use hpcnet_telemetry::trace::{self, tags};
+use hpcnet_telemetry::{SpanRecord, Stage, Trace, TraceId};
 use parking_lot::Mutex;
 
 use crate::metrics::{EVENT_MODEL_ROLLBACK, EVENT_MODEL_SWAP};
@@ -114,6 +114,9 @@ impl OnlineState {
 /// `exact` is the fallback's answer in physical units, standardized here
 /// into the surrogate's output space so the fine-tuner trains in model
 /// space and the candidate serves behind the unchanged bundle transforms.
+/// A pair with a NaN/Inf anywhere is dropped uncounted: the request was
+/// still answered with whatever the fallback returned, but one such label
+/// would poison every later fine-tune drawn from the buffer.
 pub(crate) fn capture(
     ctx: &ServerCtx,
     entry: &RegisteredModel,
@@ -127,6 +130,9 @@ pub(crate) fn capture(
     let mut target = exact.to_vec();
     if let Some(os) = &entry.bundle.output_scaler {
         os.transform_vec(&mut target);
+    }
+    if !feature.iter().chain(&target).all(|v| v.is_finite()) {
+        return;
     }
     online.buffer.push(model, feature, &target);
     ctx.metrics.record_retrain_samples(model, 1);
@@ -366,7 +372,7 @@ fn record_retrain_trace(ctx: &ServerCtx, model: &str, event: &str, version: u64,
     let start = trace::unix_nanos_now().saturating_sub(took.as_nanos() as u64);
     let mut t = Trace::new(TraceId(trace::next_id()));
     t.push(
-        SpanRecord::new(stage_names::RETRAIN, TRACE_SERVICE, start, took)
+        SpanRecord::new(Stage::Retrain, TRACE_SERVICE, start, took)
             .annotate("model", model)
             .annotate("event", event)
             .annotate("version", version),

@@ -3,7 +3,7 @@
 //! drain, and server-side quality guarding.
 //!
 //! Workers block on a shared request channel; on wake-up each worker
-//! drains whatever else is already queued (up to [`MAX_COALESCE`]
+//! drains whatever else is already queued (up to `MAX_COALESCE`
 //! requests), groups the drained requests by model name, and executes one
 //! batched forward pass per group — the process-local analog of dynamic
 //! batching in a GPU-side inference server. Batched outputs are
@@ -46,16 +46,17 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use hpcnet_nn::train::FeatureScaler;
 use hpcnet_nn::{Autoencoder, MlpF32, SurrogateNet};
-use hpcnet_telemetry::trace::{self, stage_names, tags};
+use hpcnet_telemetry::trace::{self, tags};
 use hpcnet_telemetry::{
-    FlightRecorderConfig, RegistrySnapshot, SpanRecord, Trace, TraceContext, TraceId,
+    FlightRecorderConfig, RegistrySnapshot, SpanRecord, Stage, Trace, TraceContext, TraceId,
 };
 use hpcnet_tensor::{Csr, Matrix, MatrixF32};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::client::Client;
 use crate::metrics::{
-    ServingMetrics, StageTimes, EVENT_F32_DEMOTED, EVENT_QUALITY_FALLBACK, EVENT_QUALITY_REJECTED,
+    self, ServingMetrics, StageTimes, EVENT_F32_DEMOTED, EVENT_QUALITY_FALLBACK,
+    EVENT_QUALITY_REJECTED,
 };
 use crate::perf::ServingStats;
 use crate::retrain::{self, OnlineState};
@@ -127,8 +128,9 @@ impl ModelBundle {
 }
 
 /// Cumulative online-time breakdown (paper §7.3: fetch / encode / load /
-/// infer shares).
-#[derive(Debug, Clone, Copy, Default)]
+/// infer shares) — a view of the telemetry registry, like
+/// [`ServingStats`], so it reads all-zero with telemetry disabled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OnlineTimers {
     /// Time fetching input tensors from the store.
     pub fetch: Duration,
@@ -141,6 +143,32 @@ pub struct OnlineTimers {
 }
 
 impl OnlineTimers {
+    /// Assemble the breakdown from a registry snapshot, summed over
+    /// models: `fetch` and `encode` are their stage histograms' sums,
+    /// `infer` keeps §7.3's attribution (the whole forward wall: the
+    /// `infer`, `infer_f32`, `guard` and `fallback` stages together), and
+    /// `model_load` is the model-load histogram's sum.
+    pub fn from_registry_snapshot(snap: &RegistrySnapshot) -> Self {
+        let mut t = OnlineTimers::default();
+        for h in &snap.histograms {
+            let took = Duration::from_nanos(h.histogram.sum);
+            if h.name == metrics::MODEL_LOAD_SECONDS {
+                t.model_load += took;
+            } else if h.name == metrics::STAGE_SECONDS {
+                let stage = h.labels.iter().find(|(k, _)| k == "stage");
+                match stage.and_then(|(_, v)| Stage::from_name(v)) {
+                    Some(Stage::Fetch) => t.fetch += took,
+                    Some(Stage::Encode) => t.encode += took,
+                    Some(Stage::Infer | Stage::InferF32 | Stage::Guard | Stage::Fallback) => {
+                        t.infer += took
+                    }
+                    _ => {}
+                }
+            }
+        }
+        t
+    }
+
     /// Percentage breakdown `[fetch, encode, load, infer]`.
     pub fn percentages(&self) -> [f64; 4] {
         let total = (self.fetch + self.encode + self.model_load + self.infer).as_secs_f64();
@@ -298,7 +326,6 @@ pub(crate) struct ServingShared {
 pub(crate) struct ServerCtx {
     pub(crate) store: TensorStore,
     pub(crate) registry: Registry,
-    pub(crate) timers: Arc<Mutex<OnlineTimers>>,
     pub(crate) metrics: Arc<ServingMetrics>,
     pub(crate) serve_f32: bool,
     /// Online-retraining state ([`OrchestratorBuilder::online_retraining`]);
@@ -386,8 +413,10 @@ impl OrchestratorBuilder {
     /// orchestrator serves identically but records nothing: every
     /// instrument becomes a single-branch no-op, so the cost of the
     /// instrumentation itself can be measured without recompiling.
-    /// Note [`Orchestrator::serving_stats`] is derived from the registry
-    /// and therefore reads all-zero when telemetry is off.
+    /// Every stats surface is a view of that one recording
+    /// ([`Orchestrator::serving_stats`], [`Orchestrator::online_timers`],
+    /// [`Orchestrator::trace_dump`], [`Orchestrator::slow_log`]) and
+    /// therefore reads all-zero / empty when telemetry is off.
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;
         self
@@ -465,7 +494,6 @@ impl OrchestratorBuilder {
         let ctx = ServerCtx {
             store: self.store,
             registry: Arc::default(),
-            timers: Arc::default(),
             metrics: metrics.clone(),
             serve_f32: self.serve_f32,
             online,
@@ -555,14 +583,14 @@ impl Orchestrator {
     /// Register a model bundle under a name (Listing 2's
     /// `set_model_from_file`). Load time is charged to the §7.3 breakdown.
     pub fn register_model(&self, name: &str, bundle: ModelBundle) {
-        self.insert_model(name, bundle, None);
+        self.insert_model(name, bundle, None, Instant::now());
     }
 
     /// Register a model together with a server-side [`QualityGuard`]: the
     /// orchestrator validates every output of this model and performs the
     /// paper's restart-on-quality-miss itself.
     pub fn register_guarded_model(&self, name: &str, bundle: ModelBundle, guard: QualityGuard) {
-        self.insert_model(name, bundle, Some(guard));
+        self.insert_model(name, bundle, Some(guard), Instant::now());
     }
 
     /// Attach (or replace) the quality guard of an already-registered
@@ -589,8 +617,16 @@ impl Orchestrator {
         Ok(())
     }
 
-    fn insert_model(&self, name: &str, bundle: ModelBundle, guard: Option<QualityGuard>) {
-        let t0 = Instant::now();
+    /// Install `bundle` and charge the whole load — everything since
+    /// `started`, which the file/JSON paths set before reading — to the
+    /// model-load histogram, once.
+    fn insert_model(
+        &self,
+        name: &str,
+        bundle: ModelBundle,
+        guard: Option<QualityGuard>,
+        started: Instant,
+    ) {
         let version = {
             let mut registry = self.ctx.registry.write();
             let version = registry.get(name).map_or(1, |e| e.version + 1);
@@ -611,24 +647,25 @@ impl Orchestrator {
         if let Some(online) = &self.ctx.online {
             online.reset_model(name);
         }
-        self.ctx.timers.lock().model_load += t0.elapsed();
+        self.ctx.metrics.record_model_load(name, started.elapsed());
     }
 
     /// Register from the serialized JSON form, charging deserialization to
     /// the model-load timer (the file-load path of Listing 2).
     pub fn register_model_from_json(&self, name: &str, json: &str) -> Result<()> {
-        let t0 = Instant::now();
+        let started = Instant::now();
         let bundle = ModelBundle::from_json(json)?;
-        self.ctx.timers.lock().model_load += t0.elapsed();
-        self.insert_model(name, bundle, None);
+        self.insert_model(name, bundle, None, started);
         Ok(())
     }
 
     /// Listing 2's `set_model_from_file`: load a saved bundle from disk
-    /// and register it. Load time is charged to the §7.3 breakdown.
+    /// and register it. Load time (file read, deserialize, insert) is
+    /// charged to the §7.3 breakdown.
     pub fn set_model_from_file(&self, name: &str, path: &std::path::Path) -> Result<()> {
+        let started = Instant::now();
         let bundle = ModelBundle::load(path)?;
-        self.insert_model(name, bundle, None);
+        self.insert_model(name, bundle, None, started);
         Ok(())
     }
 
@@ -691,9 +728,10 @@ impl Orchestrator {
         self.ctx.metrics.registry_arc()
     }
 
-    /// Snapshot of the cumulative online-time breakdown.
+    /// Snapshot of the cumulative online-time breakdown — a view derived
+    /// from the telemetry registry (all-zero with telemetry disabled).
     pub fn online_timers(&self) -> OnlineTimers {
-        *self.ctx.timers.lock()
+        OnlineTimers::from_registry_snapshot(&self.metrics_snapshot())
     }
 
     /// Snapshot of the cumulative serving statistics (request counts per
@@ -727,11 +765,13 @@ impl Orchestrator {
         self.ctx.metrics.recorder().snapshot()
     }
 
-    /// Retained slow-request log lines, oldest first: one structured
-    /// JSON object per request that ran past
+    /// The slow-request log, oldest first: one structured JSON object
+    /// per request that ran past
     /// [`OrchestratorBuilder::slow_request_threshold`], with its full
-    /// per-stage timing breakdown. The same lines go to stderr as they
-    /// are recorded.
+    /// per-stage timing breakdown. A view rendering the `slow`-tagged
+    /// traces [`trace_dump`](Self::trace_dump) still retains (so bounded
+    /// by [`OrchestratorBuilder::trace_capacity`]); the same lines go to
+    /// stderr once, as the requests complete.
     pub fn slow_log(&self) -> Vec<String> {
         self.ctx.metrics.slow_log()
     }
@@ -957,17 +997,16 @@ fn worker_loop(ctx: &ServerCtx, rx: &Receiver<Request>) {
         // panics, answer every still-pending request with a typed error
         // instead of unwinding the worker — a dead worker strands its
         // share of the queue and every future request routed to it.
-        let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            expire_overdue(ctx, &mut pending);
-            process_round(ctx, &mut pending)
-        }));
+        let round = contained(
+            || {
+                expire_overdue(ctx, &mut pending);
+                process_round(ctx, &mut pending)
+            },
+            |msg| format!("serving worker panicked mid-round: {msg}"),
+        );
         let reports = match round {
             Ok(reports) => reports,
-            Err(payload) => {
-                let err = RuntimeError::Inference(format!(
-                    "serving worker panicked mid-round: {}",
-                    panic_message(&payload)
-                ));
+            Err(err) => {
                 for p in pending.iter_mut() {
                     let failed = p.fail_pending(&err);
                     if failed > 0 {
@@ -991,15 +1030,23 @@ fn worker_loop(ctx: &ServerCtx, rx: &Receiver<Request>) {
     }
 }
 
-/// Render a caught panic payload for inclusion in a typed error.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Panic containment for everything user- or model-supplied that runs on
+/// a worker (validator, fallback region, forward passes, the round as a
+/// whole): run `f`, and turn a panic into a typed
+/// [`RuntimeError::Inference`] whose text is `describe(panic message)`,
+/// so the failure lands on the request that caused it and the worker
+/// thread keeps serving.
+fn contained<T>(f: impl FnOnce() -> T, describe: impl FnOnce(&str) -> String) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            s
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.as_str()
+        } else {
+            "non-string panic payload"
+        };
+        RuntimeError::Inference(describe(message))
+    })
 }
 
 /// The `service` tag every orchestrator-recorded span carries.
@@ -1008,9 +1055,10 @@ pub(crate) const TRACE_SERVICE: &str = "orchestrator";
 /// Assemble and record one completed request's span tree (DESIGN.md
 /// §16): a `request` root (child of the propagated upstream span when
 /// the client sent a [`TraceContext`]), a measured `queue_wait` child,
-/// and one child per executed stage. Stage durations come from the
-/// request's coalesced group and therefore cover the whole batch — each
-/// stage span is annotated with `coalesced` so readers can tell.
+/// and one child per stage the request's coalesced group recorded — the
+/// same [`StageTimes`] walk that fed the stage histograms. Stage
+/// durations therefore cover the whole batch; each stage span is
+/// annotated with `coalesced` so readers can tell.
 fn record_request_trace(
     ctx: &ServerCtx,
     p: &PendingRequest,
@@ -1038,7 +1086,7 @@ fn record_request_trace(
         .trace
         .map_or_else(|| TraceId(trace::next_id()), |c| c.trace_id);
     let mut t = Trace::new(trace_id);
-    let mut root = SpanRecord::new(stage_names::REQUEST, TRACE_SERVICE, start_unix, total)
+    let mut root = SpanRecord::new(Stage::Request, TRACE_SERVICE, start_unix, total)
         .annotate("model", &p.model)
         .annotate("pairs", p.pairs.len());
     if let Some(parent) = p.trace.and_then(|c| c.parent_span) {
@@ -1053,22 +1101,14 @@ fn record_request_trace(
     let root_id = root.span_id;
     t.push(root);
     t.push(
-        SpanRecord::new(
-            stage_names::QUEUE_WAIT,
-            TRACE_SERVICE,
-            start_unix,
-            queue_wait,
-        )
-        .with_parent(root_id),
+        SpanRecord::new(Stage::QueueWait, TRACE_SERVICE, start_unix, queue_wait)
+            .with_parent(root_id),
     );
     if let Some(rep) = report {
         let mut cursor = start_unix.saturating_add(queue_wait.as_nanos() as u64);
-        for (name, duration, optional) in stage_spans(&rep.times) {
-            if optional && duration.is_zero() {
-                continue;
-            }
+        for (_, stage, duration) in rep.times.recorded() {
             t.push(
-                SpanRecord::new(name, TRACE_SERVICE, cursor, duration)
+                SpanRecord::new(stage, TRACE_SERVICE, cursor, duration)
                     .with_parent(root_id)
                     .annotate("coalesced", rep.coalesced),
             );
@@ -1081,71 +1121,7 @@ fn record_request_trace(
     if p.guard_fallbacks > 0 {
         t.tag(tags::FALLBACK);
     }
-    if total >= ctx.metrics.recorder().slow_threshold() {
-        ctx.metrics
-            .record_slow_request(slow_request_line(ctx, &t, p, total, queue_wait, report));
-    }
     ctx.metrics.record_trace(t);
-}
-
-/// The stage children of a request span, in serving order:
-/// `(name, duration, only_emit_when_nonzero)`. `fetch`/`encode`/`infer`
-/// always appear; the conditional stages only when they did work.
-fn stage_spans(times: &StageTimes) -> [(&'static str, Duration, bool); 6] {
-    let infer_f64 = times
-        .infer
-        .saturating_sub(times.infer_f32 + times.guard + times.fallback);
-    [
-        (stage_names::FETCH, times.fetch, false),
-        (stage_names::ENCODE, times.encode, false),
-        (stage_names::INFER, infer_f64, false),
-        (stage_names::INFER_F32, times.infer_f32, true),
-        (stage_names::GUARD, times.guard, true),
-        (stage_names::FALLBACK, times.fallback, true),
-    ]
-}
-
-/// One structured slow-request log line: everything an operator needs to
-/// see where the time went without pulling the full trace dump.
-fn slow_request_line(
-    ctx: &ServerCtx,
-    t: &Trace,
-    p: &PendingRequest,
-    total: Duration,
-    queue_wait: Duration,
-    report: Option<&GroupReport>,
-) -> String {
-    let mut stages = serde_json::Map::new();
-    let micros = |d: Duration| serde_json::Value::from(d.as_micros() as u64);
-    stages.insert(stage_names::QUEUE_WAIT.to_string(), micros(queue_wait));
-    if let Some(rep) = report {
-        for (name, duration, optional) in stage_spans(&rep.times) {
-            if optional && duration.is_zero() {
-                continue;
-            }
-            stages.insert(name.to_string(), micros(duration));
-        }
-    }
-    let first_err = p
-        .results
-        .iter()
-        .flatten()
-        .filter_map(|r| r.as_ref().err())
-        .next();
-    serde_json::json!({
-        "slow_request": {
-            "trace_id": t.trace_id.to_string(),
-            "model": p.model,
-            "pairs": p.pairs.len(),
-            "coalesced": report.map(|r| r.coalesced),
-            "total_micros": total.as_micros() as u64,
-            "threshold_micros": ctx.metrics.recorder().slow_threshold().as_micros() as u64,
-            "stages_micros": stages,
-            "tags": t.tags,
-            "error": first_err.map(|e| e.to_string()),
-        }
-    })
-    .to_string()
 }
 
 /// Deadline enforcement at execution time (the enqueue-side check lives
@@ -1237,14 +1213,69 @@ struct QualityCounts {
     f32_time: Duration,
 }
 
-/// Execute all `units` against one model as a batched pass: fetch every
-/// input, encode as a batch, one `predict_batch`, scatter the output rows
-/// (through the quality guard when one is registered). Errors are
-/// attributed per unit; every unit leaves with `Some` result. Returns
-/// the group's stage-timing split for trace assembly.
+/// Execute all `units` against one model as a batched pass
+/// ([`run_group`]) and record it: this is the one place a group's stage
+/// times are assembled and written. Errors are attributed per unit; every
+/// unit leaves with `Some` result. Returns the group's stage-timing split
+/// for trace assembly.
 fn execute_group(ctx: &ServerCtx, model: &str, units: &mut [Unit]) -> StageTimes {
     let t_group = Instant::now();
+    let mut quality = QualityCounts::default();
+    let [fetch, encode, forward] = run_group(ctx, model, units, &mut quality);
+    let busy = t_group.elapsed();
+    // The f32 forward, the validator and the fallback region all ran
+    // inside the forward window; `infer` is what remains.
+    let infer =
+        forward.saturating_sub(quality.f32_time + quality.guard_time + quality.fallback_time);
+    // Slots in `GROUP_STAGES` order.
+    let times = StageTimes([
+        fetch,
+        encode,
+        infer,
+        quality.f32_time,
+        quality.guard_time,
+        quality.fallback_time,
+    ]);
+    for u in units.iter_mut() {
+        if u.pending() {
+            u.result = Some(Err(RuntimeError::Inference("request not executed".into())));
+        }
+    }
+    let errors = units
+        .iter()
+        .filter(|u| matches!(u.result, Some(Err(_))))
+        .count();
+    ctx.metrics
+        .record_group(model, units.len(), errors, &times, busy);
+    if quality.hits + quality.fallbacks + quality.rejected > 0 {
+        ctx.metrics
+            .record_quality(quality.hits, quality.fallbacks, quality.rejected);
+        // Guard verdicts drive the retraining baseline window and, for a
+        // model on probation, its keep-or-rollback verdict.
+        retrain::observe_guard(
+            ctx,
+            model,
+            quality.hits,
+            quality.fallbacks + quality.rejected,
+        );
+    }
+    if quality.f32_served + quality.f32_fallbacks > 0 {
+        ctx.metrics
+            .record_f32(quality.f32_served, quality.f32_fallbacks);
+    }
+    times
+}
 
+/// The timed work of one group: fetch every input, encode as a batch, one
+/// `predict_batch`, scatter the output rows (through the quality guard
+/// when one is registered). Returns the `[fetch, encode, forward]` wall
+/// times; a missing model ends after the fetch.
+fn run_group(
+    ctx: &ServerCtx,
+    model: &str,
+    units: &mut [Unit],
+    quality: &mut QualityCounts,
+) -> [Duration; 3] {
     let t0 = Instant::now();
     let mut inputs: Vec<Option<TensorValue>> = units
         .iter_mut()
@@ -1268,17 +1299,7 @@ fn execute_group(ctx: &ServerCtx, model: &str, units: &mut [Unit]) -> StageTimes
                 u.result = Some(Err(RuntimeError::MissingModel(model.to_string())));
             }
         }
-        let times = StageTimes {
-            fetch,
-            encode: Duration::ZERO,
-            infer: Duration::ZERO,
-            infer_f32: Duration::ZERO,
-            guard: Duration::ZERO,
-            fallback: Duration::ZERO,
-            busy: t_group.elapsed(),
-        };
-        finish_group(ctx, model, units, &times, QualityCounts::default());
-        return times;
+        return [fetch, Duration::ZERO, Duration::ZERO];
     };
 
     // Guarded models keep a dense copy of every raw input: the validator
@@ -1302,7 +1323,6 @@ fn execute_group(ctx: &ServerCtx, model: &str, units: &mut [Unit]) -> StageTimes
     let encode = t1.elapsed();
 
     let t2 = Instant::now();
-    let mut quality = QualityCounts::default();
     infer_and_scatter(
         ctx,
         &entry,
@@ -1310,66 +1330,9 @@ fn execute_group(ctx: &ServerCtx, model: &str, units: &mut [Unit]) -> StageTimes
         units,
         &mut features,
         raws.as_deref(),
-        &mut quality,
+        quality,
     );
-    let infer = t2.elapsed();
-
-    let (guard, fallback) = (quality.guard_time, quality.fallback_time);
-    let times = StageTimes {
-        fetch,
-        encode,
-        infer,
-        infer_f32: quality.f32_time,
-        guard,
-        fallback,
-        busy: t_group.elapsed(),
-    };
-    finish_group(ctx, model, units, &times, quality);
-    times
-}
-
-fn finish_group(
-    ctx: &ServerCtx,
-    model: &str,
-    units: &mut [Unit],
-    times: &StageTimes,
-    quality: QualityCounts,
-) {
-    for u in units.iter_mut() {
-        if u.pending() {
-            u.result = Some(Err(RuntimeError::Inference("request not executed".into())));
-        }
-    }
-    {
-        // The §7.3 breakdown keeps its historical attribution: guard and
-        // fallback time stays inside `infer`. The telemetry registry
-        // splits them into their own stages.
-        let mut t = ctx.timers.lock();
-        t.fetch += times.fetch;
-        t.encode += times.encode;
-        t.infer += times.infer;
-    }
-    let errors = units
-        .iter()
-        .filter(|u| matches!(u.result, Some(Err(_))))
-        .count();
-    ctx.metrics.record_group(model, units.len(), errors, times);
-    if quality.hits + quality.fallbacks + quality.rejected > 0 {
-        ctx.metrics
-            .record_quality(quality.hits, quality.fallbacks, quality.rejected);
-        // Guard verdicts drive the retraining baseline window and, for a
-        // model on probation, its keep-or-rollback verdict.
-        retrain::observe_guard(
-            ctx,
-            model,
-            quality.hits,
-            quality.fallbacks + quality.rejected,
-        );
-    }
-    if quality.f32_served + quality.f32_fallbacks > 0 {
-        ctx.metrics
-            .record_f32(quality.f32_served, quality.f32_fallbacks);
-    }
+    [fetch, encode, t2.elapsed()]
 }
 
 /// Feature reduction for a group (paper §4.2's online API): without an
@@ -1492,9 +1455,9 @@ fn vstack_single_rows(group: &[(usize, Csr)]) -> Option<Csr> {
 }
 
 /// Inverse-scale one output row, pass it through the quality guard if one
-/// is registered, store it, and mark the unit done. Both the batched and
-/// the per-unit fallback inference paths converge here, so guard
-/// semantics are identical regardless of how the row was produced.
+/// is registered, store it, and return the unit's result. Both the
+/// batched and the per-unit fallback inference paths converge here, so
+/// guard semantics are identical regardless of how the row was produced.
 ///
 /// `feature` is the scaled feature row `y` was computed from (absent
 /// only when the row could not be reconstructed); `from_f32` marks that
@@ -1505,6 +1468,7 @@ fn vstack_single_rows(group: &[(usize, Csr)]) -> Option<Csr> {
 /// charged to plain infer time, not to the guard or fallback stages,
 /// because it is inference work. Under online retraining, a fallback
 /// answer is also captured with its feature row as a replay sample.
+/// Every user-supplied closure and model call runs [`contained`].
 #[allow(clippy::too_many_arguments)]
 fn deliver_output(
     ctx: &ServerCtx,
@@ -1517,7 +1481,7 @@ fn deliver_output(
     mut y: Vec<f64>,
     feature: Option<&[f64]>,
     from_f32: bool,
-) {
+) -> Result<()> {
     let mut from_f32 = from_f32 && feature.is_some();
     if let Some(os) = &entry.bundle.output_scaler {
         os.inverse_transform_vec(&mut y);
@@ -1527,70 +1491,38 @@ fn deliver_output(
             .and_then(|r| r.get(index))
             .and_then(|o| o.as_deref())
             .unwrap_or(&[]);
-        let t_guard = Instant::now();
-        // User-supplied closure: contain a panic to this unit so the rest
-        // of the batch (and the worker thread) keeps serving.
-        let verdict =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (guard.validator)(raw, &y)));
-        quality.guard_time += t_guard.elapsed();
-        let mut accepted = match verdict {
-            Ok(a) => a,
-            Err(payload) => {
-                unit.result = Some(Err(RuntimeError::Inference(format!(
-                    "quality validator panicked for input `{}`: {}",
-                    unit.in_key,
-                    panic_message(&payload)
-                ))));
-                return;
-            }
+        let in_key = unit.in_key.as_str();
+        let validate = |y: &[f64], quality: &mut QualityCounts| {
+            let t_guard = Instant::now();
+            let verdict = contained(
+                || (guard.validator)(raw, y),
+                |msg| format!("quality validator panicked for input `{in_key}`: {msg}"),
+            );
+            quality.guard_time += t_guard.elapsed();
+            verdict
         };
+        let mut accepted = validate(&y, quality)?;
         if !accepted && from_f32 {
             if let Some(feature) = feature {
                 // Precision demotion: the quantized answer missed, so this
                 // request re-runs on the f64 surrogate and is judged again.
                 from_f32 = false;
                 let rejected_y0 = y.first().copied().unwrap_or(f64::NAN);
-                let recomputed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    entry.bundle.surrogate.predict(feature)
-                }));
-                let mut y64 = match recomputed {
-                    Ok(Ok(out)) => out,
-                    Ok(Err(e)) => {
-                        unit.result = Some(Err(e.into()));
-                        return;
-                    }
-                    Err(payload) => {
-                        unit.result = Some(Err(RuntimeError::Inference(format!(
-                            "model `{model}` panicked during f64 demotion for input `{}`: {}",
-                            unit.in_key,
-                            panic_message(&payload)
-                        ))));
-                        return;
-                    }
-                };
+                y = contained(
+                    || entry.bundle.surrogate.predict(feature),
+                    |msg| {
+                        format!(
+                            "model `{model}` panicked during f64 demotion for input `{in_key}`: {msg}"
+                        )
+                    },
+                )??;
                 if let Some(os) = &entry.bundle.output_scaler {
-                    os.inverse_transform_vec(&mut y64);
+                    os.inverse_transform_vec(&mut y);
                 }
-                y = y64;
                 quality.f32_fallbacks += 1;
                 ctx.metrics
-                    .quality_event(EVENT_F32_DEMOTED, model, &unit.in_key, rejected_y0);
-                let t_guard = Instant::now();
-                let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    (guard.validator)(raw, &y)
-                }));
-                quality.guard_time += t_guard.elapsed();
-                accepted = match verdict {
-                    Ok(a) => a,
-                    Err(payload) => {
-                        unit.result = Some(Err(RuntimeError::Inference(format!(
-                            "quality validator panicked for input `{}`: {}",
-                            unit.in_key,
-                            panic_message(&payload)
-                        ))));
-                        return;
-                    }
-                };
+                    .quality_event(EVENT_F32_DEMOTED, model, in_key, rejected_y0);
+                accepted = validate(&y, quality)?;
             }
         }
         if accepted {
@@ -1598,25 +1530,16 @@ fn deliver_output(
         } else if let Some(fallback) = &guard.fallback {
             let rejected_y0 = y.first().copied().unwrap_or(f64::NAN);
             let t_fb = Instant::now();
-            // Same containment for the fallback region closure.
-            let recomputed =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fallback(raw)));
+            let recomputed = contained(
+                || fallback(raw),
+                |msg| format!("fallback region panicked for input `{in_key}`: {msg}"),
+            );
             quality.fallback_time += t_fb.elapsed();
-            match recomputed {
-                Ok(out) => y = out,
-                Err(payload) => {
-                    unit.result = Some(Err(RuntimeError::Inference(format!(
-                        "fallback region panicked for input `{}`: {}",
-                        unit.in_key,
-                        panic_message(&payload)
-                    ))));
-                    return;
-                }
-            }
+            y = recomputed?;
             quality.fallbacks += 1;
             unit.used_fallback = true;
             ctx.metrics
-                .quality_event(EVENT_QUALITY_FALLBACK, model, &unit.in_key, rejected_y0);
+                .quality_event(EVENT_QUALITY_FALLBACK, model, in_key, rejected_y0);
             // The exact region just produced a perfectly-labeled sample
             // from the surrogate's weakest input region: capture it for
             // the online fine-tuner (a no-op unless retraining is on).
@@ -1628,19 +1551,17 @@ fn deliver_output(
             unit.used_fallback = true;
             let rejected_y0 = y.first().copied().unwrap_or(f64::NAN);
             ctx.metrics
-                .quality_event(EVENT_QUALITY_REJECTED, model, &unit.in_key, rejected_y0);
-            unit.result = Some(Err(RuntimeError::QualityRejected(format!(
-                "validator rejected output for input `{}`",
-                unit.in_key
-            ))));
-            return;
+                .quality_event(EVENT_QUALITY_REJECTED, model, in_key, rejected_y0);
+            return Err(RuntimeError::QualityRejected(format!(
+                "validator rejected output for input `{in_key}`"
+            )));
         }
     }
     if from_f32 {
         quality.f32_served += 1;
     }
     ctx.store.put_dense(&unit.out_key, y);
-    unit.result = Some(Ok(()));
+    Ok(())
 }
 
 /// Scale features, run one batched forward per feature width (normally a
@@ -1673,6 +1594,19 @@ fn infer_and_scatter(
             }
         }
     }
+    // Deliver row `y` of unit `i` and record the unit's result.
+    let deliver = |units: &mut [Unit],
+                   quality: &mut QualityCounts,
+                   i: usize,
+                   y: Vec<f64>,
+                   feature: Option<&[f64]>,
+                   from_f32: bool| {
+        let unit = &mut units[i];
+        let result = deliver_output(
+            ctx, entry, model, raws, quality, unit, i, y, feature, from_f32,
+        );
+        unit.result = Some(result);
+    };
     for (width, members) in width_groups {
         // Opt-in reduced precision: quantized bundles serve the whole
         // width group through the f32 kernels. A failed f32 batch (ragged
@@ -1689,32 +1623,19 @@ fn infer_and_scatter(
             let batched = MatrixF32::from_vec(members.len(), width, data)
                 .map_err(RuntimeError::from)
                 .and_then(|x| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.predict_batch(&x)))
-                        .map_err(|payload| {
-                            RuntimeError::Inference(format!(
-                                "model `{model}` panicked during f32 batched inference: {}",
-                                panic_message(&payload)
-                            ))
-                        })
-                        .and_then(|r| r.map_err(RuntimeError::from))
+                    contained(
+                        || q.predict_batch(&x),
+                        |msg| {
+                            format!("model `{model}` panicked during f32 batched inference: {msg}")
+                        },
+                    )
+                    .and_then(|r| r.map_err(RuntimeError::from))
                 });
             quality.f32_time += t_f32.elapsed();
             if let Ok(out) = batched {
                 for (r, &i) in members.iter().enumerate() {
                     let y: Vec<f64> = out.row(r).iter().map(|&v| f64::from(v)).collect();
-                    let feature = features[i].as_deref();
-                    deliver_output(
-                        ctx,
-                        entry,
-                        model,
-                        raws,
-                        quality,
-                        &mut units[i],
-                        i,
-                        y,
-                        feature,
-                        true,
-                    );
+                    deliver(units, quality, i, y, features[i].as_deref(), true);
                 }
                 continue;
             }
@@ -1728,36 +1649,19 @@ fn infer_and_scatter(
         let batched = Matrix::from_vec(members.len(), width, data)
             .map_err(RuntimeError::from)
             .and_then(|x| {
-                // Contain model panics: a poisoned batch falls through to
-                // the per-unit path below, which attributes the failure.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    bundle.surrogate.predict_batch(&x)
-                }))
-                .map_err(|payload| {
-                    RuntimeError::Inference(format!(
-                        "model `{model}` panicked during batched inference: {}",
-                        panic_message(&payload)
-                    ))
-                })
+                // A poisoned batch falls through to the per-unit path
+                // below, which attributes the failure.
+                contained(
+                    || bundle.surrogate.predict_batch(&x),
+                    |msg| format!("model `{model}` panicked during batched inference: {msg}"),
+                )
                 .and_then(|r| r.map_err(RuntimeError::from))
             });
         match batched {
             Ok(out) => {
                 for (r, &i) in members.iter().enumerate() {
                     let y = out.row(r).to_vec();
-                    let feature = features[i].as_deref();
-                    deliver_output(
-                        ctx,
-                        entry,
-                        model,
-                        raws,
-                        quality,
-                        &mut units[i],
-                        i,
-                        y,
-                        feature,
-                        false,
-                    );
+                    deliver(units, quality, i, y, features[i].as_deref(), false);
                 }
             }
             Err(_) => {
@@ -1765,35 +1669,22 @@ fn infer_and_scatter(
                 // model): fall back to per-unit predicts so the error lands
                 // on the offending request(s).
                 for &i in &members {
-                    let Some(f) = features[i].as_ref() else {
+                    let Some(f) = features[i].as_deref() else {
                         continue;
                     };
-                    let predicted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        bundle.surrogate.predict(f)
-                    }));
+                    let predicted = contained(
+                        || bundle.surrogate.predict(f),
+                        |msg| {
+                            format!(
+                                "model `{model}` panicked for input `{}`: {msg}",
+                                units[i].in_key
+                            )
+                        },
+                    );
                     match predicted {
-                        Ok(Ok(y)) => deliver_output(
-                            ctx,
-                            entry,
-                            model,
-                            raws,
-                            quality,
-                            &mut units[i],
-                            i,
-                            y,
-                            Some(f.as_slice()),
-                            false,
-                        ),
-                        Ok(Err(e)) => {
-                            units[i].result = Some(Err(e.into()));
-                        }
-                        Err(payload) => {
-                            units[i].result = Some(Err(RuntimeError::Inference(format!(
-                                "model `{model}` panicked for input `{}`: {}",
-                                units[i].in_key,
-                                panic_message(&payload)
-                            ))));
-                        }
+                        Ok(Ok(y)) => deliver(units, quality, i, y, Some(f), false),
+                        Ok(Err(e)) => units[i].result = Some(Err(e.into())),
+                        Err(e) => units[i].result = Some(Err(e)),
                     }
                 }
             }
@@ -1901,6 +1792,7 @@ mod tests {
         let orc = Orchestrator::builder().build();
         orc.set_model_from_file("m", &path).unwrap();
         assert!(orc.has_model("m"));
+        assert!(orc.online_timers().model_load > Duration::ZERO);
         orc.store().put_dense("in", vec![0.3, 0.2, 0.1]);
         orc.client().run_model("m", "in", "out").unwrap();
         assert_eq!(
@@ -2086,13 +1978,22 @@ mod tests {
 
     #[test]
     fn disabled_telemetry_serves_but_records_nothing() {
-        let orc = Orchestrator::builder().workers(1).telemetry(false).build();
+        // Every view reads zero/empty together — even with a slow threshold
+        // that would otherwise retain and log every request.
+        let orc = Orchestrator::builder()
+            .workers(1)
+            .telemetry(false)
+            .slow_request_threshold(Duration::ZERO)
+            .build();
         orc.register_model("m", tiny_bundle());
         orc.store().put_dense("in", vec![0.1, 0.2, 0.3]);
         orc.client().run_model("m", "in", "out").unwrap();
         assert_eq!(orc.store().get_dense("out").unwrap().len(), 2);
         let stats = orc.serving_stats();
         assert_eq!(stats.requests, 0, "stats view is empty when disabled");
+        assert_eq!(orc.online_timers(), OnlineTimers::default());
+        assert!(orc.trace_dump().is_empty());
+        assert!(orc.slow_log().is_empty());
         let snap = orc.metrics_snapshot();
         assert!(
             snap.find_histogram(crate::metrics::BATCH_SIZE, &[])
@@ -2118,22 +2019,17 @@ mod tests {
             .find(|t| t.has_tag(tags::ERROR))
             .expect("error trace retained");
         let root = t.root().expect("root span");
-        assert_eq!(root.name, stage_names::REQUEST);
+        assert_eq!(root.name, Stage::Request.as_str());
         assert_eq!(root.service, TRACE_SERVICE);
         assert!(root.status.is_error());
         assert!(root
             .annotations
             .iter()
             .any(|(k, v)| k == "model" && v == "m"));
-        for stage in [
-            stage_names::QUEUE_WAIT,
-            stage_names::FETCH,
-            stage_names::ENCODE,
-            stage_names::INFER,
-        ] {
+        for stage in [Stage::QueueWait, Stage::Fetch, Stage::Encode, Stage::Infer] {
             let span = t
                 .span_named(stage)
-                .unwrap_or_else(|| panic!("stage child `{stage}` missing; spans: {:?}", t.spans));
+                .unwrap_or_else(|| panic!("stage child {stage:?} missing; spans: {:?}", t.spans));
             assert_eq!(span.parent, Some(root.span_id));
         }
         // Client handles expose the same dump as the orchestrator.
@@ -2164,10 +2060,10 @@ mod tests {
             .as_object()
             .expect("per-stage breakdown");
         for stage in [
-            stage_names::QUEUE_WAIT,
-            stage_names::FETCH,
-            stage_names::ENCODE,
-            stage_names::INFER,
+            Stage::QueueWait.as_str(),
+            Stage::Fetch.as_str(),
+            Stage::Encode.as_str(),
+            Stage::Infer.as_str(),
         ] {
             assert!(stages.contains_key(stage), "stage `{stage}` in {stages:?}");
         }
@@ -2197,7 +2093,7 @@ mod tests {
             .iter()
             .find(|t| t.trace_id == upstream.trace_id)
             .expect("server half recorded under the caller's trace id");
-        let req = t.span_named(stage_names::REQUEST).expect("request span");
+        let req = t.span_named(Stage::Request).expect("request span");
         assert_eq!(
             req.parent,
             Some(parent),
@@ -2219,25 +2115,11 @@ mod tests {
             .find(|t| t.has_tag(tags::FALLBACK))
             .expect("guard-fallback trace retained");
         assert!(
-            t.span_named(stage_names::FALLBACK).is_some(),
+            t.span_named(Stage::Fallback).is_some(),
             "fallback stage span present; spans: {:?}",
             t.spans
         );
         assert!(!t.has_error(), "the fallback answered, not an error");
-    }
-
-    #[test]
-    fn disabled_telemetry_records_no_traces() {
-        let orc = Orchestrator::builder()
-            .workers(1)
-            .telemetry(false)
-            .slow_request_threshold(Duration::ZERO)
-            .build();
-        orc.register_model("m", tiny_bundle());
-        orc.store().put_dense("in", vec![0.1, 0.2, 0.3]);
-        orc.client().run_model("m", "in", "out").unwrap();
-        assert!(orc.trace_dump().is_empty());
-        assert!(orc.slow_log().is_empty());
     }
 
     #[test]

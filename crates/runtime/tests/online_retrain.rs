@@ -277,6 +277,43 @@ fn re_registration_resets_the_online_state() {
 }
 
 #[test]
+fn non_finite_fallback_labels_never_enter_the_replay_buffer() {
+    let orc = Orchestrator::builder()
+        .store(TensorStore::new())
+        .workers(1)
+        .online_retraining(retrain_config())
+        .build();
+    // Rejects everything; the fallback answers NaN for a negative first
+    // element and the exact region otherwise.
+    let guard = QualityGuard::new(|_, _| false).with_fallback(|x| {
+        if x[0] < 0.0 {
+            vec![f64::NAN]
+        } else {
+            exact(x)
+        }
+    });
+    orc.register_guarded_model(MODEL, weak_bundle(), guard);
+    let client = orc.client();
+    // (input, is the pair captured?): a NaN label and an Inf feature row
+    // are dropped uncounted, a finite pair on the same model is kept.
+    let cases = [
+        ([-1.0, 0.5, 0.5], 0),
+        ([1.0, f64::INFINITY, 0.5], 0),
+        ([1.0, 0.5, 0.5], 1),
+    ];
+    for (i, (x, captured)) in cases.into_iter().enumerate() {
+        client.put_tensor("nf/in", &x).expect("put");
+        client
+            .run_model(MODEL, "nf/in", "nf/out")
+            .expect("still answered");
+        assert_eq!(orc.serving_stats().quality_fallbacks, i as u64 + 1);
+        assert_eq!(orc.replay_buffered(MODEL), captured, "input {x:?}");
+        assert_eq!(orc.serving_stats().retrain_samples, captured as u64);
+    }
+    orc.shutdown();
+}
+
+#[test]
 fn concurrent_clients_never_fail_across_a_swap() {
     // Hammer the model from several threads while a swap and a guard
     // change land mid-stream: the atomic pointer exchange means no

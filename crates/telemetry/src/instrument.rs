@@ -10,8 +10,8 @@
 //! [`crate::Registry::disabled`]) turns each record into a single
 //! predictable branch.
 //!
-//! The atomics come from [`crate::sync`], which swaps in `loom`'s
-//! model-checked versions under `--cfg loom`; the invariants in the
+//! The atomics come from the crate's `sync` module, which swaps in
+//! `loom`'s model-checked versions under `--cfg loom`; the invariants in the
 //! comments below are verified by `tests/concurrency_model.rs`.
 
 use crate::sync::{AtomicU64, Ordering};

@@ -60,7 +60,7 @@ pub use registry::{CounterEntry, GaugeEntry, HistogramEntry, Registry, RegistryS
 pub use ring::{Event, EventRing};
 pub use trace::{
     FlightRecorder, FlightRecorderConfig, FlightRecorderStats, SpanId, SpanRecord, SpanStatus,
-    SpanTimer, Trace, TraceContext, TraceId,
+    SpanTimer, Stage, Trace, TraceContext, TraceId,
 };
 
 use std::sync::OnceLock;

@@ -11,9 +11,8 @@
 //!   ([`TraceContext::to_wire`]); ids are process-seeded so two
 //!   processes never mint colliding ids.
 //! * [`SpanRecord`] / [`Trace`] — one timed, annotated node of a span
-//!   tree, and the per-request tree itself. Span names on the serving
-//!   path come from [`stage_names`], the single shared const table the
-//!   `hpcnet-analysis` `stage-name-literal` lint enforces.
+//!   tree, and the per-request tree itself. Spans on the serving path
+//!   are named by the [`Stage`] enum.
 //! * [`FlightRecorder`] — a bounded in-memory ring of recent traces
 //!   with **tail sampling**: error, deadline-exceeded, guard-fallback,
 //!   and slower-than-threshold traces are always retained; boring ones
@@ -34,49 +33,88 @@ use std::time::{Duration, Instant, SystemTime};
 
 use serde::{Deserialize, Serialize};
 
-/// The single shared table of stage/span names used by metrics *and*
-/// traces. Every crate that opens a stage span or labels a stage metric
-/// must name it through these consts — the `hpcnet-analysis`
-/// `stage-name-literal` lint rejects raw stage-name string literals
-/// anywhere else, so the metric series and the trace span tree can
-/// never drift apart.
-pub mod stage_names {
+/// One stage of the serving path: the name of a span in a request's
+/// tree *and* the `stage` label of the matching latency series. Every
+/// crate that opens a stage span or labels a stage metric takes a
+/// `Stage` by value, so a misspelt or drifted name cannot be written;
+/// [`as_str`](Stage::as_str) is the one place the wire/JSON/Prometheus
+/// spelling lives ([`SpanRecord::name`] stays a `String`, so payloads
+/// are unchanged and foreign spans still parse).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
     /// Root span of one request as seen by whichever hop originated it.
-    pub const REQUEST: &str = "request";
+    Request,
     /// Time spent queued in the admission queue before a worker picked
     /// the request up.
-    pub const QUEUE_WAIT: &str = "queue_wait";
+    QueueWait,
     /// Input tensor fetch from the store.
-    pub const FETCH: &str = "fetch";
+    Fetch,
     /// Autoencoder encode of the fetched inputs.
-    pub const ENCODE: &str = "encode";
+    Encode,
     /// The surrogate forward pass (f64 path).
-    pub const INFER: &str = "infer";
+    Infer,
     /// The surrogate forward pass (demoted f32 path).
-    pub const INFER_F32: &str = "infer_f32";
+    InferF32,
     /// QualityGuard validation of the surrogate output.
-    pub const GUARD: &str = "guard";
+    Guard,
     /// Exact-solver fallback after a guard miss.
-    pub const FALLBACK: &str = "fallback";
-    /// One shard attempt made by `ClusterClient` (child of [`REQUEST`]).
-    pub const SHARD: &str = "shard";
+    Fallback,
+    /// One shard attempt made by `ClusterClient` (child of
+    /// [`Request`](Stage::Request)).
+    Shard,
     /// One background fine-tune run of the online retrainer (not a
     /// child of any request span; it carries its own root).
-    pub const RETRAIN: &str = "retrain";
+    Retrain,
+}
 
-    /// Every name above, for membership checks in tests and lints.
-    pub const ALL: &[&str] = &[
-        REQUEST, QUEUE_WAIT, FETCH, ENCODE, INFER, INFER_F32, GUARD, FALLBACK, SHARD, RETRAIN,
+impl Stage {
+    /// Every stage, in declaration order.
+    pub const ALL: [Stage; 10] = [
+        Stage::Request,
+        Stage::QueueWait,
+        Stage::Fetch,
+        Stage::Encode,
+        Stage::Infer,
+        Stage::InferF32,
+        Stage::Guard,
+        Stage::Fallback,
+        Stage::Shard,
+        Stage::Retrain,
     ];
 
-    /// The per-request *stage* names (children of the server-side
-    /// request span): [`ALL`] minus the structural [`REQUEST`]/[`SHARD`]
-    /// spans and the background [`RETRAIN`] stage.
-    pub const STAGES: &[&str] = &[QUEUE_WAIT, FETCH, ENCODE, INFER, INFER_F32, GUARD, FALLBACK];
+    /// The per-request stages — children of the server-side request
+    /// span — in serving order: [`ALL`](Stage::ALL) minus the structural
+    /// `Request`/`Shard` spans and the background `Retrain` stage.
+    pub const REQUEST_STAGES: [Stage; 7] = [
+        Stage::QueueWait,
+        Stage::Fetch,
+        Stage::Encode,
+        Stage::Infer,
+        Stage::InferF32,
+        Stage::Guard,
+        Stage::Fallback,
+    ];
 
-    /// Is `name` one of the shared stage/span names?
-    pub fn is_known(name: &str) -> bool {
-        ALL.contains(&name)
+    /// The span name / `stage` label value.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            Stage::Request => "request",
+            Stage::QueueWait => "queue_wait",
+            Stage::Fetch => "fetch",
+            Stage::Encode => "encode",
+            Stage::Infer => "infer",
+            Stage::InferF32 => "infer_f32",
+            Stage::Guard => "guard",
+            Stage::Fallback => "fallback",
+            Stage::Shard => "shard",
+            Stage::Retrain => "retrain",
+        }
+    }
+
+    /// The stage spelt `name`, if any (the inverse of
+    /// [`as_str`](Stage::as_str), for reading recorded spans back).
+    pub fn from_name(name: &str) -> Option<Stage> {
+        Stage::ALL.into_iter().find(|s| s.as_str() == name)
     }
 }
 
@@ -90,13 +128,13 @@ pub mod tags {
     /// The QualityGuard fell back to (or rejected via) the exact solver.
     pub const FALLBACK: &str = "guard_fallback";
     /// Root duration exceeded the recorder's slow threshold (applied by
-    /// [`FlightRecorder::record`]).
+    /// [`super::FlightRecorder::record`]).
     pub const SLOW: &str = "slow";
     /// The trace records an online-retraining model swap or rollback.
     /// Always retained: swaps are rare and operators audit them.
     pub const RETRAIN: &str = "retrain";
     /// Retained only by the one-in-N sampler, not by any rule above
-    /// (applied by [`FlightRecorder::record`]).
+    /// (applied by [`super::FlightRecorder::record`]).
     pub const SAMPLED: &str = "sampled";
 }
 
@@ -238,7 +276,7 @@ pub struct SpanRecord {
     pub span_id: SpanId,
     /// Parent span id; `None` for a root span.
     pub parent: Option<SpanId>,
-    /// Span name — on the serving path, one of [`stage_names`].
+    /// Span name — on the serving path, a [`Stage::as_str`].
     pub name: String,
     /// Which process/component recorded the span (`"server"`,
     /// `"remote_client"`, `"cluster"`, …).
@@ -257,11 +295,11 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// A fresh `Ok` span with a newly minted id and no annotations.
-    pub fn new(name: &str, service: &str, start_unix_nanos: u64, duration: Duration) -> Self {
+    pub fn new(stage: Stage, service: &str, start_unix_nanos: u64, duration: Duration) -> Self {
         SpanRecord {
             span_id: SpanId(next_id()),
             parent: None,
-            name: name.to_string(),
+            name: stage.as_str().to_string(),
             service: service.to_string(),
             start_unix_nanos,
             duration_nanos: duration.as_nanos() as u64,
@@ -324,9 +362,14 @@ impl SpanTimer {
         self.started.elapsed()
     }
 
-    /// Finish into a span record named `name`.
-    pub fn finish(&self, name: &str, service: &str) -> SpanRecord {
-        SpanRecord::new(name, service, self.start_unix_nanos, self.started.elapsed())
+    /// Finish into a span record for `stage`.
+    pub fn finish(&self, stage: Stage, service: &str) -> SpanRecord {
+        SpanRecord::new(
+            stage,
+            service,
+            self.start_unix_nanos,
+            self.started.elapsed(),
+        )
     }
 }
 
@@ -392,18 +435,20 @@ impl Trace {
             .collect()
     }
 
-    /// First span named `name`, if any.
-    pub fn span_named(&self, name: &str) -> Option<&SpanRecord> {
-        self.spans.iter().find(|s| s.name == name)
+    /// First span of `stage`, if any.
+    pub fn span_named(&self, stage: Stage) -> Option<&SpanRecord> {
+        self.spans.iter().find(|s| s.name == stage.as_str())
     }
 
-    /// Names of the stage spans present ([`stage_names::STAGES`] order
-    /// not guaranteed).
+    /// Names of the per-request stage spans present, in recorded order
+    /// ([`Stage::REQUEST_STAGES`] order is not guaranteed).
     pub fn stage_span_names(&self) -> Vec<&str> {
         self.spans
             .iter()
-            .filter(|s| stage_names::STAGES.contains(&s.name.as_str()))
             .map(|s| s.name.as_str())
+            .filter(|name| {
+                Stage::from_name(name).is_some_and(|s| Stage::REQUEST_STAGES.contains(&s))
+            })
             .collect()
     }
 
@@ -541,6 +586,19 @@ impl FlightRecorder {
         self.config.slow_threshold
     }
 
+    /// Apply the tags this recorder derives from the trace itself:
+    /// [`tags::ERROR`] and [`tags::SLOW`]. [`record`](Self::record) does
+    /// this anyway; a caller that acts on the verdict first (the
+    /// orchestrator's slow-request line) calls it to see the same one.
+    pub fn classify(&self, trace: &mut Trace) {
+        if trace.has_error() {
+            trace.tag(tags::ERROR);
+        }
+        if trace.duration() >= self.config.slow_threshold {
+            trace.tag(tags::SLOW);
+        }
+    }
+
     /// Offer a completed trace. Returns `true` when the trace was
     /// retained (and tags it with why), `false` when sampled out.
     pub fn record(&self, mut trace: Trace) -> bool {
@@ -549,12 +607,7 @@ impl FlightRecorder {
         }
         // relaxed: pure counters; the ring mutex orders the data itself.
         let seen = self.seen.fetch_add(1, Ordering::Relaxed);
-        if trace.has_error() {
-            trace.tag(tags::ERROR);
-        }
-        if trace.duration() >= self.config.slow_threshold {
-            trace.tag(tags::SLOW);
-        }
+        self.classify(&mut trace);
         let must_retain = trace.has_tag(tags::ERROR)
             || trace.has_tag(tags::DEADLINE)
             || trace.has_tag(tags::FALLBACK)
@@ -606,7 +659,7 @@ mod tests {
     fn quick_trace(dur_ms: u64) -> Trace {
         let mut t = Trace::new(TraceId(next_id()));
         let root = SpanRecord::new(
-            stage_names::REQUEST,
+            Stage::Request,
             "test",
             unix_nanos_now(),
             Duration::from_millis(dur_ms),
@@ -615,7 +668,7 @@ mod tests {
         t.push(root);
         t.push(
             SpanRecord::new(
-                stage_names::INFER,
+                Stage::Infer,
                 "test",
                 unix_nanos_now(),
                 Duration::from_millis(dur_ms / 2),
@@ -707,7 +760,7 @@ mod tests {
         let ctx = TraceContext::root();
         let mut client_half = Trace::new(ctx.trace_id);
         let root = SpanRecord::new(
-            stage_names::REQUEST,
+            Stage::Request,
             "cluster",
             unix_nanos_now(),
             Duration::from_millis(5),
@@ -718,7 +771,7 @@ mod tests {
         let mut server_half = Trace::new(ctx.trace_id);
         server_half.push(
             SpanRecord::new(
-                stage_names::INFER,
+                Stage::Infer,
                 "server",
                 unix_nanos_now(),
                 Duration::from_millis(2),
@@ -746,28 +799,5 @@ mod tests {
         assert_eq!(back[0].trace_id, t.trace_id);
         assert_eq!(back[0].spans.len(), 2);
         assert!(back[0].has_tag(tags::SLOW));
-    }
-
-    #[test]
-    fn stage_name_table_is_consistent() {
-        for s in stage_names::STAGES {
-            assert!(stage_names::is_known(s));
-        }
-        assert!(stage_names::is_known(stage_names::REQUEST));
-        assert!(!stage_names::is_known("made-up"));
-    }
-
-    #[test]
-    fn analysis_lint_mirror_of_stage_names_is_in_sync() {
-        // `hpcnet-analysis` is dependency-free, so its `stage-name-literal`
-        // rule mirrors this table; this pin fails when a name is added or
-        // renamed here without updating the mirror.
-        let rules = include_str!("../../analysis/src/rules.rs");
-        for name in stage_names::ALL {
-            assert!(
-                rules.contains(&format!("\"{name}\"")),
-                "stage name {name:?} missing from crates/analysis/src/rules.rs STAGE_NAMES"
-            );
-        }
     }
 }
