@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use hpcnet_runtime::{ClientApi, Result, RuntimeError, ServingStats};
 use hpcnet_telemetry::trace::{self, merge_traces, traces_from_json};
 use hpcnet_telemetry::{
-    FlightRecorder, FlightRecorderConfig, SpanId, SpanTimer, Stage, Trace, TraceContext,
+    FlightRecorder, FlightRecorderConfig, SpanId, SpanRecord, SpanTimer, Stage, Trace, TraceContext,
 };
 use hpcnet_tensor::Csr;
 
@@ -136,9 +136,16 @@ impl std::fmt::Debug for RemoteClient {
     }
 }
 
+/// A pooled connection. The read side is buffered and the buffer stays
+/// with the stream, so a reply costs one `read` rather than one for the
+/// header and one for the payload, and a window of pipelined replies
+/// that arrived together is framed from memory. Between exchanges the
+/// buffer is empty: exactly the replies owed have been read.
+type Conn = BufReader<TcpStream>;
+
 struct ClientInner {
     config: RemoteClientBuilder,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Conn>>,
     seq: AtomicU32,
     /// Client-side halves of request traces (DESIGN.md §16): the root
     /// span of every `run_model` this client originates, retained under
@@ -239,19 +246,32 @@ impl RemoteClient {
         let result = self.expect_ok(Opcode::RunModel, |buf| {
             payload::run_model(buf, model, in_key, out_key, deadline_micros, trace)
         });
-        let mut span = timer
-            .finish(Stage::Request, TRACE_SERVICE)
+        // Ask the recorder first: the span is only built for the one
+        // trace in eight (and every failed or slow one) that is kept.
+        let elapsed = timer.elapsed();
+        let untagged: &[&str] = &[];
+        if self
+            .inner
+            .recorder
+            .admit(elapsed, result.is_err(), untagged)
+        {
+            let mut span = SpanRecord::new(
+                Stage::Request,
+                TRACE_SERVICE,
+                timer.start_unix_nanos(),
+                elapsed,
+            )
             .annotate("model", model)
             .annotate("endpoint", &self.inner.config.addr);
-        // The root's id went over the wire before the span finished, so
-        // overwrite the freshly minted one.
-        span.span_id = root_id;
-        if let Err(e) = &result {
-            span = span.with_error(e);
+            // The root's id went over the wire before the span existed.
+            span.span_id = root_id;
+            if let Err(e) = &result {
+                span = span.with_error(e);
+            }
+            let mut t = Trace::new(ctx.trace_id);
+            t.push(span);
+            self.inner.recorder.retain(t);
         }
-        let mut t = Trace::new(ctx.trace_id);
-        t.push(span);
-        self.inner.recorder.record(t);
         result
     }
 
@@ -294,7 +314,7 @@ impl RemoteClient {
                     continue;
                 }
             };
-            if let Err(e) = stream.write_all(&frame) {
+            if let Err(e) = stream.get_mut().write_all(&frame) {
                 last_err = format!("write: {e}");
                 continue; // stream dropped; retry on a fresh connection
             }
@@ -341,7 +361,7 @@ impl RemoteClient {
     }
 
     /// A connection from the pool (`true`), or a fresh dial (`false`).
-    fn checkout(&self) -> std::result::Result<(TcpStream, bool), String> {
+    fn checkout(&self) -> std::result::Result<(Conn, bool), String> {
         let pooled = self
             .inner
             .pool
@@ -355,7 +375,7 @@ impl RemoteClient {
     }
 
     /// Dial a fresh connection (never consults the pool).
-    fn dial(&self) -> std::result::Result<TcpStream, String> {
+    fn dial(&self) -> std::result::Result<Conn, String> {
         let cfg = &self.inner.config;
         let addrs: Vec<SocketAddr> = cfg
             .addr
@@ -368,7 +388,7 @@ impl RemoteClient {
                 Ok(s) => {
                     let _ = s.set_nodelay(true);
                     let _ = s.set_read_timeout(cfg.read_timeout);
-                    return Ok(s);
+                    return Ok(BufReader::new(s));
                 }
                 Err(e) => last = format!("connect {addr}: {e}"),
             }
@@ -377,7 +397,7 @@ impl RemoteClient {
     }
 
     /// Return a healthy connection to the pool (dropped when full).
-    fn checkin(&self, stream: TcpStream) {
+    fn checkin(&self, stream: Conn) {
         let mut pool = self
             .inner
             .pool
@@ -460,7 +480,7 @@ impl RemoteClient {
     /// its length is the number of replies consumed before the fault.
     fn batch_exchange(
         &self,
-        stream: &mut TcpStream,
+        stream: &mut Conn,
         model: &str,
         pairs: &[(&str, &str)],
         deadline_at: Option<Instant>,
@@ -489,14 +509,14 @@ impl RemoteClient {
                 seqs.push(seq);
             }
             stream
+                .get_mut()
                 .write_all(&frames)
                 .map_err(|e| RuntimeError::Transport(format!("batch write: {e}")))?;
-            // Buffered for the window: the replies leave the server in one
-            // write, and exactly `seqs.len()` of them are owed, so nothing
-            // is left behind in the buffer when it is dropped.
-            let mut replies = BufReader::new(&*stream);
+            // The replies leave the server in one write and are framed
+            // from the connection's buffer; exactly `seqs.len()` of them
+            // are owed, so the buffer is empty again afterwards.
             for &seq in &seqs {
-                let raw = match read_frame(&mut replies) {
+                let raw = match read_frame(stream) {
                     Ok(FrameOutcome::Frame(raw)) => raw,
                     // The remaining replies on this stream cannot be
                     // trusted to frame correctly; surface the fault.

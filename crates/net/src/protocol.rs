@@ -805,6 +805,19 @@ pub fn read_frame(r: &mut impl Read) -> Result<FrameOutcome, WireError> {
     }))
 }
 
+/// Does `buf` start with a complete frame, so that [`read_frame`] on a
+/// reader holding these bytes returns without touching the underlying
+/// stream? `false` as well for a prefix `read_frame` would reject as
+/// fatal (bad magic, oversize) — that verdict belongs to the next
+/// blocking read.
+pub(crate) fn frame_buffered(buf: &[u8]) -> bool {
+    if buf.len() < HEADER_LEN || buf[0..2] != MAGIC {
+        return false;
+    }
+    let len = u32::from_le_bytes(to_array(&buf[8..12])) as usize;
+    len <= MAX_FRAME_PAYLOAD && buf.len() >= frame_len(len)
+}
+
 /// Total wire bytes of a frame with an `n`-byte payload.
 pub fn frame_len(n: usize) -> usize {
     HEADER_LEN + n + CRC_LEN
@@ -1107,6 +1120,30 @@ impl<'a> PayloadReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frame_buffered_is_true_exactly_from_the_last_byte_on() {
+        let req = Request::Ping {
+            payload: b"0123456789".to_vec(),
+        };
+        let mut wire = Vec::new();
+        let n = req.encode_frame(&mut wire, VERSION, 7);
+        assert_eq!(n, wire.len());
+        for cut in 0..n {
+            assert!(!frame_buffered(&wire[..cut]), "{cut} of {n} bytes");
+        }
+        assert!(frame_buffered(&wire));
+        // More bytes behind a complete frame do not matter.
+        wire.extend_from_slice(b"HN");
+        assert!(frame_buffered(&wire));
+        // What `read_frame` rejects as fatal is left to `read_frame`.
+        let mut bad_magic = wire.clone();
+        bad_magic[0] = b'X';
+        assert!(!frame_buffered(&bad_magic));
+        let mut oversize = wire.clone();
+        oversize[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(!frame_buffered(&oversize));
+    }
     use std::io::Cursor;
 
     fn roundtrip_request(req: Request) -> Request {

@@ -1,18 +1,25 @@
 //! The TCP front end: a multi-threaded server exposing an
 //! [`Orchestrator`] over the wire protocol.
 //!
-//! Thread model — one accept loop plus **two threads per connection**:
+//! Thread model — one accept loop plus **one thread per connection**,
+//! which reads, executes and writes:
 //!
-//! * the *reader* owns the receive half: it frames bytes, decodes
-//!   requests, and pushes jobs into a bounded channel;
-//! * the *executor* owns the send half: it pops jobs, runs them against
-//!   the orchestrator, and writes the reply frame.
+//! 1. block until a frame has arrived;
+//! 2. take the further frames that are already complete in the
+//!    connection's read buffer, up to [`NetServerBuilder::window`] frames
+//!    in all — what a pipelining client sent together is served together;
+//! 3. execute them in request order. A run of consecutive `RUN_MODEL`s
+//!    that do not depend on each other through a key goes to the
+//!    orchestrator as *one* call ([`Client::run_round`]): one round and
+//!    one batched forward pass on an idle orchestrator, executed on this
+//!    very thread;
+//! 4. write every reply, in request order, with one `write`.
 //!
-//! The channel between them is a [`std::sync::mpsc::sync_channel`] of
-//! capacity [`NetServerBuilder::window`]: when a client pipelines more
-//! requests than the window, the reader blocks on `send`, stops pulling
-//! from the socket, and TCP flow control backpressures the sender — the
-//! network analog of the orchestrator's bounded admission queue.
+//! There is no queue between reading and executing, so nothing to bound:
+//! while the thread executes it does not read, the socket's receive
+//! buffer fills, and TCP flow control backpressures a client that
+//! pipelines faster than it is served — the network analog of the
+//! orchestrator's bounded admission queue.
 //!
 //! Error handling mirrors [`crate::protocol::WireError::is_fatal`]:
 //! recoverable frame
@@ -21,28 +28,25 @@
 //! (bad magic, oversize, mid-frame EOF) closes the connection.
 //!
 //! Graceful drain ([`NetServer::shutdown`]): stop accepting, half-close
-//! the read side of every live connection (readers see EOF and hang up
-//! their job channels), let executors finish answering everything already
-//! queued, join all threads, then hand the orchestrator to
-//! [`Orchestrator::shutdown`] for its own drain. Nothing already admitted
-//! is dropped.
+//! the read side of every live connection (each thread answers what it
+//! had already received, then sees EOF and exits), join all threads,
+//! then hand the orchestrator to [`Orchestrator::shutdown`] for its own
+//! drain. Nothing already received is dropped.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hpcnet_runtime::{Client, Orchestrator, PendingRun, Result, RuntimeError, ServingStats};
+use hpcnet_runtime::{Client, Orchestrator, Result, RunRequest, RuntimeError, ServingStats};
 use hpcnet_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::protocol::{
-    self, decode_request, read_frame, ErrorFrame, FrameOutcome, Opcode, Request, Response,
+    self, decode_request, frame_buffered, read_frame, ErrorFrame, FrameOutcome, Opcode, Request,
+    Response,
 };
 
 /// Connections currently open.
@@ -57,8 +61,8 @@ pub const BYTES_READ_TOTAL: &str = "hpcnet_net_bytes_read_total";
 pub const BYTES_WRITTEN_TOTAL: &str = "hpcnet_net_bytes_written_total";
 /// Recoverable protocol violations answered with an error frame.
 pub const PROTOCOL_ERRORS_TOTAL: &str = "hpcnet_net_protocol_errors_total";
-/// End-to-end server-side request latency (decode to reply written),
-/// labeled by `op`.
+/// End-to-end server-side request latency (frame taken off the stream,
+/// before decode, to reply written), labeled by `op`.
 pub const REQUEST_SECONDS: &str = "hpcnet_net_request_seconds";
 
 /// `# HELP` text for every `hpcnet_net_*` series, installed into the
@@ -99,9 +103,10 @@ pub struct NetServerBuilder {
 }
 
 impl NetServerBuilder {
-    /// Per-connection in-flight window: how many decoded requests may sit
-    /// between the reader and the executor before the reader stops
-    /// pulling bytes off the socket. Clamped to at least 1; default 32.
+    /// Per-connection window: the most frames a connection's thread takes
+    /// off its read buffer and serves in one go — one round, one reply
+    /// write. Frames beyond it wait in the socket, where TCP flow control
+    /// holds the sender back. Clamped to at least 1; default 32.
     pub fn window(mut self, window: usize) -> Self {
         self.window = window.max(1);
         self
@@ -174,14 +179,15 @@ impl NetServer {
 
     /// Gracefully drain and stop: refuse new connections, half-close
     /// every live connection's read side, answer everything already
-    /// queued, join all connection threads, then drain the orchestrator
+    /// received, join all connection threads, then drain the orchestrator
     /// itself. Returns the orchestrator's final serving stats.
     pub fn shutdown(self) -> ServingStats {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         let _ = self.accept.join();
-        // EOF every reader: replies still flow on the write half.
+        // EOF every connection's read side: replies still flow on the
+        // write half.
         for stream in self
             .shared
             .live
@@ -219,9 +225,8 @@ struct ServerShared {
     next_conn_id: AtomicU64,
     /// Live connection streams, for half-closing at shutdown.
     live: Mutex<HashMap<u64, TcpStream>>,
-    /// Reader and executor handles of connections whose threads have not
-    /// been joined yet: the accept loop reaps finished ones, `shutdown`
-    /// joins the rest.
+    /// Handles of connection threads that have not been joined yet: the
+    /// accept loop reaps finished ones, `shutdown` joins the rest.
     joiners: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -300,14 +305,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         // relaxed: pure ID counter — uniqueness is all that matters, no
         // other memory is published through it.
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        // Three handles to one socket: reader half, shutdown handle (for
-        // the half-close at drain), and the executor's write half. A
+        // A second handle to the socket for the half-close at drain. A
         // process that cannot duplicate the fd refuses the connection.
-        let read_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let shutdown_handle = match read_half.try_clone() {
+        let shutdown_handle = match stream.try_clone() {
             Ok(s) => s,
             Err(_) => continue,
         };
@@ -318,50 +318,23 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
             .insert(conn_id, shutdown_handle);
         shared.metrics.connection_opened();
 
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(shared.window);
-        let reader = {
+        let connection = {
             let shared = shared.clone();
             std::thread::Builder::new()
-                .name(format!("hpcnet-net-read-{conn_id}"))
-                .spawn(move || reader_loop(read_half, tx, shared))
+                .name(format!("hpcnet-net-conn-{conn_id}"))
+                .spawn(move || connection_loop(stream, conn_id, shared))
         };
-        let reader = match reader {
-            Ok(h) => h,
-            Err(_) => {
-                // Out of threads: refuse the connection instead of
-                // serving a half-wired one.
-                drop_connection(&shared, conn_id);
-                continue;
-            }
-        };
-        let executor = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("hpcnet-net-exec-{conn_id}"))
-                .spawn(move || executor_loop(stream, rx, conn_id, shared))
-        };
-        let executor = match executor {
-            Ok(h) => h,
-            Err(_) => {
-                // The reader is already running; half-closing the socket
-                // makes it see EOF and exit (dropping `rx` above already
-                // broke its channel). Keep its handle for shutdown.
-                drop_connection(&shared, conn_id);
-                shared
-                    .joiners
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(reader);
-                continue;
-            }
+        let Ok(connection) = connection else {
+            // Out of threads: refuse the connection.
+            drop_connection(&shared, conn_id);
+            continue;
         };
         let mut joiners = shared
             .joiners
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         reap_finished(&mut joiners);
-        joiners.push(reader);
-        joiners.push(executor);
+        joiners.push(connection);
     }
 }
 
@@ -380,8 +353,8 @@ fn reap_finished(joiners: &mut Vec<JoinHandle<()>>) {
     }
 }
 
-/// Abandon a connection that never became fully wired: close the socket,
-/// drop it from the live map, and rebalance the connection gauge.
+/// Abandon a connection whose thread could not be started: close the
+/// socket, drop it from the live map, and rebalance the connection gauge.
 fn drop_connection(shared: &ServerShared, conn_id: u64) {
     let removed = shared
         .live
@@ -394,107 +367,102 @@ fn drop_connection(shared: &ServerShared, conn_id: u64) {
     shared.metrics.connection_closed();
 }
 
-/// One unit of work handed from the reader to the executor. It carries
-/// the request frame's protocol version so the reply can echo it — a v1
-/// client of a v2 server sees pure v1 traffic.
-struct Job {
+/// One frame taken off the stream. It carries the frame's protocol
+/// version so the reply can echo it — a v1 client of a v2 server sees
+/// pure v1 traffic.
+struct Taken {
     seq: u32,
     version: u8,
+    /// When the frame was complete in hand, before it was decoded.
     received: Instant,
-    work: Work,
+    /// The decoded request — or, for a frame that failed validation or
+    /// decoding, the message of the typed protocol error that answers it.
+    request: std::result::Result<Request, String>,
 }
 
-enum Work {
-    /// A decoded request to execute.
-    Run(Request),
-    /// A frame that failed validation or decoding: answer with a typed
-    /// protocol error carrying this message, do not execute anything.
-    Reject(String),
-}
-
-fn reader_loop(stream: TcpStream, tx: SyncSender<Job>, shared: Arc<ServerShared>) {
-    // Buffered: a window of pipelined frames that arrived in one segment
-    // is framed from memory instead of two `read`s per frame.
-    let mut stream = BufReader::new(stream);
-    loop {
-        let outcome = match read_frame(&mut stream) {
-            Ok(o) => o,
-            // Fatal: EOF, mid-frame truncation, bad magic, oversize.
-            // Dropping `tx` is the hang-up signal for the executor.
-            Err(_) => return,
-        };
-        let (seq, version, work) = match outcome {
-            FrameOutcome::Frame(raw) => {
-                shared
-                    .metrics
-                    .bytes_read
-                    .add(protocol::frame_len(raw.payload.len()) as u64);
-                let work = match decode_request(&raw) {
-                    Ok(request) => Work::Run(request),
-                    Err(e) => Work::Reject(e.to_string()),
-                };
-                (raw.seq, raw.version, work)
-            }
-            // A corrupt frame has no trustworthy version byte; answer at
-            // the current version.
-            FrameOutcome::Corrupt { seq, reason } => {
-                (seq, protocol::VERSION, Work::Reject(reason.to_string()))
-            }
-        };
-        let job = Job {
-            seq,
-            version,
-            received: Instant::now(),
-            work,
-        };
-        // Blocks when the in-flight window is full — TCP backpressure.
-        if tx.send(job).is_err() {
-            // Executor died (write error); nothing left to do.
-            return;
+impl Taken {
+    /// The frame as an entry of a [`Client::run_round`] call, if it is a
+    /// well-formed `RUN_MODEL`.
+    fn as_run(&self) -> Option<RunRequest<'_>> {
+        match &self.request {
+            Ok(Request::RunModel {
+                model,
+                in_key,
+                out_key,
+                deadline_micros,
+                trace,
+            }) => Some(RunRequest {
+                model,
+                in_key,
+                out_key,
+                deadline: deadline_of(*deadline_micros),
+                trace: *trace,
+            }),
+            _ => None,
         }
     }
 }
 
-fn executor_loop(
-    mut stream: TcpStream,
-    rx: Receiver<Job>,
-    conn_id: u64,
-    shared: Arc<ServerShared>,
-) {
-    let client = shared.orchestrator.client();
-    // A job pulled off the channel by a round that could not take it.
-    let mut held: Option<Job> = None;
-    let mut served: Vec<(Opcode, Instant)> = Vec::new();
-    // Drains naturally: once the reader drops `tx` (EOF or shutdown's
-    // half-close), `recv` yields the queued remainder and then errors.
-    while let Some(job) = held.take().or_else(|| rx.recv().ok()) {
-        // One round's replies, in request order, leave in one write.
-        let mut out = Vec::new();
-        match job.work {
-            Work::Run(Request::RunModel { .. }) => {
-                held = run_pipelined(&client, &shared, &rx, job, &mut out, &mut served);
-            }
-            Work::Run(request) => {
-                served.push((request.opcode(), job.received));
-                execute(&client, &shared.orchestrator, request).encode_frame(
-                    &mut out,
-                    job.version,
-                    job.seq,
-                );
-            }
-            Work::Reject(message) => {
-                shared.metrics.protocol_errors.inc();
-                error_response(&RuntimeError::Protocol(message)).encode_frame(
-                    &mut out,
-                    job.version,
-                    job.seq,
-                );
+/// Read one frame (blocking if it is not buffered yet) and decode it.
+/// `Err` is fatal for the connection: EOF, mid-frame truncation, bad
+/// magic, oversize.
+fn take_frame(
+    reader: &mut impl Read,
+    metrics: &NetMetrics,
+) -> std::result::Result<Taken, protocol::WireError> {
+    let outcome = read_frame(reader)?;
+    let received = Instant::now();
+    Ok(match outcome {
+        FrameOutcome::Frame(raw) => {
+            metrics
+                .bytes_read
+                .add(protocol::frame_len(raw.payload.len()) as u64);
+            Taken {
+                seq: raw.seq,
+                version: raw.version,
+                received,
+                request: decode_request(&raw).map_err(|e| e.to_string()),
             }
         }
-        if stream.write_all(&out).is_err() {
+        // A corrupt frame has no trustworthy version byte; answer at the
+        // current version.
+        FrameOutcome::Corrupt { seq, reason } => Taken {
+            seq,
+            version: protocol::VERSION,
+            received,
+            request: Err(reason.to_string()),
+        },
+    })
+}
+
+/// The connection's thread: take what has arrived, serve it, reply,
+/// repeat — until the peer hangs up, `shutdown` half-closes the read
+/// side, or the stream is damaged beyond re-framing.
+fn connection_loop(stream: TcpStream, conn_id: u64, shared: Arc<ServerShared>) {
+    let client = shared.orchestrator.client();
+    // Buffered: a window of pipelined frames that arrived in one segment
+    // is framed from memory, and a small frame costs one `read`, not two.
+    let mut reader = BufReader::new(&stream);
+    let mut round: Vec<Taken> = Vec::new();
+    let mut out = Vec::new();
+    let mut served: Vec<(Opcode, Instant)> = Vec::new();
+    while let Ok(first) = take_frame(&mut reader, &shared.metrics) {
+        round.push(first);
+        // Only frames that are already here in full: serving what has
+        // arrived never waits for what has not.
+        while round.len() < shared.window && frame_buffered(reader.buffer()) {
+            match take_frame(&mut reader, &shared.metrics) {
+                Ok(next) => round.push(next),
+                Err(_) => break,
+            }
+        }
+        serve(&client, &shared, &mut round, &mut out, &mut served);
+        // One round's replies, in request order, leave in one write.
+        if (&stream).write_all(&out).is_err() {
             break;
         }
         shared.metrics.bytes_written.add(out.len() as u64);
+        out.clear();
         for (op, received) in served.drain(..) {
             shared.metrics.request(op, received.elapsed());
         }
@@ -508,100 +476,76 @@ fn executor_loop(
     shared.metrics.connection_closed();
 }
 
-/// A `RUN_MODEL` of the current round: submitted and awaiting the
-/// orchestrator, or already answered.
-enum Slot {
-    Pending(PendingRun),
-    Ready(Response),
-}
-
-/// Serve `first` (a `RUN_MODEL`) together with the `RUN_MODEL`s already
-/// queued behind it: all are submitted to the orchestrator before any
-/// reply is awaited, so the worker's backlog drain coalesces them into
-/// one round and one batched forward pass. Replies are appended to `out`
-/// in request order. Returns the job that ended the drain, if one was
-/// pulled off the channel — it opens the next round.
+/// Execute the frames of `round` in request order, appending each reply
+/// to `out` and noting what was served for the latency metrics.
 ///
-/// What a client could observe is unchanged from one-at-a-time execution
-/// (DESIGN.md §12): every request keeps its own deadline, trace context,
-/// guard outcome and typed reply; the drain stops at the first job that
-/// is not a `RUN_MODEL` and at the first one that shares a key with an
-/// earlier request of the round in a way that orders them (reads or
-/// overwrites an output, overwrites an input), so dependent requests
-/// still execute in sequence; and a full admission queue holds the rest
-/// back rather than rejecting requests the connection itself queued.
-fn run_pipelined(
+/// A `RUN_MODEL` takes the `RUN_MODEL`s right behind it along as one
+/// [`Client::run_round`] call, up to the first that shares a key with an
+/// earlier one of the run in a way that orders them (reads or overwrites
+/// an output, overwrites an input): those execute in sequence, as does
+/// everything that is not a `RUN_MODEL`. What a client could observe is
+/// unchanged from one-at-a-time execution (DESIGN.md §12): every request
+/// keeps its own deadline, trace context, guard outcome and typed reply,
+/// in request order.
+fn serve(
     client: &Client,
     shared: &ServerShared,
-    rx: &Receiver<Job>,
-    first: Job,
+    round: &mut Vec<Taken>,
     out: &mut Vec<u8>,
     served: &mut Vec<(Opcode, Instant)>,
-) -> Option<Job> {
-    let mut round: Vec<(u32, u8, Instant, Slot)> = Vec::new();
-    // Hashes of the keys the round reads and writes. A collision only
-    // ends the round early.
-    let (mut reads, mut writes): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
-    let mut held = None;
-    let mut next = Some(first);
-    while let Some(job) = next.take() {
-        let Work::Run(
-            request @ Request::RunModel {
-                model,
-                in_key,
-                out_key,
-                deadline_micros,
-                trace,
-            },
-        ) = &job.work
-        else {
-            held = Some(job);
-            break;
-        };
-        let (input, output) = (key_hash(in_key), key_hash(out_key));
-        if writes.contains(&input) || writes.contains(&output) || reads.contains(&output) {
-            held = Some(job);
-            break;
+) {
+    let mut frames = round.drain(..).peekable();
+    let mut run: Vec<Taken> = Vec::new();
+    while let Some(frame) = frames.next() {
+        run.push(frame);
+        while let Some(next) = frames.next_if(|next| joins_run(&run, next)) {
+            run.push(next);
         }
-        let deadline = (*deadline_micros != 0).then(|| Duration::from_micros(*deadline_micros));
-        let slot = match client.try_submit_run_model(model, in_key, out_key, deadline, *trace) {
-            Ok(Some(pending)) => Slot::Pending(pending),
-            // The queue is full before the round has anything in it: the
-            // blocking path gives the counted `Overloaded` (or serves the
-            // request, if room appeared meanwhile).
-            Ok(None) if round.is_empty() => {
-                Slot::Ready(execute(client, &shared.orchestrator, request.clone()))
+        if run.len() > 1 {
+            let requests: Vec<RunRequest<'_>> = run.iter().filter_map(Taken::as_run).collect();
+            let results = client.run_round(&requests);
+            for (frame, result) in run.drain(..).zip(results) {
+                served.push((Opcode::RunModel, frame.received));
+                result
+                    .map_or_else(|e| error_response(&e), |()| Response::Ok)
+                    .encode_frame(out, frame.version, frame.seq);
             }
-            Ok(None) => {
-                held = Some(job);
-                break;
-            }
-            Err(e) => Slot::Ready(error_response(&e)),
-        };
-        reads.push(input);
-        writes.push(output);
-        round.push((job.seq, job.version, job.received, slot));
-        if round.len() < shared.window {
-            next = rx.try_recv().ok();
+        }
+        for frame in run.drain(..) {
+            let response = match frame.request {
+                Ok(request) => {
+                    served.push((request.opcode(), frame.received));
+                    execute(client, &shared.orchestrator, request)
+                }
+                Err(message) => {
+                    shared.metrics.protocol_errors.inc();
+                    error_response(&RuntimeError::Protocol(message))
+                }
+            };
+            response.encode_frame(out, frame.version, frame.seq);
         }
     }
-    for (seq, version, received, slot) in round {
-        let response = match slot {
-            Slot::Pending(pending) => client
-                .wait_run_model(pending)
-                .map_or_else(|e| error_response(&e), |()| Response::Ok),
-            Slot::Ready(response) => response,
-        };
-        response.encode_frame(out, version, seq);
-        served.push((Opcode::RunModel, received));
-    }
-    held
 }
 
-fn key_hash(key: &str) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
+/// May `next` join `run`? Only when both are `RUN_MODEL`s and no request
+/// of the run orders `next` behind it: `next` must not read or overwrite
+/// an earlier output, nor overwrite an earlier input.
+fn joins_run(run: &[Taken], next: &Taken) -> bool {
+    let Some(next) = next.as_run() else {
+        return false;
+    };
+    run.iter().all(|earlier| {
+        earlier.as_run().is_some_and(|earlier| {
+            earlier.out_key != next.in_key
+                && earlier.out_key != next.out_key
+                && earlier.in_key != next.out_key
+        })
+    })
+}
+
+/// The wire's deadline field: 0 means "the server's default".
+fn deadline_of(deadline_micros: u64) -> Option<Duration> {
+    (deadline_micros != 0).then(|| Duration::from_micros(deadline_micros))
 }
 
 fn error_response(e: &RuntimeError) -> Response {
@@ -625,12 +569,15 @@ fn execute(client: &Client, orchestrator: &Orchestrator, request: Request) -> Re
             out_key,
             deadline_micros,
             trace,
-        } => {
-            let deadline = (deadline_micros != 0).then(|| Duration::from_micros(deadline_micros));
-            client
-                .run_model_with_context(&model, &in_key, &out_key, deadline, trace)
-                .map(|()| Response::Ok)
-        }
+        } => client
+            .run_model_with_context(
+                &model,
+                &in_key,
+                &out_key,
+                deadline_of(deadline_micros),
+                trace,
+            )
+            .map(|()| Response::Ok),
         Request::Del { key } => client.del_tensor(&key).map(Response::Deleted),
         Request::Stats => serde_json::to_string(&orchestrator.serving_stats())
             .map(Response::Text)
@@ -731,6 +678,41 @@ mod tests {
 
         let stats = server.shutdown();
         assert_eq!(stats.requests, 1);
+    }
+
+    #[test]
+    fn a_run_ends_at_the_first_frame_an_earlier_one_orders() {
+        let taken = |request: Request| Taken {
+            seq: 0,
+            version: protocol::VERSION,
+            received: Instant::now(),
+            request: Ok(request),
+        };
+        let run = |in_key: &str, out_key: &str| {
+            taken(Request::RunModel {
+                model: crate::DEMO_MODEL.into(),
+                in_key: in_key.into(),
+                out_key: out_key.into(),
+                deadline_micros: 0,
+                trace: None,
+            })
+        };
+        let earlier = [run("a", "x"), run("b", "y")];
+        // Independent: shares nothing, or only an input.
+        assert!(joins_run(&earlier, &run("c", "z")));
+        assert!(joins_run(&earlier, &run("a", "z")));
+        // Reads an earlier output, overwrites one, overwrites an input.
+        assert!(!joins_run(&earlier, &run("y", "z")));
+        assert!(!joins_run(&earlier, &run("c", "x")));
+        assert!(!joins_run(&earlier, &run("c", "b")));
+        // Anything that is not a well-formed RUN_MODEL starts no run and
+        // joins none.
+        let get = taken(Request::GetTensor { key: "x".into() });
+        assert!(!joins_run(&earlier, &get));
+        assert!(!joins_run(&[get], &run("c", "z")));
+        let mut damaged = run("c", "z");
+        damaged.request = Err("checksum mismatch".into());
+        assert!(!joins_run(&earlier, &damaged));
     }
 
     #[test]

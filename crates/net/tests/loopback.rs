@@ -721,3 +721,255 @@ fn pipelined_frames_keep_their_own_deadlines() {
     assert!(client.serving_stats().expect("stats").deadline_expired >= 3);
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// One thread per connection: what arrives together is served together,
+// in request order, and nothing a client observes says otherwise.
+// ---------------------------------------------------------------------
+
+/// `requests` framed back to back with sequence numbers 1, 2, ...
+fn pipelined(requests: &[Request]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for (i, request) in requests.iter().enumerate() {
+        request.encode_frame(&mut wire, hpcnet_net::protocol::VERSION, i as u32 + 1);
+    }
+    wire
+}
+
+/// Read `n` replies and check that they answer sequence numbers 1..=n in
+/// order.
+fn read_replies(stream: &mut TcpStream, n: usize) -> Vec<Response> {
+    (1..=n as u32)
+        .map(|seq| match read_frame(stream).expect("reply frame") {
+            FrameOutcome::Frame(raw) => {
+                assert_eq!(raw.seq, seq, "replies leave in request order");
+                decode_response(&raw).expect("decode reply")
+            }
+            FrameOutcome::Corrupt { reason, .. } => panic!("corrupt reply: {reason}"),
+        })
+        .collect()
+}
+
+fn run_frame(model: &str, in_key: &str, out_key: &str) -> Request {
+    Request::RunModel {
+        model: model.into(),
+        in_key: in_key.into(),
+        out_key: out_key.into(),
+        deadline_micros: 0,
+        trace: None,
+    }
+}
+
+#[test]
+fn mixed_pipelined_frames_are_answered_in_order_with_dependencies_honoured() {
+    use hpcnet_nn::{Mlp, Topology};
+    let server = demo_server(|b| b.workers(1).build());
+    // A second model that consumes the demo model's output, so the
+    // second RUN depends on the first one's out key.
+    let mut rng = hpcnet_tensor::rng::seeded(5, "loopback-square");
+    let square = Mlp::new(&Topology::mlp(vec![4, 6, 4]), &mut rng).expect("topology");
+    let mut chained = demo_bundle();
+    chained.surrogate = square.clone().into();
+    server.orchestrator().register_model("square", chained);
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream.set_nodelay(true).expect("nodelay");
+    let input = demo_input(4);
+    let wire = pipelined(&[
+        Request::PutTensor {
+            key: "mix/in".into(),
+            values: input.clone(),
+        },
+        run_frame(DEMO_MODEL, "mix/in", "mix/mid"),
+        run_frame("square", "mix/mid", "mix/out"),
+        Request::GetTensor {
+            key: "mix/out".into(),
+        },
+        Request::Ping {
+            payload: b"after".to_vec(),
+        },
+    ]);
+    // One write: all five frames reach the server in one segment.
+    std::io::Write::write_all(&mut stream, &wire).expect("write");
+
+    let replies = read_replies(&mut stream, 5);
+    assert_eq!(replies[0], Response::Ok);
+    assert_eq!(replies[1], Response::Ok);
+    assert_eq!(
+        replies[2],
+        Response::Ok,
+        "the dependent RUN must execute after the one that writes its input"
+    );
+    let mid = demo_bundle().surrogate.predict(&input).expect("predict");
+    let want = square.predict(&mid).expect("predict");
+    assert_eq!(replies[3], Response::Tensor(want));
+    assert_eq!(replies[4], Response::Pong(b"after".to_vec()));
+
+    drop(stream);
+    let stats = server.shutdown();
+    assert_eq!(stats.requests, 2);
+    assert_eq!(stats.batches, 2, "dependent RUNs are separate rounds");
+}
+
+#[test]
+fn pipelining_past_the_window_is_served_in_window_sized_rounds() {
+    // The client writes 4 x window RUN_MODEL frames before it reads a
+    // single reply. The server takes at most `window` of them per round,
+    // so what it holds per connection is bounded by the window however
+    // much the client has sent; the rest waits in the socket.
+    const WINDOW: usize = 4;
+    const FRAMES: usize = 4 * WINDOW;
+    let orchestrator = Orchestrator::builder()
+        .store(TensorStore::new())
+        .workers(1)
+        .build();
+    orchestrator.register_model(DEMO_MODEL, demo_bundle());
+    let server = NetServer::builder(orchestrator)
+        .window(WINDOW)
+        .serve("127.0.0.1:0")
+        .expect("bind");
+    let client = RemoteClient::connect(server.local_addr().to_string()).expect("connect");
+    for s in 0..FRAMES {
+        client
+            .put_tensor(&format!("pw/in{s}"), &demo_input(s as u64))
+            .expect("put");
+    }
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream.set_nodelay(true).expect("nodelay");
+    let runs: Vec<Request> = (0..FRAMES)
+        .map(|s| run_frame(DEMO_MODEL, &format!("pw/in{s}"), &format!("pw/out{s}")))
+        .collect();
+    std::io::Write::write_all(&mut stream, &pipelined(&runs)).expect("write all frames");
+    let replies = read_replies(&mut stream, FRAMES);
+    assert!(
+        replies.iter().all(|r| *r == Response::Ok),
+        "got {replies:?}"
+    );
+
+    let reference = demo_bundle();
+    for s in 0..FRAMES {
+        let got = client.unpack_tensor(&format!("pw/out{s}")).expect("unpack");
+        let want = reference
+            .surrogate
+            .predict(&demo_input(s as u64))
+            .expect("predict");
+        assert_eq!(got, want, "frame {s}");
+    }
+    let stats = client.serving_stats().expect("stats");
+    assert_eq!(stats.requests, FRAMES as u64);
+    assert!(
+        stats.batches >= (FRAMES / WINDOW) as u64,
+        "{FRAMES} frames through a window of {WINDOW} take at least {} rounds, got {}",
+        FRAMES / WINDOW,
+        stats.batches
+    );
+    // Batch-size buckets are [1, 2), [2, 4), [4, 8), [8, 16), ...: no
+    // round may have grown past the window.
+    assert_eq!(
+        stats.batch_hist[3..].iter().sum::<u64>(),
+        0,
+        "a round exceeded the window: {:?}",
+        stats.batch_hist
+    );
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
+fn a_frame_split_across_segments_is_served_once() {
+    use std::io::Write;
+    let server = demo_server(|b| b.workers(1).build());
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream.set_nodelay(true).expect("nodelay");
+    let values = demo_input(2);
+    let wire = pipelined(&[Request::PutTensor {
+        key: "split/in".into(),
+        values: values.clone(),
+    }]);
+    // Three segments: cut mid-header and mid-payload. The pauses let each
+    // part travel alone; coalesced parts would only make the test easier.
+    let (head, rest) = wire.split_at(5);
+    let (body, tail) = rest.split_at(30);
+    for part in [head, body, tail] {
+        stream.write_all(part).expect("write part");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(read_replies(&mut stream, 1), vec![Response::Ok]);
+
+    // The connection is still framed, and the PUT happened exactly once.
+    let client = RemoteClient::connect(server.local_addr().to_string()).expect("connect");
+    assert_eq!(client.unpack_tensor("split/in").expect("unpack"), values);
+    let metrics = client.metrics_text().expect("metrics");
+    assert_eq!(
+        metric_total(&metrics, "hpcnet_net_requests_total", "op=\"put_tensor\""),
+        1.0
+    );
+    assert_eq!(
+        metric_total(&metrics, "hpcnet_net_protocol_errors_total", ""),
+        0.0
+    );
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_answers_what_was_received_before_the_half_close() {
+    use std::io::{Read, Write};
+    use std::sync::mpsc::channel;
+    let orchestrator = Orchestrator::builder()
+        .store(TensorStore::new())
+        .workers(1)
+        .build();
+    let (entered_tx, entered) = channel();
+    let entered_tx = std::sync::Mutex::new(entered_tx);
+    orchestrator.register_guarded_model(
+        DEMO_MODEL,
+        demo_bundle(),
+        QualityGuard::new(move |_in, _out| {
+            let _ = entered_tx.lock().expect("lock").send(());
+            // Long enough for `shutdown` to half-close the connection
+            // while this request is still executing.
+            std::thread::sleep(Duration::from_millis(200));
+            true
+        }),
+    );
+    let server = NetServer::builder(orchestrator)
+        .serve("127.0.0.1:0")
+        .expect("bind");
+    let client = RemoteClient::connect(server.local_addr().to_string()).expect("connect");
+    client.put_tensor("hc/in", &demo_input(0)).expect("put");
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream.set_nodelay(true).expect("nodelay");
+    let ping = |payload: &[u8]| Request::Ping {
+        payload: payload.to_vec(),
+    };
+    let wire = pipelined(&[
+        run_frame(DEMO_MODEL, "hc/in", "hc/out"),
+        ping(b"one"),
+        ping(b"two"),
+    ]);
+    stream.write_all(&wire).expect("write");
+    // The RUN is executing, so its segment — the PINGs included — has
+    // been received. Drain now: the read side closes under the thread.
+    entered.recv().expect("validator entered");
+    let stats = server.shutdown();
+    assert_eq!(stats.requests, 1);
+
+    let replies = read_replies(&mut stream, 3);
+    assert_eq!(
+        replies,
+        vec![
+            Response::Ok,
+            Response::Pong(b"one".to_vec()),
+            Response::Pong(b"two".to_vec())
+        ]
+    );
+    let mut rest = Vec::new();
+    assert_eq!(
+        stream.read_to_end(&mut rest).expect("clean EOF"),
+        0,
+        "nothing but the three replies, then the server hangs up"
+    );
+}

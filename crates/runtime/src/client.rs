@@ -12,21 +12,28 @@
 //! [`RuntimeError::Overloaded`], deadlines are enforced at enqueue time
 //! (and again server-side), and a draining orchestrator answers
 //! [`RuntimeError::ShuttingDown`].
+//!
+//! Who executes a `run_model` is decided by what the client observes
+//! (DESIGN.md §9): on an idle orchestrator — nothing queued, an execution
+//! slot free — the calling thread runs the request itself as a one-round
+//! batch; otherwise the request is queued for the worker pool, which
+//! coalesces whatever is queued into batched rounds.
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use hpcnet_telemetry::{Trace, TraceContext};
 
-use crate::server::{Orchestrator, ServerRequest, ServingShared};
-use crate::store::{TensorKey, TensorStore};
+use crate::server::{serve_round, Orchestrator, PendingRequest, Request, ServerCtx};
+use crate::store::TensorKey;
 use crate::{Result, RuntimeError};
 
-/// A lightweight client compiled "into the application": it talks to the
-/// orchestrator's worker pool over a bounded channel, exactly mirroring
-/// the paper's request/response flow.
+/// A lightweight client compiled "into the application": it executes
+/// requests on the calling thread while the orchestrator is idle and
+/// hands them to the worker pool over a bounded queue under load, exactly
+/// mirroring the paper's request/response flow.
 ///
 /// # Examples
 ///
@@ -45,18 +52,39 @@ use crate::{Result, RuntimeError};
 /// assert_eq!(client.unpack_tensor("out").unwrap().len(), 1);
 /// ```
 pub struct Client {
-    store: TensorStore,
-    tx: Sender<ServerRequest>,
-    shared: Arc<ServingShared>,
+    ctx: ServerCtx,
+    tx: Sender<Request>,
+}
+
+/// One `run_model` of a [`Client::run_round`]: the arguments of
+/// [`Client::run_model_with_context`], borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct RunRequest<'a> {
+    /// Registered model name.
+    pub model: &'a str,
+    /// Key of the input tensor.
+    pub in_key: &'a str,
+    /// Key the output tensor is stored under.
+    pub out_key: &'a str,
+    /// Per-request deadline; `None` uses the orchestrator's default.
+    pub deadline: Option<Duration>,
+    /// Upstream trace context, if the caller propagates one.
+    pub trace: Option<TraceContext>,
+}
+
+/// How an attempt to queue a request ended.
+enum Enqueued {
+    /// Admitted; the results arrive on this channel.
+    Admitted(Receiver<Vec<Result<()>>>),
+    /// The admission queue is full; the request comes back.
+    Full(PendingRequest),
+    /// The orchestrator is gone or draining.
+    Closed(RuntimeError),
 }
 
 impl Client {
-    pub(crate) fn from_parts(
-        store: TensorStore,
-        tx: Sender<ServerRequest>,
-        shared: Arc<ServingShared>,
-    ) -> Self {
-        Client { store, tx, shared }
+    pub(crate) fn from_parts(ctx: ServerCtx, tx: Sender<Request>) -> Self {
+        Client { ctx, tx }
     }
 
     /// Connect a client to a running orchestrator (equivalent to
@@ -79,7 +107,7 @@ impl Client {
     pub fn put_tensor_owned(&self, key: &str, value: Vec<f64>) -> Result<()> {
         let key = TensorKey::new(key)?;
         self.ensure_admitting()?;
-        self.store.put_dense(key.as_str(), value);
+        self.ctx.store.put_dense(key.as_str(), value);
         Ok(())
     }
 
@@ -87,7 +115,7 @@ impl Client {
     pub fn put_sparse_tensor(&self, key: &str, value: hpcnet_tensor::Csr) -> Result<()> {
         let key = TensorKey::new(key)?;
         self.ensure_admitting()?;
-        self.store.put_sparse(key.as_str(), value);
+        self.ctx.store.put_sparse(key.as_str(), value);
         Ok(())
     }
 
@@ -135,54 +163,144 @@ impl Client {
         deadline: Option<Duration>,
         trace: Option<TraceContext>,
     ) -> Result<()> {
-        match self.try_submit_run_model(model, in_key, out_key, deadline, trace)? {
-            Some(pending) => self.wait_run_model(pending),
-            None => Err(self.overloaded(model)),
+        let request = self.prepare(model, &[(in_key, out_key)], deadline, trace)?;
+        first_error(self.submit(vec![request]).into_iter().flatten())
+    }
+
+    /// Run several independent `run_model` requests as one submission and
+    /// return one result per request, in request order. Each keeps its
+    /// own deadline, trace context, guard outcome and typed error.
+    ///
+    /// On an idle orchestrator the calling thread executes them as one
+    /// round and one batched forward pass per model. Under backlog all of
+    /// them are queued before any reply is awaited, so a worker's drain
+    /// coalesces them the same way. A full admission queue holds the rest
+    /// back until the caller's own earlier requests have been answered —
+    /// a request is not failed on a queue the caller filled itself — and
+    /// is the counted [`RuntimeError::Overloaded`] only when nothing of
+    /// the caller's is in flight. The networked front end serves a
+    /// pipelined window of `RUN_MODEL` frames through this call.
+    pub fn run_round(&self, requests: &[RunRequest<'_>]) -> Vec<Result<()>> {
+        let mut results: Vec<Option<Result<()>>> = Vec::with_capacity(requests.len());
+        let mut round = Vec::with_capacity(requests.len());
+        for r in requests {
+            match self.prepare(r.model, &[(r.in_key, r.out_key)], r.deadline, r.trace) {
+                Ok(request) => {
+                    round.push(request);
+                    results.push(None);
+                }
+                Err(e) => results.push(Some(Err(e))),
+            }
+        }
+        // `submit` answers the prepared requests in order; they fill the
+        // gaps the early answers left.
+        let mut served = self.submit(round).into_iter();
+        results
+            .into_iter()
+            .map(|early| early.unwrap_or_else(|| first_error(served.next().unwrap_or_default())))
+            .collect()
+    }
+
+    /// Validate one request at the boundary: keys, admission flag,
+    /// deadline stamp — in that order, before it costs anything.
+    fn prepare(
+        &self,
+        model: &str,
+        pairs: &[(&str, &str)],
+        deadline: Option<Duration>,
+        trace: Option<TraceContext>,
+    ) -> Result<PendingRequest> {
+        let pairs: Vec<(TensorKey, TensorKey)> = pairs
+            .iter()
+            .map(|(i, o)| Ok((TensorKey::new(*i)?, TensorKey::new(*o)?)))
+            .collect::<Result<_>>()?;
+        self.ensure_admitting()?;
+        let deadline = self.compute_deadline(deadline)?;
+        Ok(PendingRequest::new(model, pairs, deadline, trace))
+    }
+
+    /// Get prepared requests executed and return each one's per-pair
+    /// results, in order. Idle orchestrator (nothing queued, an execution
+    /// slot free): this thread runs them as one round. Otherwise: queue
+    /// them all, then await them all.
+    fn submit(&self, mut round: Vec<PendingRequest>) -> Vec<Vec<Result<()>>> {
+        let shared = &self.ctx.shared;
+        if round.is_empty() {
+            return Vec::new();
+        }
+        if shared.queued() == 0 {
+            if let Some(_slot) = shared.slots.try_acquire() {
+                // A drain takes every slot once to wait for inline rounds;
+                // a slot obtained after it began must not start a new one.
+                if shared.shutting_down.load(Ordering::SeqCst) {
+                    return round
+                        .iter()
+                        .map(|p| refused(p, RuntimeError::ShuttingDown))
+                        .collect();
+                }
+                let now = Instant::now();
+                for p in &mut round {
+                    p.enqueued = now;
+                }
+                return serve_round(&self.ctx, round, now);
+            }
+        }
+        // Results are pushed in request order: the replies still owed are
+        // collected before anything that is answered without a reply.
+        let mut results = Vec::with_capacity(round.len());
+        let mut in_flight = VecDeque::with_capacity(round.len());
+        for mut request in round {
+            let pairs = request.pair_count();
+            let outcome = loop {
+                match self.enqueue(request) {
+                    // Our own earlier requests hold queue places: once the
+                    // oldest is answered its round has left the queue, so
+                    // try again.
+                    Enqueued::Full(back) if !in_flight.is_empty() => {
+                        results.extend(in_flight.pop_front().map(|w| self.await_reply(w)));
+                        request = back;
+                    }
+                    outcome => break outcome,
+                }
+            };
+            match outcome {
+                Enqueued::Admitted(reply) => in_flight.push_back((reply, pairs)),
+                Enqueued::Full(back) => results.push(refused(&back, self.overloaded(back.model()))),
+                Enqueued::Closed(e) => {
+                    results.extend(in_flight.drain(..).map(|w| self.await_reply(w)));
+                    results.push(vec![Err(e); pairs]);
+                }
+            }
+        }
+        results.extend(in_flight.into_iter().map(|w| self.await_reply(w)));
+        results
+    }
+
+    /// Bounded admission: take a queue place and hand the request to the
+    /// worker pool — never a block.
+    fn enqueue(&self, mut request: PendingRequest) -> Enqueued {
+        if !self.ctx.shared.try_admit() {
+            return Enqueued::Full(request);
+        }
+        let (reply_tx, reply_rx) = bounded(1);
+        request.reply = Some(reply_tx);
+        request.enqueued = Instant::now();
+        match self.tx.try_send(Request::Run(request)) {
+            Ok(()) => Enqueued::Admitted(reply_rx),
+            // The channel has room for everything `try_admit` lets in, so
+            // a failed send means the orchestrator is gone.
+            Err(_) => {
+                self.ctx.shared.leave_queue(1);
+                Enqueued::Closed(self.closed_error())
+            }
         }
     }
 
-    /// The non-blocking half of [`Client::run_model_with_context`]:
-    /// validate, stamp the deadline, enqueue, and return a token to
-    /// redeem with [`Client::wait_run_model`]. A caller holding several
-    /// independent requests (the networked front end with pipelined
-    /// frames) submits them all before waiting on any, so the worker's
-    /// backlog drain serves them in one round and one batched forward
-    /// pass — each still with its own deadline, trace context, guard
-    /// outcome and typed reply.
-    ///
-    /// A full admission queue is `Ok(None)` and counts no rejection: the
-    /// caller still holds the request and decides — the blocking calls
-    /// turn it into the counted [`RuntimeError::Overloaded`], the front
-    /// end retries once its earlier requests have been answered instead
-    /// of failing a request on a queue it filled itself.
-    pub fn try_submit_run_model(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        deadline: Option<Duration>,
-        trace: Option<TraceContext>,
-    ) -> Result<Option<PendingRun>> {
-        let in_key = TensorKey::new(in_key)?;
-        let out_key = TensorKey::new(out_key)?;
-        self.ensure_admitting()?;
-        let deadline = self.compute_deadline(deadline)?;
-        let (reply_tx, reply_rx) = bounded(1);
-        let admitted = self.try_enqueue(ServerRequest::RunModel {
-            model: model.to_string(),
-            in_key,
-            out_key,
-            deadline,
-            enqueued: Instant::now(),
-            trace,
-            reply: reply_tx,
-        })?;
-        Ok(admitted.then_some(PendingRun { reply: reply_rx }))
-    }
-
-    /// Block until the server answers a submitted request.
-    pub fn wait_run_model(&self, pending: PendingRun) -> Result<()> {
-        pending.reply.recv().map_err(|_| self.closed_error())?
+    /// Block until the worker pool answers a queued request.
+    fn await_reply(&self, (reply, pairs): (Receiver<Vec<Result<()>>>, usize)) -> Vec<Result<()>> {
+        reply
+            .recv()
+            .unwrap_or_else(|_| vec![Err(self.closed_error()); pairs])
     }
 
     /// Run a model over many `(in_key, out_key)` pairs in one request.
@@ -217,44 +335,26 @@ impl Client {
         if pairs.is_empty() {
             return Ok(());
         }
-        let pairs: Vec<(TensorKey, TensorKey)> = pairs
-            .iter()
-            .map(|(i, o)| Ok((TensorKey::new(*i)?, TensorKey::new(*o)?)))
-            .collect::<Result<_>>()?;
-        self.ensure_admitting()?;
-        let deadline = self.compute_deadline(deadline)?;
-        let (reply_tx, reply_rx) = bounded(1);
-        let admitted = self.try_enqueue(ServerRequest::RunBatch {
-            model: model.to_string(),
-            pairs,
-            deadline,
-            enqueued: Instant::now(),
-            trace: None,
-            reply: reply_tx,
-        })?;
-        if !admitted {
-            return Err(self.overloaded(model));
-        }
-        let results = reply_rx.recv().map_err(|_| self.closed_error())?;
-        results.into_iter().find(|r| r.is_err()).unwrap_or(Ok(()))
+        let request = self.prepare(model, pairs, deadline, None)?;
+        first_error(self.submit(vec![request]).into_iter().flatten())
     }
 
     /// Get the result of the model (Listing 1, line 9).
     pub fn unpack_tensor(&self, key: &str) -> Result<Vec<f64>> {
-        self.store.get_dense(key)
+        self.ctx.store.get_dense(key)
     }
 
     /// Recent request traces retained by the orchestrator's flight
     /// recorder, oldest first (DESIGN.md §16). Empty when telemetry is
     /// disabled.
     pub fn trace_dump(&self) -> Vec<Trace> {
-        self.shared.metrics.recorder().snapshot()
+        self.ctx.metrics.recorder().snapshot()
     }
 
     /// Retained slow-request log lines, oldest first (see
     /// [`crate::OrchestratorBuilder::slow_request_threshold`]).
     pub fn slow_log(&self) -> Vec<String> {
-        self.shared.metrics.slow_log()
+        self.ctx.metrics.slow_log()
     }
 
     /// Delete a tensor from the database; returns whether it existed.
@@ -262,16 +362,16 @@ impl Client {
     /// uncapped store does not grow without bound.
     pub fn del_tensor(&self, key: &str) -> Result<bool> {
         let key = TensorKey::new(key)?;
-        Ok(self.store.delete(key.as_str()))
+        Ok(self.ctx.store.delete(key.as_str()))
     }
 
     /// Is the orchestrator still admitting requests?
     pub fn is_admitting(&self) -> bool {
-        !self.shared.shutting_down.load(Ordering::SeqCst)
+        !self.ctx.shared.shutting_down.load(Ordering::SeqCst)
     }
 
     fn ensure_admitting(&self) -> Result<()> {
-        if self.shared.shutting_down.load(Ordering::SeqCst) {
+        if self.ctx.shared.shutting_down.load(Ordering::SeqCst) {
             return Err(RuntimeError::ShuttingDown);
         }
         Ok(())
@@ -280,7 +380,7 @@ impl Client {
     /// The error to report when the channel is gone: `ShuttingDown` during
     /// a drain, `Disconnected` if the orchestrator vanished outright.
     fn closed_error(&self) -> RuntimeError {
-        if self.shared.shutting_down.load(Ordering::SeqCst) {
+        if self.ctx.shared.shutting_down.load(Ordering::SeqCst) {
             RuntimeError::ShuttingDown
         } else {
             RuntimeError::Disconnected
@@ -291,7 +391,7 @@ impl Client {
     /// deadline fails immediately with `DeadlineExceeded` — the request
     /// never occupies queue capacity.
     fn compute_deadline(&self, explicit: Option<Duration>) -> Result<Option<Instant>> {
-        match explicit.or(self.shared.default_deadline) {
+        match explicit.or(self.ctx.shared.default_deadline) {
             None => Ok(None),
             Some(d) if d.is_zero() => Err(RuntimeError::DeadlineExceeded),
             // An unrepresentable (absurdly far) deadline means "no limit".
@@ -299,34 +399,28 @@ impl Client {
         }
     }
 
-    /// Bounded admission: `Ok(false)` when the queue is full — never a
-    /// block.
-    fn try_enqueue(&self, req: ServerRequest) -> Result<bool> {
-        match self.tx.try_send(req) {
-            Ok(()) => Ok(true),
-            Err(TrySendError::Full(_)) => Ok(false),
-            Err(TrySendError::Disconnected(_)) => Err(self.closed_error()),
-        }
-    }
-
     /// A full queue is an `Overloaded` rejection; the rejection is
     /// counted in the orchestrator's telemetry (and an
     /// `overload_rejected` event lands in the anomaly ring).
     fn overloaded(&self, model: &str) -> RuntimeError {
-        self.shared
+        self.ctx
             .metrics
-            .record_overload(model, self.shared.queue_depth);
+            .record_overload(model, self.ctx.shared.queue_depth);
         RuntimeError::Overloaded {
-            queue_depth: self.shared.queue_depth,
+            queue_depth: self.ctx.shared.queue_depth,
         }
     }
 }
 
-/// A submitted `run_model` whose reply has not been collected yet: the
-/// token [`Client::try_submit_run_model`] hands out and
-/// [`Client::wait_run_model`] redeems.
-pub struct PendingRun {
-    reply: Receiver<Result<()>>,
+/// The per-pair results of a request that was refused as a whole.
+fn refused(request: &PendingRequest, error: RuntimeError) -> Vec<Result<()>> {
+    vec![Err(error); request.pair_count()]
+}
+
+/// Reduce per-pair results to the whole-request contract: the first
+/// error in pair order, or `Ok(())`.
+fn first_error(results: impl IntoIterator<Item = Result<()>>) -> Result<()> {
+    results.into_iter().find(Result::is_err).unwrap_or(Ok(()))
 }
 
 /// The in-process client is the reference implementation of the shared
@@ -387,11 +481,11 @@ impl crate::ClientApi for Client {
     }
 
     fn serving_stats(&self) -> Result<crate::ServingStats> {
-        Ok(self.shared.metrics.stats())
+        Ok(self.ctx.metrics.stats())
     }
 
     fn metrics_text(&self) -> Result<String> {
-        Ok(self.shared.metrics.registry().prometheus_text())
+        Ok(self.ctx.metrics.registry().prometheus_text())
     }
 
     fn trace_dump(&self) -> Result<Vec<Trace>> {
@@ -537,11 +631,10 @@ mod tests {
     }
 
     #[test]
-    fn submitted_requests_are_awaited_later_and_a_full_queue_is_not_a_rejection() {
+    fn run_round_answers_each_request_in_order_and_a_full_queue_is_not_a_rejection() {
         use std::sync::mpsc::channel;
         // One worker, a queue of one, and a validator that reports in and
-        // then blocks until the test lets it go: the first request occupies
-        // the worker, the second fills the queue. (`orc` is declared first
+        // then blocks until the test lets it go. (`orc` is declared first
         // so that a failing assertion drops `release` before the
         // orchestrator joins its worker.)
         let orc = Orchestrator::builder().workers(1).queue_depth(1).build();
@@ -566,47 +659,83 @@ mod tests {
         );
         let client = orc.client();
         client.put_tensor("in", &[0.4, -0.4]).unwrap();
-        let first = client
-            .try_submit_run_model("net", "in", "out1", None, None)
-            .unwrap()
-            .expect("empty queue admits");
-        // Once the validator runs, the worker has drained its backlog and
-        // will not look at the queue again before it is released.
+        let run = |out_key: &'static str| RunRequest {
+            model: "net",
+            in_key: "in",
+            out_key,
+            deadline: None,
+            trace: None,
+        };
+
+        // The occupant finds the orchestrator idle and executes inline,
+        // holding the only execution slot inside the validator.
+        let occupant = {
+            let client = orc.client();
+            std::thread::spawn(move || client.run_model("net", "in", "out0"))
+        };
         validating.recv().unwrap();
-        let second = client
-            .try_submit_run_model("net", "in", "out2", None, None)
-            .unwrap()
-            .expect("the worker took the first request off the queue");
-        // Full: the non-blocking half hands the decision back and counts
-        // nothing; the blocking call is the counted rejection.
-        assert!(client
-            .try_submit_run_model("net", "in", "out3", None, None)
-            .unwrap()
-            .is_none());
+
+        // A round of four behind it: validation and the enqueue-time
+        // deadline answer at once, the two valid requests go through a
+        // queue that holds one — the second is held back until the first
+        // is answered, not rejected.
+        let round = {
+            let client = orc.client();
+            std::thread::spawn(move || {
+                client.run_round(&[
+                    run("out1"),
+                    RunRequest {
+                        in_key: "",
+                        ..run("never")
+                    },
+                    RunRequest {
+                        deadline: Some(Duration::ZERO),
+                        ..run("never")
+                    },
+                    run("out2"),
+                ])
+            })
+        };
+        while orc.queued() < 1 {
+            std::thread::yield_now();
+        }
         assert_eq!(orc.serving_stats().overload_rejected, 0);
+        // A caller with nothing of its own in flight gets the counted
+        // rejection from the same full queue.
         assert_eq!(
             client.run_model("net", "in", "out3"),
             Err(RuntimeError::Overloaded { queue_depth: 1 })
         );
         assert_eq!(orc.serving_stats().overload_rejected, 1);
-        // Validation and the enqueue-time deadline still answer at once.
-        assert!(matches!(
-            client.try_submit_run_model("net", "", "out", None, None),
-            Err(RuntimeError::InvalidKey(_))
-        ));
-        assert!(matches!(
-            client.try_submit_run_model("net", "in", "out", Some(Duration::ZERO), None),
-            Err(RuntimeError::DeadlineExceeded)
-        ));
 
-        release.send(()).unwrap();
-        release.send(()).unwrap();
-        assert_eq!(client.wait_run_model(first), Ok(()));
-        assert_eq!(client.wait_run_model(second), Ok(()));
+        for _ in 0..3 {
+            release.send(()).unwrap();
+        }
+        assert_eq!(occupant.join().unwrap(), Ok(()));
+        let results = round.join().unwrap();
+        assert_eq!(results.len(), 4, "one result per request, in order");
+        assert_eq!(results[0], Ok(()));
+        assert!(matches!(results[1], Err(RuntimeError::InvalidKey(_))));
+        assert_eq!(results[2], Err(RuntimeError::DeadlineExceeded));
+        assert_eq!(results[3], Ok(()));
+        assert_eq!(orc.serving_stats().overload_rejected, 1);
         assert_eq!(
             client.unpack_tensor("out1").unwrap(),
             client.unpack_tensor("out2").unwrap()
         );
+        assert!(client.unpack_tensor("never").is_err());
+
+        // Idle again: the same call is one inline round, one batched pass.
+        for _ in 0..2 {
+            release.send(()).unwrap();
+        }
+        let batches = orc.serving_stats().batches;
+        assert_eq!(
+            client.run_round(&[run("out4"), run("out5")]),
+            vec![Ok(()), Ok(())]
+        );
+        assert_eq!(orc.serving_stats().batches, batches + 1);
+        assert!(client.run_round(&[]).is_empty());
     }
 
     #[test]

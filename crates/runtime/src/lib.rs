@@ -46,7 +46,7 @@ pub mod server;
 pub mod store;
 
 pub use api::ClientApi;
-pub use client::{Client, PendingRun};
+pub use client::{Client, RunRequest};
 pub use device::{DeviceProfile, DeviceTime};
 pub use hpcnet_online::RetrainConfig;
 pub use hpcnet_telemetry::{

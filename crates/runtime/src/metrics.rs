@@ -232,11 +232,24 @@ impl ServingMetrics {
         &self.recorder
     }
 
-    /// Offer a completed trace to the flight recorder. A request that
-    /// ran past the slow threshold is counted and its
-    /// [`slow_request_line`] printed to stderr here, once; the line can
-    /// be re-read later through [`slow_log`](Self::slow_log).
-    pub(crate) fn record_trace(&self, mut trace: Trace) {
+    /// Offer a completed trace to the flight recorder. For traces that
+    /// exist anyway (the rare retrain audit trace); the request path asks
+    /// [`FlightRecorder::admit`] first and builds a trace only for
+    /// [`retain_trace`](Self::retain_trace).
+    pub(crate) fn record_trace(&self, trace: Trace) {
+        if self
+            .recorder
+            .admit(trace.duration(), trace.has_error(), &trace.tags)
+        {
+            self.retain_trace(trace);
+        }
+    }
+
+    /// Keep a trace the flight recorder admitted. A request that ran
+    /// past the slow threshold is counted and its [`slow_request_line`]
+    /// printed to stderr here, once; the line can be re-read later
+    /// through [`slow_log`](Self::slow_log).
+    pub(crate) fn retain_trace(&self, mut trace: Trace) {
         self.recorder.classify(&mut trace);
         if trace.has_tag(tags::SLOW) {
             let threshold = self.recorder.slow_threshold();
@@ -245,9 +258,8 @@ impl ServingMetrics {
                 eprintln!("{line}");
             }
         }
-        if self.recorder.record(trace) {
-            self.traces_retained.inc();
-        }
+        self.recorder.retain(trace);
+        self.traces_retained.inc();
     }
 
     /// The slow-request log, oldest first: a view rendering every

@@ -376,14 +376,19 @@ mod tests {
         assert_eq!(back.retrain_swaps, 1);
         // Wire compatibility: stats JSON emitted before online retraining
         // existed carries none of these fields and must still parse.
-        let legacy = serde_json::to_string(&ServingStats::default()).unwrap();
-        let legacy = legacy
-            .replace("\"model_versions\":{},", "")
-            .replace("\"retrain_samples\":0,", "")
-            .replace("\"retrain_runs\":0,", "")
-            .replace("\"retrain_swaps\":0,", "")
-            .replace("\"retrain_rollbacks\":0,", "")
-            .replace(",\"retrain_rejected\":0", "");
+        let mut legacy = serde_json::to_value(ServingStats::default()).unwrap();
+        let fields = legacy.as_object_mut().unwrap();
+        for key in [
+            "model_versions",
+            "retrain_samples",
+            "retrain_runs",
+            "retrain_swaps",
+            "retrain_rollbacks",
+            "retrain_rejected",
+        ] {
+            assert!(fields.remove(key).is_some(), "no `{key}` to strip");
+        }
+        let legacy = legacy.to_string();
         assert!(!legacy.contains("retrain"), "strip failed: {legacy}");
         let old: ServingStats = serde_json::from_str(&legacy).unwrap();
         assert!(old.model_versions.is_empty());

@@ -2,13 +2,19 @@
 //! with request coalescing, bounded admission, request deadlines, graceful
 //! drain, and server-side quality guarding.
 //!
-//! Workers block on a shared request channel; on wake-up each worker
+//! A round — expire overdue requests, group the rest by model name, one
+//! batched forward pass per group, trace, answer — is executed by
+//! whichever thread brought it (`serve_round`, DESIGN.md §9). On an idle
+//! orchestrator (nothing queued, an execution slot free) that is the
+//! calling thread itself: no queue, no wake-up, no reply channel. Under
+//! backlog requests go through the admission queue: workers block on a
+//! shared request channel; on wake-up a worker takes an execution slot,
 //! drains whatever else is already queued (up to `MAX_COALESCE`
-//! requests), groups the drained requests by model name, and executes one
-//! batched forward pass per group — the process-local analog of dynamic
-//! batching in a GPU-side inference server. Batched outputs are
-//! bit-identical to the single-sample path because every kernel on the
-//! path treats rows independently in the same accumulation order.
+//! requests) and executes them as one round — the process-local analog
+//! of dynamic batching in a GPU-side inference server. At most `workers`
+//! rounds execute at any instant, inline ones included. Batched outputs
+//! are bit-identical to the single-sample path because every kernel on
+//! the path treats rows independently in the same accumulation order.
 //!
 //! Robustness semantics (DESIGN.md §10):
 //!
@@ -39,8 +45,8 @@
 //!   [`OrchestratorBuilder::telemetry`]`(false)`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -272,33 +278,14 @@ impl RegisteredModel {
     }
 }
 
+/// What travels over the admission queue.
 pub(crate) enum Request {
-    RunModel {
-        model: String,
-        in_key: TensorKey,
-        out_key: TensorKey,
-        deadline: Option<Instant>,
-        enqueued: Instant,
-        /// Upstream trace context (DESIGN.md §16): when present, the
-        /// server-side request span joins the caller's trace instead of
-        /// rooting a fresh one.
-        trace: Option<TraceContext>,
-        reply: Sender<Result<()>>,
-    },
-    RunBatch {
-        model: String,
-        pairs: Vec<(TensorKey, TensorKey)>,
-        deadline: Option<Instant>,
-        enqueued: Instant,
-        trace: Option<TraceContext>,
-        reply: Sender<Vec<Result<()>>>,
-    },
+    /// An admitted request, with the channel its results go back on.
+    Run(PendingRequest),
     /// Shutdown sentinel: each worker consumes exactly one and exits after
     /// finishing the round it was coalescing.
     Drain,
 }
-
-pub(crate) type ServerRequest = Request;
 
 /// Most requests a worker folds into one coalescing round. Bounds both the
 /// latency of the first drained request and peak batch memory.
@@ -309,19 +296,121 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 
 pub(crate) type Registry = Arc<RwLock<HashMap<String, Arc<RegisteredModel>>>>;
 
-/// Admission-control state shared between the orchestrator and every
-/// client it hands out: the drain flag, the queue bound (for error
-/// reporting), the default deadline, and the metrics sink that records
-/// client-side overload rejections.
+/// Admission-control state shared between the orchestrator, its workers
+/// and every client it hands out: the drain flag, the queue bound and its
+/// occupancy, the execution slots, and the default deadline.
 pub(crate) struct ServingShared {
     pub(crate) shutting_down: AtomicBool,
     pub(crate) queue_depth: usize,
     pub(crate) default_deadline: Option<Duration>,
-    pub(crate) metrics: Arc<ServingMetrics>,
+    /// Requests admitted to the queue whose round has not started
+    /// executing yet — in the channel, or held by a worker that waits
+    /// for an execution slot. Bounded by `queue_depth`.
+    queued: AtomicUsize,
+    pub(crate) slots: ExecutionSlots,
 }
 
-/// State shared between the orchestrator handle, its workers, and the
-/// background retrainer thread.
+impl ServingShared {
+    /// Take one place in the admission queue; `false` when it is full.
+    /// The compare-and-swap loop means two racing admits can never both
+    /// squeeze into the last place (`tests/admission_model.rs`).
+    pub(crate) fn try_admit(&self) -> bool {
+        self.queued
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |queued| {
+                (queued < self.queue_depth).then_some(queued + 1)
+            })
+            .is_ok()
+    }
+
+    /// Give back the places of `n` admitted requests: their round starts
+    /// executing (or they could not be handed to a worker after all).
+    pub(crate) fn leave_queue(&self, n: usize) {
+        self.queued.fetch_sub(n, Ordering::AcqRel);
+    }
+
+    /// Requests admitted and not yet executing.
+    pub(crate) fn queued(&self) -> usize {
+        self.queued.load(Ordering::Acquire)
+    }
+}
+
+/// The execution slots, one per worker: a round executes only while it
+/// holds one, so at most `workers` rounds run at any instant whether a
+/// worker or a calling thread runs them. A worker blocks for a slot
+/// after it received a request; a caller only ever tries.
+pub(crate) struct ExecutionSlots {
+    state: Mutex<SlotState>,
+    freed: Condvar,
+}
+
+struct SlotState {
+    free: usize,
+    /// Threads blocked in [`ExecutionSlots::acquire`]; a release skips
+    /// the wake-up call while there are none.
+    waiting: usize,
+}
+
+/// A held execution slot; dropping it frees the slot.
+pub(crate) struct SlotGuard<'a>(&'a ExecutionSlots);
+
+impl ExecutionSlots {
+    fn new(slots: usize) -> Self {
+        ExecutionSlots {
+            state: Mutex::new(SlotState {
+                free: slots,
+                waiting: 0,
+            }),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// The counts stay valid at every step, so a lock poisoned by a
+    /// panicking peer is safe to keep using.
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A slot if one is free right now.
+    pub(crate) fn try_acquire(&self) -> Option<SlotGuard<'_>> {
+        let mut state = self.lock();
+        if state.free == 0 {
+            return None;
+        }
+        state.free -= 1;
+        Some(SlotGuard(self))
+    }
+
+    /// Block until a slot is free.
+    fn acquire(&self) -> SlotGuard<'_> {
+        let mut state = self.lock();
+        while state.free == 0 {
+            state.waiting += 1;
+            state = self
+                .freed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
+        }
+        state.free -= 1;
+        SlotGuard(self)
+    }
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.free += 1;
+        let wake = state.waiting > 0;
+        drop(state);
+        if wake {
+            self.0.freed.notify_one();
+        }
+    }
+}
+
+/// State shared between the orchestrator handle, its workers, its
+/// clients (which execute rounds inline when the orchestrator is idle),
+/// and the background retrainer thread.
 #[derive(Clone)]
 pub(crate) struct ServerCtx {
     pub(crate) store: TensorStore,
@@ -331,6 +420,7 @@ pub(crate) struct ServerCtx {
     /// Online-retraining state ([`OrchestratorBuilder::online_retraining`]);
     /// `None` leaves the fallback path free of capture work.
     pub(crate) online: Option<Arc<OnlineState>>,
+    pub(crate) shared: Arc<ServingShared>,
 }
 
 /// Configures and launches an [`Orchestrator`] (replaces the removed
@@ -491,20 +581,25 @@ impl OrchestratorBuilder {
             recorder_config,
         ));
         let online = self.online.map(|config| Arc::new(OnlineState::new(config)));
-        let ctx = ServerCtx {
-            store: self.store,
-            registry: Arc::default(),
-            metrics: metrics.clone(),
-            serve_f32: self.serve_f32,
-            online,
-        };
         let shared = Arc::new(ServingShared {
             shutting_down: AtomicBool::new(false),
             queue_depth: self.queue_depth,
             default_deadline: self.default_deadline,
-            metrics,
+            queued: AtomicUsize::new(0),
+            slots: ExecutionSlots::new(workers),
         });
-        let (tx, rx) = bounded::<Request>(self.queue_depth);
+        let ctx = ServerCtx {
+            store: self.store,
+            registry: Arc::default(),
+            metrics,
+            serve_f32: self.serve_f32,
+            online,
+            shared,
+        };
+        // `queued` is what bounds admission; the channel only has to hold
+        // what was admitted plus the drain sentinels, so a send never
+        // blocks.
+        let (tx, rx) = bounded::<Request>(self.queue_depth + workers);
         let handles = (0..workers)
             .map(|_| {
                 let ctx = ctx.clone();
@@ -521,7 +616,6 @@ impl OrchestratorBuilder {
         });
         Orchestrator {
             ctx,
-            shared,
             tx,
             rx,
             workers: handles,
@@ -536,7 +630,6 @@ impl OrchestratorBuilder {
 /// [`Orchestrator::builder`].
 pub struct Orchestrator {
     ctx: ServerCtx,
-    shared: Arc<ServingShared>,
     tx: Sender<Request>,
     /// Kept so drain can answer requests that raced past the admission
     /// flag (they are failed with `ShuttingDown`, never dropped).
@@ -565,7 +658,15 @@ impl Orchestrator {
 
     /// Admission-queue bound this orchestrator was built with.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue_depth
+        self.ctx.shared.queue_depth
+    }
+
+    /// Requests admitted to the queue whose round has not started
+    /// executing yet (at most [`queue_depth`](Self::queue_depth)).
+    /// Reads zero on an idle orchestrator — the state in which a
+    /// client's request runs on its own thread instead of being queued.
+    pub fn queued(&self) -> usize {
+        self.ctx.shared.queued()
     }
 
     /// Whether this orchestrator quantizes registered MLP bundles to
@@ -577,7 +678,7 @@ impl Orchestrator {
     /// A client connected to this orchestrator (equivalent to
     /// [`Client::connect`]).
     pub fn client(&self) -> Client {
-        Client::from_parts(self.ctx.store.clone(), self.tx.clone(), self.shared.clone())
+        Client::from_parts(self.ctx.clone(), self.tx.clone())
     }
 
     /// Register a model bundle under a name (Listing 2's
@@ -783,7 +884,8 @@ impl Orchestrator {
     }
 
     /// Graceful shutdown: stop admitting, let the workers finish every
-    /// already-queued request, join them, and answer any request that
+    /// already-queued request and the callers every round they are
+    /// executing inline, join the workers, and answer any request that
     /// raced past the admission flag with
     /// [`RuntimeError::ShuttingDown`]. Returns the final statistics.
     /// `Drop` performs the same drain.
@@ -799,26 +901,30 @@ impl Orchestrator {
             drop(stop);
             let _ = handle.join();
         }
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        self.ctx.shared.shutting_down.store(true, Ordering::SeqCst);
         // One sentinel per worker, queued BEHIND all admitted requests
         // (the channel is FIFO), so in-flight work completes first.
         for _ in &self.workers {
             let _ = self.tx.send(Request::Drain);
         }
+        let slots = self.workers.len();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        // Rounds that callers are executing inline hold the remaining
+        // slots: taking every slot once waits for each of them. A caller
+        // that gets a slot afterwards re-checks the flag and backs off.
+        let inline_rounds: Vec<SlotGuard<'_>> = (0..slots)
+            .map(|_| self.ctx.shared.slots.acquire())
+            .collect();
+        drop(inline_rounds);
         // Requests that slipped in after the flag but behind the
         // sentinels are answered, never dropped.
         while let Ok(req) = self.rx.try_recv() {
-            match req {
-                Request::RunModel { reply, .. } => {
-                    let _ = reply.send(Err(RuntimeError::ShuttingDown));
-                }
-                Request::RunBatch { pairs, reply, .. } => {
-                    let _ = reply.send(vec![Err(RuntimeError::ShuttingDown); pairs.len()]);
-                }
-                Request::Drain => {}
+            if let Request::Run(mut p) = req {
+                self.ctx.shared.leave_queue(1);
+                p.fail_pending(&RuntimeError::ShuttingDown);
+                let _ = p.deliver();
             }
         }
     }
@@ -830,76 +936,59 @@ impl Drop for Orchestrator {
     }
 }
 
-/// How a coalesced request answers its client.
-enum Reply {
-    Single(Sender<Result<()>>),
-    Batch(Sender<Vec<Result<()>>>),
-}
-
-/// One client request drained from the channel, with per-pair result slots.
-struct PendingRequest {
+/// One client request, with per-pair result slots: what a client builds,
+/// the admission queue carries, and a round executes.
+pub(crate) struct PendingRequest {
     model: String,
     pairs: Vec<(TensorKey, TensorKey)>,
     results: Vec<Option<Result<()>>>,
     deadline: Option<Instant>,
-    enqueued: Instant,
+    /// When the request entered the queue — or, executed inline, when its
+    /// round started, which makes its queue wait zero.
+    pub(crate) enqueued: Instant,
+    /// Upstream trace context (DESIGN.md §16): when present, the
+    /// server-side request span joins the caller's trace instead of
+    /// rooting a fresh one.
     trace: Option<TraceContext>,
     /// Pairs of this request the quality guard answered via its fallback
     /// (or rejected) — drives the trace's `guard_fallback` retention tag.
     guard_fallbacks: u64,
-    reply: Reply,
+    /// Where a queued request's results go. `None` while the caller has
+    /// the request in hand: a round it executes itself returns the
+    /// results to it directly ([`serve_round`]).
+    pub(crate) reply: Option<Sender<Vec<Result<()>>>>,
 }
 
 impl PendingRequest {
-    /// `None` for `Drain`, which carries no reply channel — the worker
-    /// loop consumes it as its exit signal before building pendings.
-    fn from_request(req: Request) -> Option<Self> {
-        match req {
-            Request::RunModel {
-                model,
-                in_key,
-                out_key,
-                deadline,
-                enqueued,
-                trace,
-                reply,
-            } => Some(PendingRequest {
-                model,
-                pairs: vec![(in_key, out_key)],
-                results: vec![None],
-                deadline,
-                enqueued,
-                trace,
-                guard_fallbacks: 0,
-                reply: Reply::Single(reply),
-            }),
-            Request::RunBatch {
-                model,
-                pairs,
-                deadline,
-                enqueued,
-                trace,
-                reply,
-            } => {
-                let n = pairs.len();
-                Some(PendingRequest {
-                    model,
-                    pairs,
-                    results: vec![None; n],
-                    deadline,
-                    enqueued,
-                    trace,
-                    guard_fallbacks: 0,
-                    reply: Reply::Batch(reply),
-                })
-            }
-            Request::Drain => None,
+    pub(crate) fn new(
+        model: &str,
+        pairs: Vec<(TensorKey, TensorKey)>,
+        deadline: Option<Instant>,
+        trace: Option<TraceContext>,
+    ) -> Self {
+        PendingRequest {
+            model: model.to_string(),
+            results: vec![None; pairs.len()],
+            pairs,
+            deadline,
+            enqueued: Instant::now(),
+            trace,
+            guard_fallbacks: 0,
+            reply: None,
         }
+    }
+
+    pub(crate) fn model(&self) -> &str {
+        &self.model
+    }
+
+    pub(crate) fn pair_count(&self) -> usize {
+        self.pairs.len()
     }
 
     /// Fill every unanswered slot with `err`; returns how many were
     /// filled.
-    fn fail_pending(&mut self, err: &RuntimeError) -> u64 {
+    pub(crate) fn fail_pending(&mut self, err: &RuntimeError) -> u64 {
         let mut filled = 0;
         for r in self.results.iter_mut() {
             if r.is_none() {
@@ -910,37 +999,40 @@ impl PendingRequest {
         filled
     }
 
-    fn deliver(self) {
-        let fill = |r: Option<Result<()>>| {
-            r.unwrap_or_else(|| Err(RuntimeError::Inference("request dropped".into())))
-        };
+    /// Answer the request: over its reply channel when it was queued
+    /// (`None`), back to the caller that holds it otherwise.
+    pub(crate) fn deliver(self) -> Option<Vec<Result<()>>> {
+        let results = self
+            .results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| Err(RuntimeError::Inference("request dropped".into()))))
+            .collect();
         match self.reply {
-            Reply::Single(tx) => {
-                let r = self.results.into_iter().next().map(fill).unwrap_or(Ok(()));
-                let _ = tx.send(r);
+            Some(tx) => {
+                let _ = tx.send(results);
+                None
             }
-            Reply::Batch(tx) => {
-                let _ = tx.send(self.results.into_iter().map(fill).collect());
-            }
+            None => Some(results),
         }
     }
 }
 
-/// One `(in_key, out_key)` pair flowing through a batched execution.
-struct Unit {
-    in_key: String,
-    out_key: String,
+/// One `(in_key, out_key)` pair flowing through a batched execution; the
+/// keys are borrowed from the request that owns them.
+struct Unit<'a> {
+    in_key: &'a str,
+    out_key: &'a str,
     result: Option<Result<()>>,
     /// Did the quality guard answer this pair via its fallback (or
     /// reject it)? Propagated back to the owning request's trace.
     used_fallback: bool,
 }
 
-impl Unit {
-    fn new(in_key: &str, out_key: &str) -> Self {
+impl<'a> Unit<'a> {
+    fn new(in_key: &'a str, out_key: &'a str) -> Self {
         Unit {
-            in_key: in_key.to_string(),
-            out_key: out_key.to_string(),
+            in_key,
+            out_key,
             result: None,
             used_fallback: false,
         }
@@ -956,78 +1048,98 @@ impl Unit {
     }
 }
 
-/// Worker body: block for one request, drain the backlog, expire overdue
-/// requests, execute the rest grouped by model, answer every client,
-/// repeat.
+/// Worker body: block for one request, take an execution slot, drain the
+/// backlog, serve the round, repeat. The requests keep their places in
+/// the admission queue until the slot is taken — while a worker waits
+/// behind rounds that callers execute inline, its request still counts
+/// against `queue_depth`, and whatever queues up behind it meanwhile is
+/// coalesced into the same round.
 fn worker_loop(ctx: &ServerCtx, rx: &Receiver<Request>) {
     loop {
         let first = match rx.recv() {
+            Ok(Request::Run(first)) => first,
             Ok(Request::Drain) | Err(_) => return,
-            Ok(req) => req,
         };
-        let Some(first) = PendingRequest::from_request(first) else {
-            continue;
-        };
+        let slot = ctx.shared.slots.acquire();
+        let mut queued = first.pairs.len();
         let mut pending = vec![first];
-        let mut queued = pending[0].pairs.len();
         let mut stop = false;
         while queued < MAX_COALESCE {
             match rx.try_recv() {
+                Ok(Request::Run(p)) => {
+                    queued += p.pairs.len();
+                    pending.push(p);
+                }
                 Ok(Request::Drain) => {
                     stop = true;
                     break;
                 }
-                Ok(req) => {
-                    if let Some(p) = PendingRequest::from_request(req) {
-                        queued += p.pairs.len();
-                        pending.push(p);
-                    }
-                }
                 Err(_) => break,
             }
         }
-        let picked_up = Instant::now();
-        for p in &pending {
-            ctx.metrics
-                .record_queue_wait(&p.model, picked_up.saturating_duration_since(p.enqueued));
-        }
-        // Panic backstop: the per-closure containment in `deliver_output`
-        // and `infer_and_scatter` already converts panicking guard/model
-        // closures into per-unit errors, but if anything else in the round
-        // panics, answer every still-pending request with a typed error
-        // instead of unwinding the worker — a dead worker strands its
-        // share of the queue and every future request routed to it.
-        let round = contained(
-            || {
-                expire_overdue(ctx, &mut pending);
-                process_round(ctx, &mut pending)
-            },
-            |msg| format!("serving worker panicked mid-round: {msg}"),
-        );
-        let reports = match round {
-            Ok(reports) => reports,
-            Err(err) => {
-                for p in pending.iter_mut() {
-                    let failed = p.fail_pending(&err);
-                    if failed > 0 {
-                        ctx.metrics.record_request_errors(&p.model, failed);
-                    }
-                }
-                HashMap::new()
-            }
-        };
-        if ctx.metrics.recorder().is_enabled() {
-            for p in &pending {
-                record_request_trace(ctx, p, reports.get(&p.model), picked_up);
-            }
-        }
-        for p in pending {
-            p.deliver();
-        }
+        ctx.shared.leave_queue(pending.len());
+        serve_round(ctx, pending, Instant::now());
+        drop(slot);
         if stop {
             return;
         }
     }
+}
+
+/// Execute one round on the calling thread — a worker that drained it
+/// from the queue, or a client that found the orchestrator idle: record
+/// each request's queue wait, expire overdue requests, execute the rest
+/// grouped by model, record the traces, answer every request. The caller
+/// holds an execution slot. Returns the results of the requests that
+/// carry no reply channel (the caller's own), in order.
+pub(crate) fn serve_round(
+    ctx: &ServerCtx,
+    mut pending: Vec<PendingRequest>,
+    picked_up: Instant,
+) -> Vec<Vec<Result<()>>> {
+    for p in &pending {
+        ctx.metrics
+            .record_queue_wait(&p.model, picked_up.saturating_duration_since(p.enqueued));
+    }
+    // Panic backstop: the per-closure containment in `deliver_output`
+    // and `infer_and_scatter` already converts panicking guard/model
+    // closures into per-unit errors, but if anything else in the round
+    // panics, answer every still-pending request with a typed error
+    // instead of unwinding the thread — a dead worker strands its share
+    // of the queue and every future request routed to it, and an
+    // unwinding caller would take the application down.
+    let round = contained(
+        || {
+            expire_overdue(ctx, &mut pending);
+            process_round(ctx, &mut pending)
+        },
+        |msg| format!("serving worker panicked mid-round: {msg}"),
+    );
+    let reports = match round {
+        Ok(reports) => reports,
+        Err(err) => {
+            for p in pending.iter_mut() {
+                let failed = p.fail_pending(&err);
+                if failed > 0 {
+                    ctx.metrics.record_request_errors(&p.model, failed);
+                }
+            }
+            Vec::new()
+        }
+    };
+    if ctx.metrics.recorder().is_enabled() {
+        for p in &pending {
+            let report = reports
+                .iter()
+                .find(|(named_by, _)| pending[*named_by].model == p.model)
+                .map(|(_, report)| report);
+            record_request_trace(ctx, p, report, picked_up);
+        }
+    }
+    pending
+        .into_iter()
+        .filter_map(PendingRequest::deliver)
+        .collect()
 }
 
 /// Panic containment for everything user- or model-supplied that runs on
@@ -1052,13 +1164,16 @@ fn contained<T>(f: impl FnOnce() -> T, describe: impl FnOnce(&str) -> String) ->
 /// The `service` tag every orchestrator-recorded span carries.
 pub(crate) const TRACE_SERVICE: &str = "orchestrator";
 
-/// Assemble and record one completed request's span tree (DESIGN.md
-/// §16): a `request` root (child of the propagated upstream span when
-/// the client sent a [`TraceContext`]), a measured `queue_wait` child,
-/// and one child per stage the request's coalesced group recorded — the
-/// same [`StageTimes`] walk that fed the stage histograms. Stage
-/// durations therefore cover the whole batch; each stage span is
-/// annotated with `coalesced` so readers can tell.
+/// Offer one completed request to the flight recorder (DESIGN.md §16)
+/// and, only if it will be kept, assemble its span tree: a `request`
+/// root (child of the propagated upstream span when the client sent a
+/// [`TraceContext`]), a measured `queue_wait` child, and one child per
+/// stage the request's coalesced group recorded — the same
+/// [`StageTimes`] walk that fed the stage histograms. Stage durations
+/// therefore cover the whole batch; each stage span is annotated with
+/// `coalesced` so readers can tell. The recorder decides from the
+/// request's total time, error and tags alone, so the seven of eight
+/// unremarkable requests its sampler drops cost no span at all.
 fn record_request_trace(
     ctx: &ServerCtx,
     p: &PendingRequest,
@@ -1066,14 +1181,29 @@ fn record_request_trace(
     picked_up: Instant,
 ) {
     let total = p.enqueued.elapsed();
-    let start_unix = trace::unix_nanos_now().saturating_sub(total.as_nanos() as u64);
-    let queue_wait = picked_up.saturating_duration_since(p.enqueued);
     let first_err = p
         .results
         .iter()
         .flatten()
         .filter_map(|r| r.as_ref().err())
         .next();
+    let mut retention_tags = Vec::new();
+    if matches!(first_err, Some(RuntimeError::DeadlineExceeded)) {
+        retention_tags.push(tags::DEADLINE);
+    }
+    if p.guard_fallbacks > 0 {
+        retention_tags.push(tags::FALLBACK);
+    }
+    if !ctx
+        .metrics
+        .recorder()
+        .admit(total, first_err.is_some(), &retention_tags)
+    {
+        return;
+    }
+
+    let start_unix = trace::unix_nanos_now().saturating_sub(total.as_nanos() as u64);
+    let queue_wait = picked_up.saturating_duration_since(p.enqueued);
     // Fully-expired requests never joined a group; their model's report
     // (from other requests in the round) does not describe their work.
     let all_expired = !p.results.is_empty()
@@ -1115,13 +1245,10 @@ fn record_request_trace(
             cursor = cursor.saturating_add(duration.as_nanos() as u64);
         }
     }
-    if matches!(first_err, Some(RuntimeError::DeadlineExceeded)) {
-        t.tag(tags::DEADLINE);
+    for tag in retention_tags {
+        t.tag(tag);
     }
-    if p.guard_fallbacks > 0 {
-        t.tag(tags::FALLBACK);
-    }
-    ctx.metrics.record_trace(t);
+    ctx.metrics.retain_trace(t);
 }
 
 /// Deadline enforcement at execution time (the enqueue-side check lives
@@ -1149,46 +1276,54 @@ struct GroupReport {
     coalesced: usize,
 }
 
-/// Group the drained requests' unanswered pairs by model name (preserving
-/// arrival order within each group) and execute one batched pass per
-/// group. Returns one [`GroupReport`] per executed model for the round's
-/// trace assembly.
-fn process_round(ctx: &ServerCtx, pending: &mut [PendingRequest]) -> HashMap<String, GroupReport> {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+/// Group the round's unanswered pairs by model name (preserving arrival
+/// order within each group) and execute one batched pass per group.
+/// Returns one [`GroupReport`] per executed model for the round's trace
+/// assembly, each with the index of the request that names the model.
+/// Groups are found by comparing names in arrival order — the one-model
+/// round that S = 1 traffic always is never hashes or copies a name.
+fn process_round(ctx: &ServerCtx, pending: &mut [PendingRequest]) -> Vec<(usize, GroupReport)> {
+    let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
     for (pi, p) in pending.iter().enumerate() {
-        for qi in 0..p.pairs.len() {
-            if p.results[qi].is_some() {
-                continue; // already answered (e.g. expired)
-            }
-            let slots = groups.entry(p.model.clone()).or_insert_with(|| {
-                order.push(p.model.clone());
-                Vec::new()
-            });
-            slots.push((pi, qi));
+        // Already answered (e.g. expired) pairs join no group.
+        let open = (0..p.pairs.len()).filter(|&qi| p.results[qi].is_none());
+        let slots = open.map(|qi| (pi, qi));
+        match groups
+            .iter_mut()
+            .find(|(named_by, _)| pending[*named_by].model == p.model)
+        {
+            Some((_, group)) => group.extend(slots),
+            None => groups.push((pi, slots.collect())),
         }
     }
-    let mut reports = HashMap::new();
-    for model in order {
-        let Some(slots) = groups.remove(&model) else {
+    let mut reports = Vec::with_capacity(groups.len());
+    for (named_by, slots) in groups {
+        if slots.is_empty() {
             continue;
+        }
+        let (times, outcomes) = {
+            let mut units: Vec<Unit<'_>> = slots
+                .iter()
+                .map(|&(pi, qi)| {
+                    let (in_key, out_key) = &pending[pi].pairs[qi];
+                    Unit::new(in_key.as_str(), out_key.as_str())
+                })
+                .collect();
+            let times = execute_group(ctx, &pending[named_by].model, &mut units);
+            let outcomes: Vec<(bool, Result<()>)> = units
+                .into_iter()
+                .map(|unit| (unit.used_fallback, unit.take_result()))
+                .collect();
+            (times, outcomes)
         };
-        let mut units: Vec<Unit> = slots
-            .iter()
-            .map(|&(pi, qi)| {
-                let (in_key, out_key) = &pending[pi].pairs[qi];
-                Unit::new(in_key.as_str(), out_key.as_str())
-            })
-            .collect();
-        let times = execute_group(ctx, &model, &mut units);
-        let coalesced = units.len();
-        for ((pi, qi), unit) in slots.into_iter().zip(units) {
-            if unit.used_fallback {
+        let coalesced = outcomes.len();
+        for ((pi, qi), (used_fallback, result)) in slots.into_iter().zip(outcomes) {
+            if used_fallback {
                 pending[pi].guard_fallbacks += 1;
             }
-            pending[pi].results[qi] = Some(unit.take_result());
+            pending[pi].results[qi] = Some(result);
         }
-        reports.insert(model, GroupReport { times, coalesced });
+        reports.push((named_by, GroupReport { times, coalesced }));
     }
     reports
 }
@@ -1279,7 +1414,7 @@ fn run_group(
     let t0 = Instant::now();
     let mut inputs: Vec<Option<TensorValue>> = units
         .iter_mut()
-        .map(|u| match ctx.store.get(&u.in_key) {
+        .map(|u| match ctx.store.get(u.in_key) {
             Ok(v) => Some(v),
             Err(e) => {
                 u.result = Some(Err(e));
@@ -1491,7 +1626,7 @@ fn deliver_output(
             .and_then(|r| r.get(index))
             .and_then(|o| o.as_deref())
             .unwrap_or(&[]);
-        let in_key = unit.in_key.as_str();
+        let in_key = unit.in_key;
         let validate = |y: &[f64], quality: &mut QualityCounts| {
             let t_guard = Instant::now();
             let verdict = contained(
@@ -1560,7 +1695,7 @@ fn deliver_output(
     if from_f32 {
         quality.f32_served += 1;
     }
-    ctx.store.put_dense(&unit.out_key, y);
+    ctx.store.put_dense(unit.out_key, y);
     Ok(())
 }
 
@@ -1828,9 +1963,10 @@ mod tests {
         for (i, x) in inputs.iter().enumerate() {
             orc.store().put_dense(&format!("in{i}"), x.clone());
         }
-        let mut units: Vec<Unit> = (0..9)
-            .map(|i| Unit::new(&format!("in{i}"), &format!("out{i}")))
+        let keys: Vec<(String, String)> = (0..9)
+            .map(|i| (format!("in{i}"), format!("out{i}")))
             .collect();
+        let mut units: Vec<Unit> = keys.iter().map(|(i, o)| Unit::new(i, o)).collect();
         execute_group(&orc.ctx, "m", &mut units);
         for (i, x) in inputs.iter().enumerate() {
             assert_eq!(

@@ -540,6 +540,15 @@ pub struct FlightRecorderStats {
     pub retained: u64,
 }
 
+/// The tags whose presence retains a trace regardless of the sampler.
+const RULE_TAGS: [&str; 5] = [
+    tags::ERROR,
+    tags::DEADLINE,
+    tags::FALLBACK,
+    tags::SLOW,
+    tags::RETRAIN,
+];
+
 /// A bounded in-memory ring of recently completed traces with tail
 /// sampling: every error / deadline-exceeded / guard-fallback / slow
 /// trace is retained, the rest one-in-N. Disabled recorders (paired
@@ -587,7 +596,7 @@ impl FlightRecorder {
     }
 
     /// Apply the tags this recorder derives from the trace itself:
-    /// [`tags::ERROR`] and [`tags::SLOW`]. [`record`](Self::record) does
+    /// [`tags::ERROR`] and [`tags::SLOW`]. [`retain`](Self::retain) does
     /// this anyway; a caller that acts on the verdict first (the
     /// orchestrator's slow-request line) calls it to see the same one.
     pub fn classify(&self, trace: &mut Trace) {
@@ -601,23 +610,50 @@ impl FlightRecorder {
 
     /// Offer a completed trace. Returns `true` when the trace was
     /// retained (and tags it with why), `false` when sampled out.
-    pub fn record(&self, mut trace: Trace) -> bool {
+    /// [`admit`](Self::admit) then [`retain`](Self::retain) in one call,
+    /// for callers that have the trace in hand anyway.
+    pub fn record(&self, trace: Trace) -> bool {
+        let admitted = self.admit(trace.duration(), trace.has_error(), &trace.tags);
+        if admitted {
+            self.retain(trace);
+        }
+        admitted
+    }
+
+    /// The decide-first half of [`record`](Self::record): would a trace
+    /// with this root duration, error status and caller-set tags be
+    /// retained? Counts the trace as seen and applies the same rules, so
+    /// a caller on a hot path can ask before it assembles any span and
+    /// build the tree only on `true` — then hand it to
+    /// [`retain`](Self::retain).
+    pub fn admit(
+        &self,
+        root_duration: Duration,
+        has_error: bool,
+        tags: &[impl AsRef<str>],
+    ) -> bool {
         if !self.enabled {
             return false;
         }
-        // relaxed: pure counters; the ring mutex orders the data itself.
+        // relaxed: pure counter; the ring mutex orders the data itself.
         let seen = self.seen.fetch_add(1, Ordering::Relaxed);
+        has_error
+            || root_duration >= self.config.slow_threshold
+            || tags.iter().any(|t| RULE_TAGS.contains(&t.as_ref()))
+            // One in `sample_every` of the rest; a period of 0 samples none.
+            || seen.checked_rem(self.config.sample_every) == Some(0)
+    }
+
+    /// Keep a trace [`admit`](Self::admit) accepted: tag it with why
+    /// (the derived [`tags::ERROR`] / [`tags::SLOW`], or
+    /// [`tags::SAMPLED`] when no rule matched) and push it into the
+    /// ring, evicting the oldest beyond capacity.
+    pub fn retain(&self, mut trace: Trace) {
+        if !self.enabled {
+            return;
+        }
         self.classify(&mut trace);
-        let must_retain = trace.has_tag(tags::ERROR)
-            || trace.has_tag(tags::DEADLINE)
-            || trace.has_tag(tags::FALLBACK)
-            || trace.has_tag(tags::SLOW)
-            || trace.has_tag(tags::RETRAIN);
-        if !must_retain {
-            let sampled_in = self.config.sample_every != 0 && seen % self.config.sample_every == 0;
-            if !sampled_in {
-                return false;
-            }
+        if !trace.tags.iter().any(|t| RULE_TAGS.contains(&t.as_str())) {
             trace.tag(tags::SAMPLED);
         }
         // relaxed: pure counter.
@@ -627,7 +663,6 @@ impl FlightRecorder {
             ring.pop_front();
         }
         ring.push_back(trace);
-        true
     }
 
     /// Recent retained traces, oldest first.
@@ -745,6 +780,48 @@ mod tests {
         assert!(snap.iter().all(|t| t.has_tag(tags::SAMPLED)));
         assert_eq!(rec.stats().seen, 100);
         assert_eq!(rec.stats().retained, 10);
+    }
+
+    #[test]
+    fn deciding_first_retains_exactly_what_offering_the_trace_does() {
+        let config = FlightRecorderConfig {
+            capacity: 64,
+            slow_threshold: Duration::from_millis(100),
+            sample_every: 4,
+        };
+        let (whole, decided) = (FlightRecorder::new(config), FlightRecorder::new(config));
+        // Boring, slow, failed and caller-tagged traces, interleaved so
+        // the one-in-four sampler meets each kind in each phase.
+        for i in 0..40u64 {
+            let mut t = quick_trace(if i % 5 == 1 { 150 } else { 1 });
+            if i % 7 == 2 {
+                t.spans[0] = t.spans[0].clone().with_error("boom");
+            }
+            if i % 11 == 3 {
+                t.tag(tags::FALLBACK);
+            }
+            let kept = whole.record(t.clone());
+            let root = t.root().map(|r| r.status.is_error());
+            let admitted = decided.admit(t.duration(), root == Some(true), &t.tags);
+            assert_eq!(admitted, kept, "trace {i}");
+            if admitted {
+                decided.retain(t);
+            }
+        }
+        let (whole, decided) = (whole.snapshot(), decided.snapshot());
+        assert_eq!(whole.len(), decided.len());
+        for (a, b) in whole.iter().zip(&decided) {
+            assert_eq!(a.trace_id, b.trace_id);
+            assert_eq!(a.tags, b.tags, "same verdict, same tags");
+        }
+        assert!(decided.iter().any(|t| t.has_tag(tags::SAMPLED)));
+        assert!(decided.iter().any(|t| t.has_tag(tags::SLOW)));
+        // A disabled recorder admits nothing and keeps nothing.
+        let off = FlightRecorder::disabled();
+        assert!(!off.admit(Duration::from_secs(9), true, &[tags::FALLBACK]));
+        off.retain(quick_trace(1));
+        assert!(off.snapshot().is_empty());
+        assert_eq!(off.stats().seen, 0);
     }
 
     #[test]

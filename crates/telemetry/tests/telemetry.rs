@@ -151,12 +151,18 @@ fn prometheus_exposition_golden_format() {
     h.record(1);
     h.record(2);
     h.record(8);
+    // Every family gets a `# HELP` line ahead of its `# TYPE`: the
+    // registered text, or the placeholder for a family nobody described.
+    reg.set_helps(&[("hpcnet_requests_total", "Requests executed.")]);
     let text = reg.prometheus_text();
     let expected = "\
+# HELP hpcnet_requests_total Requests executed.
 # TYPE hpcnet_requests_total counter
 hpcnet_requests_total{model=\"cg\"} 5
+# HELP hpcnet_best_f_c (no help registered)
 # TYPE hpcnet_best_f_c gauge
 hpcnet_best_f_c 128
+# HELP hpcnet_wait_seconds (no help registered)
 # TYPE hpcnet_wait_seconds histogram
 hpcnet_wait_seconds_bucket{model=\"cg\",le=\"0.000000002\"} 1
 hpcnet_wait_seconds_bucket{model=\"cg\",le=\"0.000000003\"} 2
