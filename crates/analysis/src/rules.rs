@@ -1,8 +1,9 @@
 //! The project-specific lint rules.
 //!
-//! Five rules: four concurrency-correctness invariants of the serving
-//! stack (see DESIGN.md §13) and one precision invariant of the
-//! dual-precision kernel modules (DESIGN.md §14):
+//! Six rules: four concurrency-correctness invariants of the serving
+//! stack and one memory-safety policy (see DESIGN.md §13), and one
+//! precision invariant of the dual-precision kernel modules (DESIGN.md
+//! §14):
 //!
 //! * `no-panic` — no `unwrap`/`expect`/panicking macro in non-test code
 //!   of the serving crates. A panic on the serving path kills a worker or
@@ -26,6 +27,12 @@
 //!   one can't instantiate at `f32`, so either breaks or skews the f32
 //!   twin of the kernel. Use the `Scalar::ZERO` associated const (or an
 //!   explicitly justified literal) instead.
+//! * `unsafe-safety-comment` — every `unsafe` block, fn or impl in
+//!   non-test code of any scanned crate must carry a `// SAFETY: <why the
+//!   requirements hold>` comment on its line or directly above it. The
+//!   compiler stops checking inside `unsafe`; the comment is where the
+//!   author writes down what it was checking for, next to the code that
+//!   has to keep it true.
 //!
 //! Escape hatch: `// hpcnet-lint: allow(<rule>) -- <reason>` on the
 //! offending line or the line above. An allow without a reason is itself
@@ -75,6 +82,8 @@ pub struct RuleSet {
     /// Enforce `f64-literal` (only fires in files carrying the
     /// [`KERNEL_MARKER`] comment).
     pub f64_literal: bool,
+    /// Enforce `unsafe-safety-comment`.
+    pub unsafe_safety_comment: bool,
 }
 
 impl RuleSet {
@@ -86,6 +95,7 @@ impl RuleSet {
             guard_blocking: true,
             result_error_type: true,
             f64_literal: true,
+            unsafe_safety_comment: true,
         }
     }
 
@@ -98,9 +108,9 @@ impl RuleSet {
         }
     }
 
-    /// Math crates (tensor, nn): only the dual-precision literal rule —
-    /// their non-serving code legitimately unwraps, panics on shape
-    /// bugs, and returns crate-local error types.
+    /// Math crates (tensor, nn): the dual-precision literal rule and the
+    /// `unsafe` policy — their non-serving code legitimately unwraps,
+    /// panics on shape bugs, and returns crate-local error types.
     pub fn kernels() -> Self {
         RuleSet {
             no_panic: false,
@@ -108,6 +118,7 @@ impl RuleSet {
             guard_blocking: false,
             result_error_type: false,
             f64_literal: true,
+            unsafe_safety_comment: true,
         }
     }
 }
@@ -300,13 +311,15 @@ fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Does `line` use `Relaxed` as a standalone path segment / identifier?
-fn uses_relaxed(line: &str) -> bool {
+/// Does `line` use `word` as a standalone identifier, keyword or path
+/// segment (`Relaxed` in `Ordering::Relaxed`, `unsafe` but not
+/// `unsafe_code`)?
+fn has_word(line: &str, word: &str) -> bool {
     let bytes = line.as_bytes();
     let mut from = 0;
-    while let Some(pos) = line[from..].find("Relaxed") {
+    while let Some(pos) = line[from..].find(word) {
         let start = from + pos;
-        let end = start + "Relaxed".len();
+        let end = start + word.len();
         let before_ok = start == 0 || !is_ident_byte(bytes[start - 1]);
         let after_ok = bytes.get(end).copied().map(is_ident_byte) != Some(true);
         if before_ok && after_ok {
@@ -317,10 +330,11 @@ fn uses_relaxed(line: &str) -> bool {
     false
 }
 
-/// Is there a `// relaxed: ...` invariant comment on `line` or in the
-/// contiguous comment block directly above it?
-fn has_relaxed_invariant(map: &FileMap, line: usize) -> bool {
-    if map.comments[line].to_lowercase().contains("relaxed:") {
+/// Is there a comment containing `marker` (lowercase; matched without
+/// regard to case — `relaxed:`, `safety:`) on `line` or in the contiguous
+/// comment block directly above it?
+fn has_marker_comment(map: &FileMap, line: usize, marker: &str) -> bool {
+    if map.comments[line].to_lowercase().contains(marker) {
         return true;
     }
     let mut l = line;
@@ -331,7 +345,7 @@ fn has_relaxed_invariant(map: &FileMap, line: usize) -> bool {
         if has_code || !has_comment {
             return false;
         }
-        if map.comments[l].to_lowercase().contains("relaxed:") {
+        if map.comments[l].to_lowercase().contains(marker) {
             return true;
         }
     }
@@ -533,14 +547,29 @@ pub fn check_file(file: &Path, source: &str, rules: RuleSet) -> Vec<Violation> {
 
         if !in_test
             && rules.relaxed_ordering
-            && uses_relaxed(code)
-            && !has_relaxed_invariant(&map, idx)
+            && has_word(code, "Relaxed")
+            && !has_marker_comment(&map, idx, "relaxed:")
         {
             push(
                 idx,
                 "relaxed-ordering",
                 "`Ordering::Relaxed` without a `// relaxed: <invariant>` \
                  justification comment"
+                    .to_string(),
+                &mut violations,
+            );
+        }
+
+        if !in_test
+            && rules.unsafe_safety_comment
+            && has_word(code, "unsafe")
+            && !has_marker_comment(&map, idx, "safety:")
+        {
+            push(
+                idx,
+                "unsafe-safety-comment",
+                "`unsafe` without a `// SAFETY: <why the requirements hold>` \
+                 comment on the line or directly above it"
                     .to_string(),
                 &mut violations,
             );
@@ -745,6 +774,58 @@ fn f(a: &AtomicU64) {
 }
 ";
         assert!(check(justified, RuleSet::telemetry()).is_empty());
+    }
+
+    #[test]
+    fn unsafe_without_a_safety_comment_is_flagged() {
+        let src = "\
+fn f(p: *const u8) -> u8 {
+    // The pointer is fine, trust me.
+    unsafe { *p }
+}
+unsafe fn g() {}
+unsafe impl Send for T {}
+";
+        // Every scanned crate, the math crates included.
+        for rules in [RuleSet::serving(), RuleSet::telemetry(), RuleSet::kernels()] {
+            let v = check(src, rules);
+            assert_eq!(v.len(), 3, "{v:?}");
+            assert!(v.iter().all(|v| v.rule == "unsafe-safety-comment"));
+            assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [3, 5, 6]);
+        }
+    }
+
+    #[test]
+    fn unsafe_with_a_safety_comment_passes() {
+        let src = "\
+#![deny(unsafe_op_in_unsafe_fn)]
+fn f(p: &[u8]) -> u8 {
+    // SAFETY: `p` is non-empty — checked by the caller's `split_first` —
+    // so index 0 is in bounds.
+    unsafe { *p.get_unchecked(0) }
+}
+fn g() {
+    let x = unsafe { h() }; // SAFETY: `h` has no requirements on this target.
+}
+// SAFETY: `T` owns nothing thread-bound.
+unsafe impl Send for T {}
+// hpcnet-lint: allow(unsafe-safety-comment) -- the contract is in the `# Safety` doc section
+unsafe fn k() {}
+fn not_the_keyword() { let unsafe_count = \"unsafe\"; } // unsafe in a comment
+";
+        assert!(check(src, RuleSet::serving()).is_empty());
+    }
+
+    #[test]
+    fn unsafe_in_test_modules_is_exempt() {
+        let src = "\
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { unsafe { poke() } }
+}
+";
+        assert!(check(src, RuleSet::serving()).is_empty());
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl RemoteClient {
         let cfg = &self.inner.config;
         let seq = self.next_seq();
         let mut frame = Vec::new();
-        encode_frame(&mut frame, VERSION, opcode, seq, body);
+        encode_frame(&mut frame, VERSION, opcode, seq, body)?;
         let mut backoff = cfg.backoff;
         let mut last_err = String::new();
         for attempt in 0..=cfg.retries {
@@ -505,7 +505,7 @@ impl RemoteClient {
                 let seq = self.next_seq();
                 encode_frame(&mut frames, VERSION, Opcode::RunModel, seq, |buf| {
                     payload::run_model(buf, model, in_key, out_key, deadline_micros, None)
-                });
+                })?;
                 seqs.push(seq);
             }
             stream

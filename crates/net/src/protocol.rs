@@ -46,7 +46,7 @@
 
 use std::io::{Read, Write};
 
-use hpcnet_runtime::store::MAX_KEY_BYTES;
+use hpcnet_runtime::store::{MAX_DENSE_ELEMS, MAX_KEY_BYTES};
 use hpcnet_runtime::RuntimeError;
 use hpcnet_telemetry::trace::TRACE_CONTEXT_WIRE_LEN;
 use hpcnet_telemetry::TraceContext;
@@ -77,8 +77,14 @@ pub const HEADER_LEN: usize = 12;
 /// Larger declared lengths are treated as stream desynchronization.
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 
+// What the runtime agrees to densify for a `GET_TENSOR` must be a payload
+// a `TENSOR` reply can carry — up to the reply's 4-byte count, which the
+// bound in `encode_frame` catches.
+const _: () = assert!(MAX_DENSE_ELEMS <= MAX_FRAME_PAYLOAD / 8);
+
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8.
+// CRC-32 (IEEE 802.3, the zlib polynomial): carry-less folding where the
+// CPU has it, slicing-by-8 everywhere else (DESIGN.md §12).
 // ---------------------------------------------------------------------
 
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
@@ -116,8 +122,18 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// Fold `data` into the running (pre-inversion) CRC state `c`.
-fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
+/// Fold `data` into the running (pre-inversion) CRC state `c`: by
+/// carry-less multiplication where the CPU can (which itself leaves
+/// inputs under 64 bytes to the sliced path), by slicing-by-8 elsewhere.
+/// Same state in, same state out, whichever runs.
+fn crc32_update(c: u32, data: &[u8]) -> u32 {
+    crc32_update_folded(c, data).unwrap_or_else(|| crc32_update_sliced(c, data))
+}
+
+/// [`crc32_update`] by slicing-by-8: the path of every CPU without
+/// `pclmulqdq`, of short inputs, and of the bytes behind the last whole
+/// 16-byte lane of a folded input.
+pub(crate) fn crc32_update_sliced(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
@@ -136,6 +152,147 @@ fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
+}
+
+/// [`crc32_update`] by carry-less folding, at any input length; `None`
+/// where this CPU (or this build: another architecture, Miri) has no
+/// folded path.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+pub(crate) fn crc32_update_folded(c: u32, data: &[u8]) -> Option<u32> {
+    if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
+        // SAFETY: `folded::update` is safe code throughout; what makes the
+        // call unsafe is that it is compiled for `pclmulqdq` and `sse4.1`,
+        // and the line above has just found both on the running CPU.
+        return Some(unsafe { folded::update(c, data) });
+    }
+    None
+}
+
+/// No folded path in this build.
+#[cfg(not(all(target_arch = "x86_64", not(miri))))]
+pub(crate) fn crc32_update_folded(_c: u32, _data: &[u8]) -> Option<u32> {
+    None
+}
+
+/// CRC-32 by folding with `PCLMULQDQ` (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel 2009), for the reflected IEEE polynomial.
+///
+/// The message is a polynomial over GF(2) and its CRC the remainder
+/// modulo P. Split it anywhere, `M = H·x^n + L`: then
+/// `M ≡ H·(x^n mod P) + L (mod P)`, so multiplying the high part by the
+/// *constant* `x^n mod P` — one carry-less multiply — and adding it onto
+/// the low part leaves the remainder as it was. Four 128-bit lanes walk
+/// the input 64 bytes at a time, each folded 512 bits forward onto the
+/// next block; the four fold into one, that one over any further 16-byte
+/// chunks, and 128 bits reduce to 64, then to 32 with a Barrett step in
+/// place of a division.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod folded {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    use super::crc32_update_sliced;
+
+    // `x^n mod P`, bit-reflected like the data and shifted left by one
+    // (a carry-less product of two reflected operands comes out one bit
+    // low); `crc32_fold_constants_are_what_their_names_say` recomputes
+    // each from its definition.
+    /// n = 4·128 + 32: a lane's low half, folded four lanes ahead.
+    pub(super) const K1: i64 = 0x1_5444_2bd4;
+    /// n = 4·128 − 32: a lane's high half, folded four lanes ahead.
+    pub(super) const K2: i64 = 0x1_c6e4_1596;
+    /// n = 128 + 32: the low half, folded one lane ahead.
+    pub(super) const K3: i64 = 0x1_7519_97d0;
+    /// n = 128 − 32: the high half, folded one lane ahead.
+    pub(super) const K4: i64 = 0x0_ccaa_009e;
+    /// n = 64: the 96 → 64 bit step.
+    pub(super) const K5: i64 = 0x1_63cd_6124;
+    /// P itself, all 33 bits, reflected.
+    pub(super) const POLY: i64 = 0x1_DB71_0641;
+    /// μ = ⌊x^64 / P⌋, 33 bits, reflected: Barrett's stand-in for 1/P.
+    pub(super) const MU: i64 = 0x1_F701_1641;
+
+    /// Sixteen input bytes as one lane (compiles to an unaligned load).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lane(bytes: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*bytes);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    /// Move `x` forward by the distance `k` stands for and add it onto
+    /// `onto`: the low half times the low constant, the high half times
+    /// the high one.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(x: __m128i, k: __m128i, onto: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), onto)
+    }
+
+    /// [`super::crc32_update`] for a CPU with `pclmulqdq` and `sse4.1`.
+    /// Folds the longest prefix that is a whole number of 16-byte lanes,
+    /// if that is at least the four lanes the fold starts from; the rest
+    /// (at most 15 bytes then) goes through the sliced path.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(c: u32, data: &[u8]) -> u32 {
+        let (blocks, rest) = data.as_chunks::<64>();
+        let Some((first, blocks)) = blocks.split_first() else {
+            return crc32_update_sliced(c, data);
+        };
+        let lanes = |block: &[u8; 64]| -> [__m128i; 4] {
+            let (l, _) = block.as_chunks::<16>();
+            [lane(&l[0]), lane(&l[1]), lane(&l[2]), lane(&l[3])]
+        };
+
+        // The running state enters as the CRC always does: xor-ed onto
+        // the first four message bytes.
+        let [mut x0, mut x1, mut x2, mut x3] = lanes(first);
+        x0 = _mm_xor_si128(x0, _mm_cvtsi32_si128(c as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for block in blocks {
+            let [y0, y1, y2, y3] = lanes(block);
+            x0 = fold(x0, k1k2, y0);
+            x1 = fold(x1, k1k2, y1);
+            x2 = fold(x2, k1k2, y2);
+            x3 = fold(x3, k1k2, y3);
+        }
+
+        // Four lanes into one, then that one over what whole lanes are
+        // left behind the last 64-byte block.
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(x0, k3k4, x1);
+        x = fold(x, k3k4, x2);
+        x = fold(x, k3k4, x3);
+        let (singles, tail) = rest.as_chunks::<16>();
+        for chunk in singles {
+            x = fold(x, k3k4, lane(chunk));
+        }
+
+        // 128 → 64 bits: the low half moves up by 64 (times `K4`) onto
+        // the high half. 96 → 64: the low 32 bits move up by 64 (`K5`).
+        let low32 = _mm_set_epi32(0, -1, 0, -1);
+        let x = _mm_xor_si128(
+            _mm_srli_si128::<8>(x),
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+        );
+        let x = _mm_xor_si128(
+            _mm_srli_si128::<4>(x),
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+        );
+
+        // Barrett: the quotient by P is (x·μ)'s low 32 bits; the
+        // remainder is x minus quotient·P, read from bits 32..64.
+        let poly_mu = _mm_set_epi64x(MU, POLY);
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), poly_mu);
+        let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), poly_mu);
+        let c = _mm_extract_epi32::<1>(_mm_xor_si128(x, qp)) as u32;
+        crc32_update_sliced(c, tail)
+    }
 }
 
 /// CRC-32/IEEE over a contiguous buffer.
@@ -431,11 +588,13 @@ impl Request {
     }
 
     /// Append this request to `buf` as one complete frame; returns the
-    /// frame's wire length.
+    /// frame's wire length — 0, with `buf` as it was, for a request whose
+    /// payload is over [`MAX_FRAME_PAYLOAD`].
     pub fn encode_frame(&self, buf: &mut Vec<u8>, version: u8, seq: u32) -> usize {
         encode_frame(buf, version, self.opcode(), seq, |buf| {
             self.write_payload(buf)
         })
+        .unwrap_or(0)
     }
 
     fn write_payload(&self, buf: &mut Vec<u8>) {
@@ -639,11 +798,18 @@ impl Response {
     }
 
     /// Append this response to `buf` as one complete frame; returns the
-    /// frame's wire length.
+    /// frame's wire length. A response whose payload is over
+    /// [`MAX_FRAME_PAYLOAD`] — a frame the peer would hang up on — goes
+    /// out as the typed protocol error saying so instead.
     pub fn encode_frame(&self, buf: &mut Vec<u8>, version: u8, seq: u32) -> usize {
-        encode_frame(buf, version, self.opcode(), seq, |buf| {
-            self.write_payload(buf)
-        })
+        let mut encode = |response: &Response| {
+            encode_frame(buf, version, response.opcode(), seq, |buf| {
+                response.write_payload(buf)
+            })
+        };
+        encode(self)
+            .or_else(|e| encode(&Response::Error(ErrorFrame::from_runtime(&e.into()))))
+            .unwrap_or(0)
     }
 
     fn write_payload(&self, buf: &mut Vec<u8>) {
@@ -711,14 +877,16 @@ const CRC_LEN: usize = 4;
 /// open, whatever payload `body` appends, the length patched in, and the
 /// checksum. The frame is built in place — every frame this crate sends
 /// is assembled here, so a payload is written once and never copied into
-/// a second buffer. Returns the frame's wire length.
+/// a second buffer. Returns the frame's wire length; a payload over
+/// [`MAX_FRAME_PAYLOAD`] is [`WireError::Oversize`] and leaves `buf` as
+/// it was.
 pub(crate) fn encode_frame(
     buf: &mut Vec<u8>,
     version: u8,
     opcode: Opcode,
     seq: u32,
     body: impl FnOnce(&mut Vec<u8>),
-) -> usize {
+) -> Result<usize, WireError> {
     let start = buf.len();
     buf.extend_from_slice(&MAGIC);
     buf.push(version);
@@ -727,11 +895,14 @@ pub(crate) fn encode_frame(
     buf.extend_from_slice(&[0; 4]);
     body(buf);
     let len = buf.len() - start - HEADER_LEN;
-    debug_assert!(len <= MAX_FRAME_PAYLOAD);
+    if len > MAX_FRAME_PAYLOAD {
+        buf.truncate(start);
+        return Err(WireError::Oversize(u32::try_from(len).unwrap_or(u32::MAX)));
+    }
     buf[start + 8..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
     let crc = crc32(&buf[start + 2..]);
     buf.extend_from_slice(&crc.to_le_bytes());
-    buf.len() - start
+    Ok(buf.len() - start)
 }
 
 /// Serialize one frame at the current [`VERSION`]. Returns the total
@@ -757,7 +928,7 @@ pub fn write_frame_with_version(
     let mut buf = Vec::with_capacity(frame_len(payload.len()));
     let n = encode_frame(&mut buf, version, opcode, seq, |buf| {
         buf.extend_from_slice(payload)
-    });
+    })?;
     w.write_all(&buf)?;
     Ok(n)
 }
@@ -1168,14 +1339,13 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The byte-at-a-time CRC the sliced one replaced, kept as the
-    /// reference it must agree with.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
+    /// The byte-at-a-time CRC, kept as the reference the sliced and the
+    /// folded one must agree with. Takes and returns the running state.
+    fn crc32_update_bytewise(mut c: u32, data: &[u8]) -> u32 {
         for &b in data {
             c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
-        c ^ 0xFFFF_FFFF
+        c
     }
 
     /// Seeded bytes (splitmix64), so failures reproduce.
@@ -1192,27 +1362,64 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn sliced_crc32_equals_the_bytewise_reference() {
-        // Every length around the 8-byte stride, at every start alignment.
-        let buf = seeded_bytes(1, 70 + 8);
-        for start in 0..8 {
-            for len in 0..=70 {
+    /// `update` == the bytewise reference: at every length across the
+    /// 8-byte stride, the 16-byte lane and several 64-byte blocks, with
+    /// every tail length, at every start alignment; then on seeded
+    /// buffers up to 1 MiB from arbitrary running states. (Miri
+    /// interprets, and has no folded path: a shorter sweep covers the
+    /// sliced strides.)
+    fn assert_equals_bytewise(update: impl Fn(u32, &[u8]) -> u32) {
+        let (max_len, starts) = if cfg!(miri) { (70, 8) } else { (600, 16) };
+        let buf = seeded_bytes(1, max_len + starts);
+        for start in 0..starts {
+            for len in 0..=max_len {
                 let data = &buf[start..start + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+                assert_eq!(
+                    update(0xFFFF_FFFF, data),
+                    crc32_update_bytewise(0xFFFF_FFFF, data),
+                    "start {start} len {len}"
+                );
             }
         }
-        // Seeded random buffers up to 64 KiB.
-        for (seed, len) in [(2, 71), (3, 1_000), (4, 4_097), (5, 65_535), (6, 65_536)] {
-            let data = seeded_bytes(seed, len);
-            assert_eq!(crc32(&data), crc32_bytewise(&data), "seed {seed}");
+        let sizes: &[usize] = if cfg!(miri) {
+            &[71, 1_000]
+        } else {
+            &[71, 1_000, 4_097, 65_535, 65_536, 1 << 20]
+        };
+        for (seed, &len) in sizes.iter().enumerate() {
+            let data = seeded_bytes(seed as u64 + 2, len);
+            let c = 0x9E37_79B9u32.wrapping_mul(seed as u32 + 1);
+            assert_eq!(
+                update(c, &data),
+                crc32_update_bytewise(c, &data),
+                "seed {seed} len {len}"
+            );
         }
+    }
+
+    // Both implementations are called directly, so the sliced one stays
+    // tested on a machine whose `crc32` dispatches to folding.
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        assert_equals_bytewise(crc32_update_sliced);
+    }
+
+    #[test]
+    fn folded_crc32_equals_the_bytewise_reference() {
+        if crc32_update_folded(0, &[]).is_none() {
+            return; // no `pclmulqdq` here: the sliced path is all there is
+        }
+        assert_equals_bytewise(|c, data| crc32_update_folded(c, data).expect("detected above"));
     }
 
     #[test]
     fn crc32_parts_is_invariant_under_every_split() {
-        let data = seeded_bytes(7, 67);
-        let whole = crc32_bytewise(&data);
+        // 300 bytes: splits leave parts on either side of the 64 bytes
+        // folding starts at, so a folded part both receives a running
+        // state from the part before it and hands one to the part behind.
+        let data = seeded_bytes(7, if cfg!(miri) { 67 } else { 300 });
+        let whole = crc32_update_bytewise(0xFFFF_FFFF, &data) ^ 0xFFFF_FFFF;
+        assert_eq!(crc32(&data), whole);
         for i in 0..=data.len() {
             assert_eq!(crc32_parts(&[&data[..i], &data[i..]]), whole, "split {i}");
             for j in i..=data.len() {
@@ -1223,6 +1430,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The folding constants, recomputed from their definitions: powers
+    /// of x modulo P by shift-and-subtract, μ by long division.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn crc32_fold_constants_are_what_their_names_say() {
+        use super::folded::{K1, K2, K3, K4, K5, MU, POLY};
+        /// P = x^32 + x^26 + … + 1, most significant coefficient first.
+        const P: u64 = 0x1_04C1_1DB7;
+        /// `(x^n mod P)`, reflected and shifted left by one.
+        fn x_pow_mod_p(n: u32) -> i64 {
+            let mut r: u64 = 1;
+            for _ in 0..n {
+                r <<= 1;
+                if r >> 32 != 0 {
+                    r ^= P;
+                }
+            }
+            i64::from((r as u32).reverse_bits()) << 1
+        }
+        /// The low 33 bits of `v`, reflected.
+        fn reflect33(v: u64) -> i64 {
+            (v.reverse_bits() >> 31) as i64
+        }
+        assert_eq!(K1, x_pow_mod_p(4 * 128 + 32));
+        assert_eq!(K2, x_pow_mod_p(4 * 128 - 32));
+        assert_eq!(K3, x_pow_mod_p(128 + 32));
+        assert_eq!(K4, x_pow_mod_p(128 - 32));
+        assert_eq!(K5, x_pow_mod_p(64));
+        assert_eq!(POLY, reflect33(P));
+        // ⌊x^64 / P⌋: divide, collecting one quotient bit per step.
+        let (mut rem, mut quotient): (u128, u64) = (1 << 64, 0);
+        for shift in (0..=32).rev() {
+            if (rem >> (shift + 32)) & 1 != 0 {
+                rem ^= u128::from(P) << shift;
+                quotient |= 1 << shift;
+            }
+        }
+        assert!(rem < 1 << 32);
+        assert_eq!(MU, reflect33(quotient));
     }
 
     #[test]
@@ -1428,6 +1676,46 @@ mod tests {
             }
             FrameOutcome::Frame(_) => panic!("version mismatch undetected"),
         }
+    }
+
+    #[test]
+    fn a_payload_over_the_frame_bound_never_reaches_the_wire() {
+        // At the bound: the frame goes out as itself.
+        let mut payload = vec![0u8; MAX_FRAME_PAYLOAD];
+        let mut out = b"sent before".to_vec();
+        let n = Response::Pong(payload.clone()).encode_frame(&mut out, VERSION, 9);
+        assert_eq!(n, frame_len(MAX_FRAME_PAYLOAD));
+        assert_eq!(out.len(), 11 + n);
+
+        // One byte over: a reply degrades to the typed error that says so,
+        // appended behind what the buffer already held...
+        payload.push(0);
+        out.truncate(11);
+        let n = Response::Pong(payload.clone()).encode_frame(&mut out, 1, 9);
+        assert_eq!(&out[..11], b"sent before");
+        assert_eq!(out.len(), 11 + n);
+        let FrameOutcome::Frame(raw) = read_frame(&mut Cursor::new(&out[11..])).unwrap() else {
+            panic!("the error frame did not validate");
+        };
+        assert_eq!((raw.version, raw.seq), (1, 9));
+        let Response::Error(e) = decode_response(&raw).unwrap() else {
+            panic!("not an error frame");
+        };
+        assert_eq!(e.code, err_code::PROTOCOL);
+        assert!(e.message.contains("exceeds"), "{}", e.message);
+
+        // ...and a request is not encoded at all.
+        out.truncate(11);
+        let ping = Request::Ping { payload };
+        assert_eq!(ping.encode_frame(&mut out, VERSION, 1), 0);
+        assert_eq!(out, b"sent before");
+        let Request::Ping { payload } = ping else {
+            unreachable!()
+        };
+        assert!(matches!(
+            write_frame(&mut out, Opcode::Ping, 1, &payload),
+            Err(WireError::Oversize(_))
+        ));
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl Client {
             return Vec::new();
         }
         if shared.queued() == 0 {
-            if let Some(_slot) = shared.slots.try_acquire() {
+            if let Some(mut slot) = shared.slots.try_acquire() {
                 // A drain takes every slot once to wait for inline rounds;
                 // a slot obtained after it began must not start a new one.
                 if shared.shutting_down.load(Ordering::SeqCst) {
@@ -242,7 +242,7 @@ impl Client {
                 for p in &mut round {
                     p.enqueued = now;
                 }
-                return serve_round(&self.ctx, round, now);
+                return serve_round(&self.ctx, &mut slot, round, now);
             }
         }
         // Results are pushed in request order: the replies still owed are

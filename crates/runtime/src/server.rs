@@ -29,7 +29,10 @@
 //! * a registered model may carry a [`QualityGuard`] — the paper's
 //!   restart-on-quality-miss (§7.1/§8) executed server-side: a validator
 //!   inspects every surrogate output and a fallback closure (the original
-//!   region) answers when the validator rejects,
+//!   region) answers when the validator rejects. Both are shown the raw
+//!   input as a view of the fetched tensor, never a copy: a dense one by
+//!   reference, a sparse one scattered over the execution slot's zeroed
+//!   scratch in O(nnz) (`ScatteredView`),
 //! * an orchestrator built with [`OrchestratorBuilder::serve_f32`]`(true)`
 //!   quantizes every registered MLP bundle to `f32` kernels at
 //!   registration and serves batches through them; a registered
@@ -66,7 +69,7 @@ use crate::metrics::{
 };
 use crate::perf::ServingStats;
 use crate::retrain::{self, OnlineState};
-use crate::store::{TensorKey, TensorStore, TensorValue};
+use crate::store::{dense_len, densify, TensorKey, TensorStore, TensorValue};
 use crate::{Result, RuntimeError};
 use hpcnet_online::RetrainConfig;
 
@@ -201,6 +204,11 @@ type FallbackFn = dyn Fn(&[f64]) -> Vec<f64> + Send + Sync;
 /// rejection it answers with `fallback(raw_input)` (counted in
 /// [`ServingStats::quality_fallbacks`]) or, when no fallback is
 /// registered, fails the request with [`RuntimeError::QualityRejected`].
+/// `raw_input` is the stored input tensor in dense form (row-major for a
+/// sparse tensor of several rows) — a view that lasts for the call; a
+/// sparse input whose dense form is over
+/// [`MAX_DENSE_ELEMS`](crate::store::MAX_DENSE_ELEMS) fails its request
+/// instead.
 #[derive(Clone)]
 pub struct QualityGuard {
     validator: Arc<ValidatorFn>,
@@ -348,10 +356,21 @@ struct SlotState {
     /// Threads blocked in [`ExecutionSlots::acquire`]; a release skips
     /// the wake-up call while there are none.
     waiting: usize,
+    /// The guard scratch buffers of the free slots that have one: handed
+    /// out and taken back with the slot, under the same lock, so there
+    /// are never more than `workers` of them however many threads run
+    /// rounds over time.
+    scratch: Vec<Vec<f64>>,
 }
 
 /// A held execution slot; dropping it frees the slot.
-pub(crate) struct SlotGuard<'a>(&'a ExecutionSlots);
+pub(crate) struct SlotGuard<'a> {
+    slots: &'a ExecutionSlots,
+    /// Where the round's guarded sparse inputs take dense form
+    /// ([`ScatteredView`]): all zeros whenever no view is alive, as wide
+    /// as the widest such input any round on this buffer has seen.
+    scratch: Vec<f64>,
+}
 
 impl ExecutionSlots {
     fn new(slots: usize) -> Self {
@@ -359,6 +378,7 @@ impl ExecutionSlots {
             state: Mutex::new(SlotState {
                 free: slots,
                 waiting: 0,
+                scratch: Vec::new(),
             }),
             freed: Condvar::new(),
         }
@@ -376,8 +396,7 @@ impl ExecutionSlots {
         if state.free == 0 {
             return None;
         }
-        state.free -= 1;
-        Some(SlotGuard(self))
+        Some(self.take(&mut state))
     }
 
     /// Block until a slot is free.
@@ -391,19 +410,31 @@ impl ExecutionSlots {
                 .unwrap_or_else(PoisonError::into_inner);
             state.waiting -= 1;
         }
+        self.take(&mut state)
+    }
+
+    /// Take a slot that `state` has free, with a scratch buffer a round
+    /// before it grew if one is there.
+    fn take(&self, state: &mut SlotState) -> SlotGuard<'_> {
         state.free -= 1;
-        SlotGuard(self)
+        SlotGuard {
+            slots: self,
+            scratch: state.scratch.pop().unwrap_or_default(),
+        }
     }
 }
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        let mut state = self.0.lock();
+        let mut state = self.slots.lock();
         state.free += 1;
+        if self.scratch.capacity() > 0 {
+            state.scratch.push(std::mem::take(&mut self.scratch));
+        }
         let wake = state.waiting > 0;
         drop(state);
         if wake {
-            self.0.freed.notify_one();
+            self.slots.freed.notify_one();
         }
     }
 }
@@ -1060,7 +1091,7 @@ fn worker_loop(ctx: &ServerCtx, rx: &Receiver<Request>) {
             Ok(Request::Run(first)) => first,
             Ok(Request::Drain) | Err(_) => return,
         };
-        let slot = ctx.shared.slots.acquire();
+        let mut slot = ctx.shared.slots.acquire();
         let mut queued = first.pairs.len();
         let mut pending = vec![first];
         let mut stop = false;
@@ -1078,7 +1109,7 @@ fn worker_loop(ctx: &ServerCtx, rx: &Receiver<Request>) {
             }
         }
         ctx.shared.leave_queue(pending.len());
-        serve_round(ctx, pending, Instant::now());
+        serve_round(ctx, &mut slot, pending, Instant::now());
         drop(slot);
         if stop {
             return;
@@ -1089,11 +1120,12 @@ fn worker_loop(ctx: &ServerCtx, rx: &Receiver<Request>) {
 /// Execute one round on the calling thread — a worker that drained it
 /// from the queue, or a client that found the orchestrator idle: record
 /// each request's queue wait, expire overdue requests, execute the rest
-/// grouped by model, record the traces, answer every request. The caller
-/// holds an execution slot. Returns the results of the requests that
-/// carry no reply channel (the caller's own), in order.
+/// grouped by model, record the traces, answer every request. `slot` is
+/// the execution slot the caller holds. Returns the results of the
+/// requests that carry no reply channel (the caller's own), in order.
 pub(crate) fn serve_round(
     ctx: &ServerCtx,
+    slot: &mut SlotGuard<'_>,
     mut pending: Vec<PendingRequest>,
     picked_up: Instant,
 ) -> Vec<Vec<Result<()>>> {
@@ -1111,7 +1143,7 @@ pub(crate) fn serve_round(
     let round = contained(
         || {
             expire_overdue(ctx, &mut pending);
-            process_round(ctx, &mut pending)
+            process_round(ctx, &mut pending, &mut slot.scratch)
         },
         |msg| format!("serving worker panicked mid-round: {msg}"),
     );
@@ -1282,7 +1314,11 @@ struct GroupReport {
 /// assembly, each with the index of the request that names the model.
 /// Groups are found by comparing names in arrival order — the one-model
 /// round that S = 1 traffic always is never hashes or copies a name.
-fn process_round(ctx: &ServerCtx, pending: &mut [PendingRequest]) -> Vec<(usize, GroupReport)> {
+fn process_round(
+    ctx: &ServerCtx,
+    pending: &mut [PendingRequest],
+    scratch: &mut Vec<f64>,
+) -> Vec<(usize, GroupReport)> {
     let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
     for (pi, p) in pending.iter().enumerate() {
         // Already answered (e.g. expired) pairs join no group.
@@ -1309,7 +1345,7 @@ fn process_round(ctx: &ServerCtx, pending: &mut [PendingRequest]) -> Vec<(usize,
                     Unit::new(in_key.as_str(), out_key.as_str())
                 })
                 .collect();
-            let times = execute_group(ctx, &pending[named_by].model, &mut units);
+            let times = execute_group(ctx, &pending[named_by].model, &mut units, scratch);
             let outcomes: Vec<(bool, Result<()>)> = units
                 .into_iter()
                 .map(|unit| (unit.used_fallback, unit.take_result()))
@@ -1353,10 +1389,15 @@ struct QualityCounts {
 /// times are assembled and written. Errors are attributed per unit; every
 /// unit leaves with `Some` result. Returns the group's stage-timing split
 /// for trace assembly.
-fn execute_group(ctx: &ServerCtx, model: &str, units: &mut [Unit]) -> StageTimes {
+fn execute_group(
+    ctx: &ServerCtx,
+    model: &str,
+    units: &mut [Unit],
+    scratch: &mut Vec<f64>,
+) -> StageTimes {
     let t_group = Instant::now();
     let mut quality = QualityCounts::default();
-    let [fetch, encode, forward] = run_group(ctx, model, units, &mut quality);
+    let [fetch, encode, forward] = run_group(ctx, model, units, scratch, &mut quality);
     let busy = t_group.elapsed();
     // The f32 forward, the validator and the fallback region all ran
     // inside the forward window; `infer` is what remains.
@@ -1403,16 +1444,20 @@ fn execute_group(ctx: &ServerCtx, model: &str, units: &mut [Unit]) -> StageTimes
 
 /// The timed work of one group: fetch every input, encode as a batch, one
 /// `predict_batch`, scatter the output rows (through the quality guard
-/// when one is registered). Returns the `[fetch, encode, forward]` wall
-/// times; a missing model ends after the fetch.
+/// when one is registered). The fetched inputs live until the last row is
+/// delivered: the guard judges and the fallback re-runs the original
+/// region on the raw input, which they get as a view of the fetched
+/// tensor, never as a copy of it. Returns the `[fetch, encode, forward]`
+/// wall times; a missing model ends after the fetch.
 fn run_group(
     ctx: &ServerCtx,
     model: &str,
     units: &mut [Unit],
+    scratch: &mut Vec<f64>,
     quality: &mut QualityCounts,
 ) -> [Duration; 3] {
     let t0 = Instant::now();
-    let mut inputs: Vec<Option<TensorValue>> = units
+    let inputs: Vec<Option<TensorValue>> = units
         .iter_mut()
         .map(|u| match ctx.store.get(u.in_key) {
             Ok(v) => Some(v),
@@ -1437,24 +1482,9 @@ fn run_group(
         return [fetch, Duration::ZERO, Duration::ZERO];
     };
 
-    // Guarded models keep a dense copy of every raw input: the validator
-    // judges (input, output) pairs and the fallback re-runs the original
-    // region on the raw input.
-    let raws: Option<Vec<Option<Vec<f64>>>> = entry.guard.as_ref().map(|_| {
-        inputs
-            .iter()
-            .map(|inp| {
-                inp.as_ref().map(|v| match v {
-                    TensorValue::Dense(d) => d.clone(),
-                    TensorValue::Sparse(s) => s.to_dense_vector(),
-                })
-            })
-            .collect()
-    });
-
     let t1 = Instant::now();
     let mut features: Vec<Option<Vec<f64>>> = (0..units.len()).map(|_| None).collect();
-    encode_features(&entry.bundle, units, &mut inputs, &mut features);
+    encode_features(&entry.bundle, units, &inputs, &mut features);
     let encode = t1.elapsed();
 
     let t2 = Instant::now();
@@ -1463,39 +1493,44 @@ fn run_group(
         &entry,
         model,
         units,
+        &inputs,
         &mut features,
-        raws.as_deref(),
+        scratch,
         quality,
     );
     [fetch, encode, t2.elapsed()]
 }
 
 /// Feature reduction for a group (paper §4.2's online API): without an
-/// autoencoder inputs pass through (sparse rows densify to the model's
-/// input width); with one, dense and sparse inputs are batched separately
+/// autoencoder the input is the feature row — a copy of it, which the
+/// scaler then changes in place; a sparse row densifies to the model's
+/// input width, up to [`MAX_DENSE_ELEMS`](crate::store::MAX_DENSE_ELEMS).
+/// With an autoencoder, dense and sparse inputs are batched separately
 /// through the encoder — the sparse path never densifies the raw input.
 fn encode_features(
     bundle: &ModelBundle,
     units: &mut [Unit],
-    inputs: &mut [Option<TensorValue>],
+    inputs: &[Option<TensorValue>],
     features: &mut [Option<Vec<f64>>],
 ) {
     match &bundle.autoencoder {
         None => {
-            for (i, inp) in inputs.iter_mut().enumerate() {
-                if let Some(v) = inp.take() {
-                    features[i] = Some(match v {
-                        TensorValue::Dense(d) => d,
-                        TensorValue::Sparse(s) => s.to_dense_vector(),
-                    });
+            for (i, inp) in inputs.iter().enumerate() {
+                match inp {
+                    Some(TensorValue::Dense(d)) => features[i] = Some(d.clone()),
+                    Some(TensorValue::Sparse(s)) => match densify(s) {
+                        Ok(row) => features[i] = Some(row),
+                        Err(e) => units[i].result = Some(Err(e)),
+                    },
+                    None => {}
                 }
             }
         }
         Some(ae) => {
-            let mut dense: Vec<(usize, Vec<f64>)> = Vec::new();
-            let mut sparse: Vec<(usize, Csr)> = Vec::new();
-            for (i, inp) in inputs.iter_mut().enumerate() {
-                match inp.take() {
+            let mut dense: Vec<(usize, &[f64])> = Vec::new();
+            let mut sparse: Vec<(usize, &Csr)> = Vec::new();
+            for (i, inp) in inputs.iter().enumerate() {
+                match inp {
                     Some(TensorValue::Dense(d)) => dense.push((i, d)),
                     Some(TensorValue::Sparse(s)) => sparse.push((i, s)),
                     None => {}
@@ -1511,7 +1546,7 @@ fn encode_dense_group(
     ae: &Autoencoder,
     units: &mut [Unit],
     features: &mut [Option<Vec<f64>>],
-    group: Vec<(usize, Vec<f64>)>,
+    group: Vec<(usize, &[f64])>,
 ) {
     if group.is_empty() {
         return;
@@ -1533,7 +1568,7 @@ fn encode_dense_group(
     // Single sample, ragged widths, or a failed batch: encode one by one
     // so errors attach to the right request.
     for (i, v) in group {
-        match ae.encode(&v) {
+        match ae.encode(v) {
             Ok(f) => features[i] = Some(f),
             Err(e) => units[i].result = Some(Err(e.into())),
         }
@@ -1544,7 +1579,7 @@ fn encode_sparse_group(
     ae: &Autoencoder,
     units: &mut [Unit],
     features: &mut [Option<Vec<f64>>],
-    group: Vec<(usize, Csr)>,
+    group: Vec<(usize, &Csr)>,
 ) {
     if group.is_empty() {
         return;
@@ -1564,7 +1599,7 @@ fn encode_sparse_group(
         }
     }
     for (i, s) in group {
-        match ae.encode_sparse(&s) {
+        match ae.encode_sparse(s) {
             Ok(m) => features[i] = Some(m.into_vec()),
             Err(e) => units[i].result = Some(Err(e.into())),
         }
@@ -1574,7 +1609,7 @@ fn encode_sparse_group(
 /// Stack single-row CSR matrices into one multi-row CSR without
 /// densifying: per-row index/value runs concatenate unchanged, so row `r`
 /// of the stack is exactly input `r`.
-fn vstack_single_rows(group: &[(usize, Csr)]) -> Option<Csr> {
+fn vstack_single_rows(group: &[(usize, &Csr)]) -> Option<Csr> {
     let ncols = group.first()?.1.ncols();
     let nnz: usize = group.iter().map(|(_, s)| s.nnz()).sum();
     let mut indptr = Vec::with_capacity(group.len() + 1);
@@ -1589,17 +1624,54 @@ fn vstack_single_rows(group: &[(usize, Csr)]) -> Option<Csr> {
     Csr::from_raw(group.len(), ncols, indptr, indices, data).ok()
 }
 
+/// A sparse guard input in dense form, for as long as the validator and
+/// the fallback look at it: the tensor's stored values scattered over the
+/// execution slot's all-zero scratch — O(nnz), and nothing allocated once
+/// the scratch has grown to the widest input seen. Dropping the view
+/// writes the zeros back, on accept, reject, `?` and unwinding alike, so
+/// whoever uses the scratch next finds it all zeros.
+struct ScatteredView<'a> {
+    tensor: &'a Csr,
+    dense: &'a mut [f64],
+}
+
+impl<'a> ScatteredView<'a> {
+    /// Fails, before anything is allocated, for a tensor whose dense form
+    /// is over [`MAX_DENSE_ELEMS`](crate::store::MAX_DENSE_ELEMS).
+    fn new(tensor: &'a Csr, scratch: &'a mut Vec<f64>) -> Result<Self> {
+        let len = dense_len(tensor)?;
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        let view = ScatteredView {
+            tensor,
+            dense: &mut scratch[..len],
+        };
+        tensor.scatter_into(&mut *view.dense);
+        Ok(view)
+    }
+}
+
+impl Drop for ScatteredView<'_> {
+    fn drop(&mut self) {
+        self.tensor.clear_scattered(self.dense);
+    }
+}
+
 /// Inverse-scale one output row, pass it through the quality guard if one
 /// is registered, store it, and return the unit's result. Both the
 /// batched and the per-unit fallback inference paths converge here, so
 /// guard semantics are identical regardless of how the row was produced.
 ///
-/// `feature` is the scaled feature row `y` was computed from (absent
-/// only when the row could not be reconstructed); `from_f32` marks that
-/// `y` came from the `f32` kernel path. A guard rejection of an `f32`
-/// output first *demotes* the request — recomputes the answer through
-/// the `f64` surrogate on that feature and re-validates — before the
-/// fallback/reject semantics apply (DESIGN.md §14). The recompute is
+/// `input` is the fetched tensor the row was computed from; the guard
+/// sees its dense form — a dense one as it is, a sparse one through a
+/// [`ScatteredView`] on `scratch`. `feature` is the scaled feature row
+/// `y` was computed from (absent only when the row could not be
+/// reconstructed); `from_f32` marks that `y` came from the `f32` kernel
+/// path. A guard rejection of an `f32` output first *demotes* the
+/// request — recomputes the answer through the `f64` surrogate on that
+/// feature and re-validates — before the fallback/reject semantics
+/// apply (DESIGN.md §14). The recompute is
 /// charged to plain infer time, not to the guard or fallback stages,
 /// because it is inference work. Under online retraining, a fallback
 /// answer is also captured with its feature row as a replay sample.
@@ -1609,10 +1681,10 @@ fn deliver_output(
     ctx: &ServerCtx,
     entry: &RegisteredModel,
     model: &str,
-    raws: Option<&[Option<Vec<f64>>]>,
+    input: &TensorValue,
+    scratch: &mut Vec<f64>,
     quality: &mut QualityCounts,
     unit: &mut Unit,
-    index: usize,
     mut y: Vec<f64>,
     feature: Option<&[f64]>,
     from_f32: bool,
@@ -1622,10 +1694,14 @@ fn deliver_output(
         os.inverse_transform_vec(&mut y);
     }
     if let Some(guard) = &entry.guard {
-        let raw: &[f64] = raws
-            .and_then(|r| r.get(index))
-            .and_then(|o| o.as_deref())
-            .unwrap_or(&[]);
+        let scattered;
+        let raw: &[f64] = match input {
+            TensorValue::Dense(d) => d,
+            TensorValue::Sparse(s) => {
+                scattered = ScatteredView::new(s, scratch)?;
+                scattered.dense
+            }
+        };
         let in_key = unit.in_key;
         let validate = |y: &[f64], quality: &mut QualityCounts| {
             let t_guard = Instant::now();
@@ -1710,8 +1786,9 @@ fn infer_and_scatter(
     entry: &RegisteredModel,
     model: &str,
     units: &mut [Unit],
+    inputs: &[Option<TensorValue>],
     features: &mut [Option<Vec<f64>>],
-    raws: Option<&[Option<Vec<f64>>]>,
+    scratch: &mut Vec<f64>,
     quality: &mut QualityCounts,
 ) {
     let bundle = &entry.bundle;
@@ -1729,16 +1806,18 @@ fn infer_and_scatter(
             }
         }
     }
-    // Deliver row `y` of unit `i` and record the unit's result.
-    let deliver = |units: &mut [Unit],
-                   quality: &mut QualityCounts,
-                   i: usize,
-                   y: Vec<f64>,
-                   feature: Option<&[f64]>,
-                   from_f32: bool| {
+    // Deliver row `y` of unit `i` and record the unit's result. A unit
+    // has a feature row only if its input was fetched.
+    let mut deliver = |units: &mut [Unit],
+                       quality: &mut QualityCounts,
+                       i: usize,
+                       y: Vec<f64>,
+                       feature: Option<&[f64]>,
+                       from_f32: bool| {
+        let Some(input) = &inputs[i] else { return };
         let unit = &mut units[i];
         let result = deliver_output(
-            ctx, entry, model, raws, quality, unit, i, y, feature, from_f32,
+            ctx, entry, model, input, scratch, quality, unit, y, feature, from_f32,
         );
         unit.result = Some(result);
     };
@@ -1967,7 +2046,7 @@ mod tests {
             .map(|i| (format!("in{i}"), format!("out{i}")))
             .collect();
         let mut units: Vec<Unit> = keys.iter().map(|(i, o)| Unit::new(i, o)).collect();
-        execute_group(&orc.ctx, "m", &mut units);
+        execute_group(&orc.ctx, "m", &mut units, &mut Vec::new());
         for (i, x) in inputs.iter().enumerate() {
             assert_eq!(
                 orc.store().get_dense(&format!("out{i}")).unwrap(),
@@ -1994,7 +2073,7 @@ mod tests {
             Unit::new("bad", "out-bad"),
             Unit::new("gone", "out-gone"),
         ];
-        execute_group(&orc.ctx, "m", &mut units);
+        execute_group(&orc.ctx, "m", &mut units, &mut Vec::new());
         assert_eq!(units[0].result, Some(Ok(())));
         assert!(matches!(
             units[1].result,

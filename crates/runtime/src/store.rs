@@ -10,12 +10,45 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
+use hpcnet_tensor::Csr;
 use parking_lot::RwLock;
 
 use crate::{Result, RuntimeError};
 
 /// Maximum accepted tensor-key length in bytes.
 pub const MAX_KEY_BYTES: usize = 512;
+
+/// Most elements a sparse tensor's dense form may have where the runtime
+/// builds one: [`TensorStore::get_dense`], the guard's dense view and the
+/// feature row of a model without an autoencoder. 64 MiB of `f64`s — what
+/// one wire frame can carry, so every tensor a remote client could put
+/// dense it can also get dense. A sparse tensor's shape arrives from
+/// outside (a 42-byte `PUT_SPARSE` may declare 2^32 columns); its dense
+/// size is bounded here before anything is allocated for it.
+pub const MAX_DENSE_ELEMS: usize = (64 << 20) / 8;
+
+/// Element count of `tensor`'s dense form, or a typed error when it is
+/// over [`MAX_DENSE_ELEMS`].
+pub(crate) fn dense_len(tensor: &Csr) -> Result<usize> {
+    tensor
+        .nrows()
+        .checked_mul(tensor.ncols())
+        .filter(|&n| n <= MAX_DENSE_ELEMS)
+        .ok_or_else(|| {
+            RuntimeError::Inference(format!(
+                "the dense form of a {} x {} sparse tensor exceeds {MAX_DENSE_ELEMS} elements",
+                tensor.nrows(),
+                tensor.ncols()
+            ))
+        })
+}
+
+/// `tensor`'s dense form (row-major), bounded by [`dense_len`].
+pub(crate) fn densify(tensor: &Csr) -> Result<Vec<f64>> {
+    let mut dense = vec![0.0; dense_len(tensor)?];
+    tensor.scatter_into(&mut dense);
+    Ok(dense)
+}
 
 /// A validated tensor key: non-empty and at most [`MAX_KEY_BYTES`] bytes.
 ///
@@ -88,7 +121,7 @@ pub enum TensorValue {
     /// Dense row.
     Dense(Vec<f64>),
     /// Sparse row (CSR with one row).
-    Sparse(hpcnet_tensor::Csr),
+    Sparse(Csr),
 }
 
 impl TensorValue {
@@ -210,36 +243,37 @@ impl TensorStore {
     }
 
     /// Store a sparse tensor under a key (overwrites).
-    pub fn put_sparse(&self, key: &str, value: hpcnet_tensor::Csr) {
+    pub fn put_sparse(&self, key: &str, value: Csr) {
         self.inner.write().insert(key, TensorValue::Sparse(value));
     }
 
     /// Fetch a tensor by key. On a capped store this refreshes the key's
     /// recency (and therefore takes the write lock).
     pub fn get(&self, key: &str) -> Result<TensorValue> {
+        self.read_entry(key, |value| Ok(value.clone()))
+    }
+
+    /// Fetch a dense tensor, densifying a sparse one if needed — straight
+    /// from the stored entry, and only up to [`MAX_DENSE_ELEMS`] elements.
+    pub fn get_dense(&self, key: &str) -> Result<Vec<f64>> {
+        self.read_entry(key, |value| match value {
+            TensorValue::Dense(v) => Ok(v.clone()),
+            TensorValue::Sparse(c) => densify(c),
+        })
+    }
+
+    /// Run `read` on the entry under `key`, in place under the lock. A
+    /// read counts as use: on a capped store it refreshes the key's
+    /// recency, which takes the write lock.
+    fn read_entry<T>(&self, key: &str, read: impl FnOnce(&TensorValue) -> Result<T>) -> Result<T> {
+        let missing = || RuntimeError::MissingTensor(key.to_string());
         if self.max_entries().is_some() {
             let mut inner = self.inner.write();
             inner.touch(key);
-            return inner
-                .entries
-                .get(key)
-                .map(|s| s.value.clone())
-                .ok_or_else(|| RuntimeError::MissingTensor(key.to_string()));
+            return read(&inner.entries.get(key).ok_or_else(missing)?.value);
         }
-        self.inner
-            .read()
-            .entries
-            .get(key)
-            .map(|s| s.value.clone())
-            .ok_or_else(|| RuntimeError::MissingTensor(key.to_string()))
-    }
-
-    /// Fetch a dense tensor, densifying a sparse one if needed.
-    pub fn get_dense(&self, key: &str) -> Result<Vec<f64>> {
-        match self.get(key)? {
-            TensorValue::Dense(v) => Ok(v),
-            TensorValue::Sparse(c) => Ok(c.to_dense_vector()),
-        }
+        let inner = self.inner.read();
+        read(&inner.entries.get(key).ok_or_else(missing)?.value)
     }
 
     /// Remove a tensor; returns whether it existed.
@@ -309,6 +343,31 @@ mod tests {
         let v = store.get("s").unwrap();
         assert_eq!(v.width(), 5);
         assert!(v.stored_bytes() < 5 * 8 * 2);
+    }
+
+    #[test]
+    fn dense_forms_over_the_element_cap_are_refused_before_allocation() {
+        let empty = |nrows: usize, ncols: usize| {
+            Csr::from_raw(nrows, ncols, vec![0; nrows + 1], vec![], vec![]).unwrap()
+        };
+        assert_eq!(dense_len(&empty(1, MAX_DENSE_ELEMS)), Ok(MAX_DENSE_ELEMS));
+        assert_eq!(
+            dense_len(&empty(2, MAX_DENSE_ELEMS / 2)),
+            Ok(MAX_DENSE_ELEMS)
+        );
+        assert!(dense_len(&empty(1, MAX_DENSE_ELEMS + 1)).is_err());
+        // A product that does not fit a `usize` is over the cap too.
+        assert!(dense_len(&empty(3, usize::MAX / 2)).is_err());
+
+        // What a 42-byte `PUT_SPARSE` can declare: 32 GiB when dense.
+        let store = TensorStore::new();
+        store.put_sparse("wide", empty(1, u32::MAX as usize));
+        assert!(matches!(
+            store.get_dense("wide"),
+            Err(RuntimeError::Inference(m)) if m.contains("exceeds")
+        ));
+        // The tensor itself is still served in its stored form.
+        assert_eq!(store.get("wide").unwrap().width(), u32::MAX as usize);
     }
 
     #[test]

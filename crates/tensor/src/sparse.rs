@@ -202,15 +202,49 @@ impl Csr {
     }
 
     /// Densify. This is exactly the "unrolling" the paper's autoencoder
-    /// avoids; it exists for testing and for the densifying baselines.
+    /// avoids: the offline pipeline and the densifying baselines call it,
+    /// the serving path only where a client asks for the dense form
+    /// (`TensorStore::get_dense`).
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.nrows, self.ncols);
-        for i in 0..self.nrows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                *m.at_mut(i, self.indices[k]) = self.data[k];
+        self.scatter_into(m.as_mut_slice());
+        m
+    }
+
+    /// What the dense form of a CSR is, in one place: write every stored
+    /// value to its row-major position `r * ncols + c` of `out`, by
+    /// assignment in storage order — a column stored twice in a row keeps
+    /// its last value, a stored zero (of either sign) is written like any
+    /// other value. Positions that store nothing are not touched, so over
+    /// an all-zero `out` the result is [`Csr::to_dense`]'s buffer, in
+    /// O(nnz).
+    ///
+    /// # Panics
+    ///
+    /// When `out` is shorter than `nrows * ncols`.
+    pub fn scatter_into(&self, out: &mut [f64]) {
+        self.write_stored(out, |k| self.data[k]);
+    }
+
+    /// Undo [`Csr::scatter_into`] on a buffer that was all zeros before
+    /// it: write `0.0` at every stored position, again in O(nnz).
+    ///
+    /// # Panics
+    ///
+    /// When `out` is shorter than `nrows * ncols`.
+    pub fn clear_scattered(&self, out: &mut [f64]) {
+        self.write_stored(out, |_| 0.0);
+    }
+
+    /// `out[r * ncols + indices[k]] = value(k)` for every stored `k`.
+    fn write_stored(&self, out: &mut [f64], value: impl Fn(usize) -> f64) {
+        let out = &mut out[..self.nrows * self.ncols];
+        for r in 0..self.nrows {
+            let base = r * self.ncols;
+            for k in self.indptr[r]..self.indptr[r + 1] {
+                out[base + self.indices[k]] = value(k);
             }
         }
-        m
     }
 
     /// Number of rows.
@@ -495,5 +529,38 @@ mod tests {
             csr.spmv(&[0.0, 0.0, 1.0]).unwrap(),
             vec![0.0, 0.0, 0.0, 9.0]
         );
+    }
+
+    #[test]
+    fn scatter_over_zeros_is_the_dense_form_and_clears_back_to_zeros() {
+        // Two rows; row 0 stores column 1 twice (the last value wins) and
+        // an explicit negative zero.
+        let csr = Csr::from_raw(
+            2,
+            4,
+            vec![0, 3, 4],
+            vec![1, 1, 3, 0],
+            vec![5.0, 6.0, -0.0, 7.0],
+        )
+        .unwrap();
+        // Longer than the dense form: the rest is not touched.
+        let mut out = vec![0.0; 10];
+        out[9] = 1.5;
+        csr.scatter_into(&mut out);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out[..8]), bits(csr.to_dense().as_slice()));
+        assert_eq!(
+            bits(&out[..8]),
+            bits(&[0.0, 6.0, 0.0, -0.0, 7.0, 0.0, 0.0, 0.0])
+        );
+        csr.clear_scattered(&mut out);
+        assert_eq!(bits(&out[..9]), bits(&[0.0; 9]));
+        assert_eq!(out[9], 1.5);
+    }
+
+    #[test]
+    #[should_panic]
+    fn scatter_into_a_short_buffer_panics() {
+        sample_coo().to_csr().scatter_into(&mut [0.0; 11]);
     }
 }
