@@ -4,11 +4,10 @@
 //! is deeply concurrent: worker pools over a bounded queue, a lock-free
 //! telemetry registry, a multi-threaded TCP server. Generic tooling
 //! cannot enforce the project-specific invariants that keep it correct —
-//! this driver does. It also guards the dual-precision kernel modules in
-//! `hpcnet-tensor`/`hpcnet-nn` against stray `f64` literals that would
-//! skew their `f32` instantiations, and holds every scanned crate to
-//! "no `unsafe` without a `// SAFETY:` comment". See [`rules`] for the
-//! rule catalogue and DESIGN.md §13–§14 for the policy discussion.
+//! this driver does. It also holds every scanned crate, the math crates
+//! `hpcnet-tensor`/`hpcnet-nn` included, to "no `unsafe` without a
+//! `// SAFETY:` comment". See [`rules`] for the rule catalogue and
+//! DESIGN.md §13 for the policy discussion.
 //!
 //! Run it with `cargo run -p hpcnet-analysis`; it prints `file:line:`
 //! diagnostics and exits non-zero when any rule fires.
@@ -39,9 +38,7 @@ pub fn scanned_crates() -> Vec<(&'static str, RuleSet)> {
                 ..RuleSet::serving()
             },
         ),
-        // Math crates: the dual-precision `f64-literal` rule, which
-        // self-gates on the `hpcnet-kernel: dual-precision` marker, and
-        // the `unsafe` policy.
+        // Math crates: the `unsafe` policy.
         ("tensor", RuleSet::kernels()),
         ("nn", RuleSet::kernels()),
     ]

@@ -1,9 +1,7 @@
 //! The project-specific lint rules.
 //!
-//! Six rules: four concurrency-correctness invariants of the serving
-//! stack and one memory-safety policy (see DESIGN.md §13), and one
-//! precision invariant of the dual-precision kernel modules (DESIGN.md
-//! §14):
+//! Five rules: four concurrency-correctness invariants of the serving
+//! stack and one memory-safety policy (see DESIGN.md §13):
 //!
 //! * `no-panic` — no `unwrap`/`expect`/panicking macro in non-test code
 //!   of the serving crates. A panic on the serving path kills a worker or
@@ -20,13 +18,6 @@
 //!   returning `Result` must use `RuntimeError`-convertible error types
 //!   (`RuntimeError` itself or `WireError`), not `io::Result` — callers
 //!   get one coherent error surface.
-//! * `f64-literal` — in files declaring themselves dual-precision kernel
-//!   modules (a `hpcnet-kernel: dual-precision` marker comment), no
-//!   `f64`-suffixed or unsuffixed float literal in non-test code: an
-//!   unsuffixed literal silently infers to `f64` and an `f64`-suffixed
-//!   one can't instantiate at `f32`, so either breaks or skews the f32
-//!   twin of the kernel. Use the `Scalar::ZERO` associated const (or an
-//!   explicitly justified literal) instead.
 //! * `unsafe-safety-comment` — every `unsafe` block, fn or impl in
 //!   non-test code of any scanned crate must carry a `// SAFETY: <why the
 //!   requirements hold>` comment on its line or directly above it. The
@@ -79,9 +70,6 @@ pub struct RuleSet {
     pub guard_blocking: bool,
     /// Enforce `result-error-type`.
     pub result_error_type: bool,
-    /// Enforce `f64-literal` (only fires in files carrying the
-    /// [`KERNEL_MARKER`] comment).
-    pub f64_literal: bool,
     /// Enforce `unsafe-safety-comment`.
     pub unsafe_safety_comment: bool,
 }
@@ -94,7 +82,6 @@ impl RuleSet {
             relaxed_ordering: true,
             guard_blocking: true,
             result_error_type: true,
-            f64_literal: true,
             unsafe_safety_comment: true,
         }
     }
@@ -108,24 +95,19 @@ impl RuleSet {
         }
     }
 
-    /// Math crates (tensor, nn): the dual-precision literal rule and the
-    /// `unsafe` policy — their non-serving code legitimately unwraps,
-    /// panics on shape bugs, and returns crate-local error types.
+    /// Math crates (tensor, nn): the `unsafe` policy only — their
+    /// non-serving code legitimately unwraps, panics on shape bugs, and
+    /// returns crate-local error types.
     pub fn kernels() -> Self {
         RuleSet {
             no_panic: false,
             relaxed_ordering: false,
             guard_blocking: false,
             result_error_type: false,
-            f64_literal: true,
             unsafe_safety_comment: true,
         }
     }
 }
-
-/// Marker comment a file uses to declare itself a dual-precision kernel
-/// module and opt into the `f64-literal` rule.
-pub const KERNEL_MARKER: &str = "hpcnet-kernel: dual-precision";
 
 /// Error types accepted by `result-error-type`: `RuntimeError` itself and
 /// types with a `From` conversion into it.
@@ -390,68 +372,6 @@ fn guard_binding(code: &str) -> Option<String> {
     None
 }
 
-/// Float literals in one code line that the `f64-literal` rule flags:
-/// `f64`-suffixed literals and unsuffixed float literals (which infer to
-/// `f64` when unconstrained). Integer literals, radix-prefixed literals,
-/// and literals with any other suffix (`f32`, `usize`, …) pass. Returns
-/// the offending tokens in order of appearance.
-fn f64_literals(line: &str) -> Vec<String> {
-    let bytes = line.as_bytes();
-    let mut found = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        // A numeric token starts at a digit not glued to an identifier
-        // (`x1`) or a field access (`t.0`).
-        if !b.is_ascii_digit() || (i > 0 && (is_ident_byte(bytes[i - 1]) || bytes[i - 1] == b'.')) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        if b == b'0' && matches!(bytes.get(i + 1), Some(b'x' | b'o' | b'b')) {
-            // Radix-prefixed integer: consume and ignore.
-            i += 2;
-            while i < bytes.len() && is_ident_byte(bytes[i]) {
-                i += 1;
-            }
-            continue;
-        }
-        while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
-            i += 1;
-        }
-        let mut is_float = false;
-        if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
-            is_float = true;
-            i += 1;
-            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
-                i += 1;
-            }
-        }
-        if matches!(bytes.get(i), Some(b'e' | b'E')) {
-            let mut j = i + 1;
-            if matches!(bytes.get(j), Some(b'+' | b'-')) {
-                j += 1;
-            }
-            if bytes.get(j).is_some_and(u8::is_ascii_digit) {
-                is_float = true;
-                i = j;
-                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
-                    i += 1;
-                }
-            }
-        }
-        let suffix_start = i;
-        while i < bytes.len() && is_ident_byte(bytes[i]) {
-            i += 1;
-        }
-        let suffix = &line[suffix_start..i];
-        if suffix == "f64" || (suffix.is_empty() && is_float) {
-            found.push(line[start..i].to_string());
-        }
-    }
-    found
-}
-
 /// Index of the `)` closing an already-open paren at the start of `s`.
 fn matching_paren(s: &str) -> Option<usize> {
     let mut depth = 1i64;
@@ -476,9 +396,6 @@ pub fn check_file(file: &Path, source: &str, rules: RuleSet) -> Vec<Violation> {
     let mut violations = Vec::new();
     let allows = parse_allows(&map, file, &mut violations);
     let tests = test_lines(&map);
-    // `f64-literal` only fires in self-declared dual-precision kernel
-    // modules; the marker lives in a comment, so look at the raw source.
-    let dual_precision = rules.f64_literal && source.contains(KERNEL_MARKER);
 
     let push = |line: usize, rule: &'static str, message: String, v: &mut Vec<Violation>| {
         if !allows.permits(line, rule) {
@@ -522,26 +439,6 @@ pub fn check_file(file: &Path, source: &str, rules: RuleSet) -> Vec<Violation> {
                         &mut violations,
                     );
                 }
-            }
-        }
-
-        if !in_test && dual_precision {
-            for token in f64_literals(code) {
-                let kind = if token.ends_with("f64") {
-                    "`f64`-suffixed literal"
-                } else {
-                    "unsuffixed float literal (infers to `f64`)"
-                };
-                push(
-                    idx,
-                    "f64-literal",
-                    format!(
-                        "{kind} `{token}` in a dual-precision kernel module; \
-                         use `Scalar::ZERO` / a generic constant, or justify \
-                         with `hpcnet-lint: allow(f64-literal) -- <reason>`"
-                    ),
-                    &mut violations,
-                );
             }
         }
 
@@ -903,49 +800,6 @@ pub fn c(&self) -> Result<Vec<f64>, RuntimeError> { body() }
 fn private() -> std::io::Result<()> { body() }
 ";
         assert!(check(src, RuleSet::serving()).is_empty());
-    }
-
-    #[test]
-    fn f64_literal_fires_only_in_marked_files() {
-        let body = "fn f() { let x = 0.5; let y = 1e-3; let z = 2.0f64; }\n";
-        // Unmarked file: silent.
-        assert!(check(body, RuleSet::kernels()).is_empty());
-        // Marked file: one violation per offending literal.
-        let marked = format!("// hpcnet-kernel: dual-precision\n{body}");
-        let v = check(&marked, RuleSet::kernels());
-        assert_eq!(v.iter().filter(|v| v.rule == "f64-literal").count(), 3);
-        assert!(v[0].message.contains("0.5"));
-        assert!(v[2].message.contains("f64"));
-    }
-
-    #[test]
-    fn f64_literal_passes_f32_ints_and_lookalikes() {
-        let src = "\
-// hpcnet-kernel: dual-precision
-fn f(t: (f64, u8)) -> f64 {
-    let a = 0.5f32;          // explicit f32 is the point of the module
-    let b = 3usize + 0x1f;   // integers and radix literals
-    let c = t.0;             // tuple field access, not a literal
-    let d = v1.max(2);       // ident-glued digits
-    f64::from(a) + c + b as f64
-}
-";
-        assert!(check(src, RuleSet::kernels()).is_empty());
-    }
-
-    #[test]
-    fn f64_literal_allows_escape_hatch_and_test_code() {
-        let src = "\
-// hpcnet-kernel: dual-precision
-// hpcnet-lint: allow(f64-literal) -- the f64 instantiation is the point
-const ZERO: f64 = 0.0f64;
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { assert!((a - 1.5).abs() < 1e-9); }
-}
-";
-        assert!(check(src, RuleSet::kernels()).is_empty());
     }
 
     #[test]

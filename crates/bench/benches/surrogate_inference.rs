@@ -1,10 +1,9 @@
 //! Criterion benches of the surrogate online path: encoder + MLP
 //! inference, dense and sparse, at the sizes the applications use —
-//! the denominators of the paper's speedups — plus the serving-path
-//! batch-size sweep (per-sample `run_model` vs `run_model_batch`),
-//! recorded to `BENCH_serving.json` at the repo root.
+//! the denominators of the paper's speedups. The serving path itself is
+//! measured by the repository benchmark (`BENCHMARK.json`, `perfbench/`).
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hpcnet_nn::{Autoencoder, Mlp, Topology};
 use hpcnet_tensor::rng::{random_sparse_csr, seeded, uniform_vec};
 use std::hint::black_box;
@@ -67,54 +66,10 @@ fn bench_cnn_inference(c: &mut Criterion) {
     group.finish();
 }
 
-const SWEEP: [usize; 4] = hpcnet_bench::serving::SWEEP;
-
-fn bench_serving_batch(c: &mut Criterion) {
-    let (_orc, client, keysets) = hpcnet_bench::serving::serving_fixture(&SWEEP, false);
-    let mut group = c.benchmark_group("serving");
-    for (batch, keys) in SWEEP.iter().zip(&keysets) {
-        let pairs: Vec<(&str, &str)> = keys.iter().map(|(i, o)| (i.as_str(), o.as_str())).collect();
-        group.throughput(Throughput::Elements(*batch as u64));
-        group.bench_with_input(BenchmarkId::new("per_sample", batch), &pairs, |b, pairs| {
-            b.iter(|| {
-                for (in_key, out_key) in pairs {
-                    client.run_model("serve", in_key, out_key).unwrap();
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("batched", batch), &pairs, |b, pairs| {
-            b.iter(|| client.run_model_batch("serve", black_box(pairs)).unwrap())
-        });
-    }
-    group.finish();
-}
-
-/// Re-measure every sweep (kernel, serving f64/f32, net loopback) with
-/// the shared harness in `hpcnet_bench::serving` and record the
-/// schema-v2 report as `BENCH_serving.json` at the repo root. Runs
-/// after the criterion benches on every
-/// `cargo bench --bench surrogate_inference`; `hpcnet-serving-bench`
-/// produces the same file without the criterion pass.
-fn record_serving_json() {
-    let measured_at = std::env::var("HPCNET_MEASURED_AT").ok();
-    let report = hpcnet_bench::serving::full_report(false, measured_at.as_deref());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    match std::fs::write(path, serde_json::to_string_pretty(&report).unwrap()) {
-        Ok(()) => eprintln!("serving sweep recorded to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
 criterion_group!(
     benches,
     bench_mlp_inference,
     bench_encoder_paths,
-    bench_cnn_inference,
-    bench_serving_batch
+    bench_cnn_inference
 );
-
-fn main() {
-    benches();
-    Criterion::default().configure_from_args().final_summary();
-    record_serving_json();
-}
+criterion_main!(benches);

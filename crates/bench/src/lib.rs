@@ -21,8 +21,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod overhead;
 pub mod profile;
-pub mod retrain;
-pub mod serving;
 pub mod table3;
 
 pub use profile::RunProfile;

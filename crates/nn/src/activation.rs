@@ -1,5 +1,6 @@
 //! Element-wise activation functions.
 
+use hpcnet_tensor::kernels::Scalar;
 use serde::{Deserialize, Serialize};
 
 /// Supported activations.
@@ -22,58 +23,27 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply in place to a buffer.
-    #[inline]
-    pub fn apply(&self, z: &mut [f64]) {
-        match self {
-            Activation::Identity => {}
-            Activation::Relu => {
-                for v in z {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            Activation::LeakyRelu => {
-                for v in z {
-                    if *v < 0.0 {
-                        *v *= 0.01;
-                    }
-                }
-            }
-            Activation::Tanh => {
-                for v in z {
-                    *v = v.tanh();
-                }
-            }
-            Activation::Sigmoid => {
-                for v in z {
-                    *v = 1.0 / (1.0 + (-*v).exp());
-                }
-            }
-        }
-    }
-
-    /// Apply in place to an `f32` buffer: the serving-only reduced-precision
-    /// path (DESIGN.md §14). Transcendentals are evaluated natively in
+    /// Apply in place to a buffer, at either precision. At `f32` (the
+    /// serving-only reduced-precision path, DESIGN.md §14.2) the constants
+    /// are the `f32` ones and transcendentals are evaluated natively in
     /// `f32`; accuracy against the `f64` path is pinned by the envelope
     /// proptest in `tests/proptests.rs`, and at serving time the
     /// QualityGuard demotes any miss back to `f64` per request.
     #[inline]
-    pub fn apply_f32(&self, z: &mut [f32]) {
+    pub fn apply<T: Scalar>(&self, z: &mut [T]) {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
                 for v in z {
-                    if *v < 0.0 {
-                        *v = 0.0;
+                    if *v < T::ZERO {
+                        *v = T::ZERO;
                     }
                 }
             }
             Activation::LeakyRelu => {
                 for v in z {
-                    if *v < 0.0 {
-                        *v *= 0.01;
+                    if *v < T::ZERO {
+                        *v = *v * T::LEAKY_SLOPE;
                     }
                 }
             }
@@ -84,7 +54,7 @@ impl Activation {
             }
             Activation::Sigmoid => {
                 for v in z {
-                    *v = 1.0 / (1.0 + (-*v).exp());
+                    *v = T::ONE / (T::ONE + (-*v).exp());
                 }
             }
         }

@@ -1,22 +1,33 @@
 //! Dense and sparse-input layers with manual forward/backward kernels.
+//!
+//! The forward pass of [`DenseOf<T>`] is generic over the element type;
+//! construction, training and serde are on its `f64` alias [`Dense`]
+//! (DESIGN.md §14.1).
 
-use hpcnet_tensor::{Csr, Matrix};
+use hpcnet_tensor::kernels::Scalar;
+use hpcnet_tensor::{Csr, Matrix, MatrixF32, MatrixOf};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
-use crate::Result;
+use crate::{NnError, Result};
 
 /// A fully connected layer `Y = act(X W + b)`.
 ///
 /// Weights are stored `(in_dim x out_dim)` so batch-major inputs
 /// (`batch x in_dim`) multiply without transposes on the hot path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Dense {
-    w: Matrix,
-    b: Vec<f64>,
+#[derive(Debug, Clone, PartialEq)]
+pub struct DenseOf<T> {
+    w: MatrixOf<T>,
+    b: Vec<T>,
     act: Activation,
 }
+
+/// The `f64` layer: what is trained, checkpointed and served by default.
+pub type Dense = DenseOf<f64>;
+
+/// The `f32` quantization of a trained layer, for serving only.
+pub type DenseF32 = DenseOf<f32>;
 
 /// Parameter gradients produced by a layer's backward pass.
 #[derive(Debug, Clone)]
@@ -37,6 +48,56 @@ impl DenseGrads {
     }
 }
 
+impl<T: Scalar> DenseOf<T> {
+    /// Input width.
+    pub fn in_dim(&self) -> usize {
+        self.w.rows()
+    }
+
+    /// Output width.
+    pub fn out_dim(&self) -> usize {
+        self.w.cols()
+    }
+
+    /// Forward pass on a batch (`batch x in_dim`), returning post-activation.
+    pub fn forward(&self, x: &MatrixOf<T>) -> Result<MatrixOf<T>> {
+        let mut z = x.matmul(&self.w)?;
+        self.add_bias_and_activate(&mut z);
+        Ok(z)
+    }
+
+    /// The tail of every batched forward: `Z + b` per row, then the
+    /// activation.
+    fn add_bias_and_activate(&self, z: &mut MatrixOf<T>) {
+        for row in 0..z.rows() {
+            let r = z.row_mut(row);
+            for (v, &bi) in r.iter_mut().zip(&self.b) {
+                *v += bi;
+            }
+        }
+        for row in 0..z.rows() {
+            self.act.apply(z.row_mut(row));
+        }
+    }
+
+    /// Forward pass for one sample into a caller-provided buffer: the
+    /// zero-allocation serving hot path. `out` is resized (never shrunk in
+    /// capacity) and overwritten; after warm-up no allocation occurs.
+    ///
+    /// Bit-identical to a 1-row [`Self::forward`]: same matmul kernel, same
+    /// bias-then-activation order.
+    pub fn forward_single_into(&self, x: &[T], out: &mut Vec<T>) -> Result<()> {
+        out.clear();
+        out.resize(self.out_dim(), T::ZERO);
+        self.w.vecmat_into(x, out)?;
+        for (v, &bi) in out.iter_mut().zip(&self.b) {
+            *v += bi;
+        }
+        self.act.apply(out);
+        Ok(())
+    }
+}
+
 impl Dense {
     /// He-style initialization scaled for the fan-in, suitable for
     /// ReLU-family activations and acceptable for tanh at our scales.
@@ -51,19 +112,17 @@ impl Dense {
     }
 
     /// Construct from explicit parameters (deserialization, tests).
-    pub fn from_parts(w: Matrix, b: Vec<f64>, act: Activation) -> Self {
-        assert_eq!(w.cols(), b.len(), "bias length must equal out_dim");
-        Dense { w, b, act }
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.w.cols()
+    ///
+    /// Returns an error unless the bias length equals the output width.
+    pub fn from_parts(w: Matrix, b: Vec<f64>, act: Activation) -> Result<Self> {
+        if w.cols() != b.len() {
+            return Err(NnError::InvalidTopology(format!(
+                "bias length {} must equal the layer's output width {}",
+                b.len(),
+                w.cols()
+            )));
+        }
+        Ok(Dense { w, b, act })
     }
 
     /// This layer's activation.
@@ -101,38 +160,6 @@ impl Dense {
         (2 * self.w.rows() * self.w.cols()) as u64
     }
 
-    /// Forward pass on a batch (`batch x in_dim`), returning post-activation.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let mut z = x.matmul(&self.w)?;
-        for row in 0..z.rows() {
-            let r = z.row_mut(row);
-            for (v, &bi) in r.iter_mut().zip(&self.b) {
-                *v += bi;
-            }
-        }
-        for row in 0..z.rows() {
-            self.act.apply(z.row_mut(row));
-        }
-        Ok(z)
-    }
-
-    /// Forward pass for one sample into a caller-provided buffer: the
-    /// zero-allocation serving hot path. `out` is resized (never shrunk in
-    /// capacity) and overwritten; after warm-up no allocation occurs.
-    ///
-    /// Bit-identical to a 1-row [`Self::forward`]: same matmul kernel, same
-    /// bias-then-activation order.
-    pub fn forward_single_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        out.clear();
-        out.resize(self.out_dim(), 0.0);
-        self.w.vecmat_into(x, out)?;
-        for (v, &bi) in out.iter_mut().zip(&self.b) {
-            *v += bi;
-        }
-        self.act.apply(out);
-        Ok(())
-    }
-
     /// Backward pass.
     ///
     /// `x` is the layer input, `a` the forward output (post-activation),
@@ -157,15 +184,7 @@ impl Dense {
     /// with the input never densified (the paper's "embedding API" path).
     pub fn forward_sparse(&self, x: &Csr) -> Result<Matrix> {
         let mut z = x.spmm_dense(&self.w)?;
-        for row in 0..z.rows() {
-            let r = z.row_mut(row);
-            for (v, &bi) in r.iter_mut().zip(&self.b) {
-                *v += bi;
-            }
-        }
-        for row in 0..z.rows() {
-            self.act.apply(z.row_mut(row));
-        }
+        self.add_bias_and_activate(&mut z);
         Ok(z)
     }
 
@@ -195,6 +214,49 @@ impl Dense {
             }
         }
         Ok(DenseGrads { dw, db })
+    }
+}
+
+impl DenseF32 {
+    /// Quantize a trained `f64` layer (round-to-nearest-even per element).
+    pub fn from_dense(layer: &Dense) -> Self {
+        DenseOf {
+            w: MatrixF32::from_f64(&layer.w),
+            b: layer.b.iter().map(|&v| v as f32).collect(),
+            act: layer.act,
+        }
+    }
+}
+
+/// The JSON shape of a [`Dense`]; reading goes through
+/// [`Dense::from_parts`] (see `hpcnet_tensor::dense` for the serde rule).
+#[derive(Serialize, Deserialize)]
+struct DenseRepr {
+    w: Matrix,
+    b: Vec<f64>,
+    act: Activation,
+}
+
+impl Serialize for Dense {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        DenseRepr {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            act: self.act,
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Dense {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        let repr = DenseRepr::deserialize(deserializer)?;
+        Dense::from_parts(repr.w, repr.b, repr.act).map_err(serde::de::Error::custom)
     }
 }
 
@@ -265,7 +327,7 @@ mod tests {
 
     fn small_layer(act: Activation) -> Dense {
         let w = Matrix::from_vec(3, 2, vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6]).unwrap();
-        Dense::from_parts(w, vec![0.05, -0.05], act)
+        Dense::from_parts(w, vec![0.05, -0.05], act).unwrap()
     }
 
     #[test]

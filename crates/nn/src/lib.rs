@@ -15,9 +15,13 @@
 //!   the paper's "TensorFlow embedding API"),
 //! * an hourglass autoencoder with the element-wise reconstruction-quality
 //!   metric σ_y ([`autoencoder`], Eqn 1 — §4.2 third customization),
-//! * an inference-only `f32` quantization of the MLP forward path for the
-//!   orchestrator's opt-in reduced-precision serving ([`infer32`],
-//!   DESIGN.md §14).
+//! * one forward path at two precisions: layer, MLP and scratch buffers
+//!   are generic over the element type ([`layer::DenseOf`],
+//!   [`mlp::MlpOf`], [`mlp::ScratchBuffersOf`]) with `f64` aliases
+//!   ([`Dense`], [`Mlp`], [`ScratchBuffers`]) for training, checkpoints
+//!   and default serving, and `f32` aliases ([`DenseF32`], [`MlpF32`],
+//!   [`ScratchBuffersF32`]) quantized from a trained model for the
+//!   orchestrator's opt-in reduced-precision serving (DESIGN.md §14).
 //!
 //! Gradients are verified against finite differences in the test suite, and
 //! checkpointed backprop is property-tested to equal plain backprop.
@@ -26,7 +30,6 @@ pub mod activation;
 pub mod autoencoder;
 pub mod checkpoint;
 pub mod conv;
-pub mod infer32;
 pub mod layer;
 pub mod loss;
 pub mod mlp;
@@ -37,10 +40,9 @@ pub mod train;
 pub use activation::Activation;
 pub use autoencoder::Autoencoder;
 pub use conv::{Cnn, CnnTopology, Conv1d};
-pub use infer32::{DenseF32, MlpF32, ScratchBuffersF32};
-pub use layer::{Dense, SparseDense};
+pub use layer::{Dense, DenseF32, SparseDense};
 pub use loss::Loss;
-pub use mlp::{Mlp, ScratchBuffers, Topology};
+pub use mlp::{Mlp, MlpF32, ScratchBuffers, ScratchBuffersF32, Topology};
 pub use net::SurrogateNet;
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use train::{TrainConfig, TrainReport, Trainer};

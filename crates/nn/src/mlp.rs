@@ -1,11 +1,19 @@
 //! Multi-layer perceptron: the surrogate-model body the NAS searches over.
+//!
+//! The forward path of [`MlpOf<T>`], batched and single-sample, is generic
+//! over the element type. An [`MlpF32`] is quantized from a trained [`Mlp`]
+//! once, at model registration, when the orchestrator was built with
+//! `serve_f32(true)`; there is no `f32` training or serialization, so
+//! precision policy can change without invalidating checkpoints
+//! (DESIGN.md §14).
 
-use hpcnet_tensor::Matrix;
+use hpcnet_tensor::kernels::Scalar;
+use hpcnet_tensor::{Matrix, MatrixOf};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
-use crate::layer::{Dense, DenseGrads};
+use crate::layer::{Dense, DenseF32, DenseGrads, DenseOf};
 use crate::loss::Loss;
 use crate::{NnError, Result};
 
@@ -94,32 +102,42 @@ impl Topology {
 /// let y = mlp.predict_with(&[0.1, -0.2, 0.3], &mut scratch).unwrap().to_vec();
 /// assert_eq!(y, mlp.predict(&[0.1, -0.2, 0.3]).unwrap());
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct ScratchBuffers {
-    pub(crate) a: Vec<f64>,
-    pub(crate) b: Vec<f64>,
+#[derive(Debug, Clone)]
+pub struct ScratchBuffersOf<T> {
+    a: Vec<T>,
+    b: Vec<T>,
 }
 
-impl ScratchBuffers {
+/// Scratch for the `f64` forward pass.
+pub type ScratchBuffers = ScratchBuffersOf<f64>;
+
+/// Scratch for the `f32` serving forward pass.
+pub type ScratchBuffersF32 = ScratchBuffersOf<f32>;
+
+impl<T> ScratchBuffersOf<T> {
     /// Fresh empty buffers; they grow to the widest layer on first use.
     pub fn new() -> Self {
-        ScratchBuffers::default()
+        ScratchBuffersOf {
+            a: Vec::new(),
+            b: Vec::new(),
+        }
     }
 
     /// Pre-size both buffers for networks up to `max_width` wide, so even
     /// the first inference allocates nothing.
     pub fn with_capacity(max_width: usize) -> Self {
-        ScratchBuffers {
+        ScratchBuffersOf {
             a: Vec::with_capacity(max_width),
             b: Vec::with_capacity(max_width),
         }
     }
+}
 
-    /// Stash an owned vector and return a borrow of it (used by network
-    /// families without a buffered forward path).
-    pub(crate) fn store_owned(&mut self, v: Vec<f64>) -> &[f64] {
-        self.a = v;
-        &self.a
+// Not derived: the derive would ask for `T: Default`, which `Scalar`
+// does not promise.
+impl<T> Default for ScratchBuffersOf<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -135,9 +153,70 @@ impl ScratchBuffers {
 /// assert_eq!(y.len(), 2);
 /// assert_eq!(mlp.param_count(), 3 * 8 + 8 + 8 * 2 + 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mlp {
-    layers: Vec<Dense>,
+#[derive(Debug, Clone, PartialEq)]
+pub struct MlpOf<T> {
+    layers: Vec<DenseOf<T>>,
+}
+
+/// The `f64` MLP: what is trained, checkpointed and served by default.
+pub type Mlp = MlpOf<f64>;
+
+/// An `f32` quantization of a trained [`Mlp`], for serving only.
+pub type MlpF32 = MlpOf<f32>;
+
+impl<T: Scalar> MlpOf<T> {
+    /// Input width.
+    pub fn input_dim(&self) -> usize {
+        self.layers[0].in_dim()
+    }
+
+    /// Output width.
+    pub fn output_dim(&self) -> usize {
+        self.layers.last().expect("non-empty").out_dim()
+    }
+
+    /// Forward pass on a batch.
+    pub fn forward(&self, x: &MatrixOf<T>) -> Result<MatrixOf<T>> {
+        let mut a = self.layers[0].forward(x)?;
+        for layer in &self.layers[1..] {
+            a = layer.forward(&a)?;
+        }
+        Ok(a)
+    }
+
+    /// Batched forward pass (one sample per row). Each layer is a single
+    /// `matmul`, which parallelizes across rows, instead of per-sample
+    /// `matvec`s; row `i` of the result is bit-identical to
+    /// `predict(x.row(i))` because the matmul kernel treats rows
+    /// independently in the same accumulation order.
+    pub fn predict_batch(&self, x: &MatrixOf<T>) -> Result<MatrixOf<T>> {
+        self.forward(x)
+    }
+
+    /// Predict a single sample (convenience over [`Self::predict_with`]).
+    pub fn predict(&self, x: &[T]) -> Result<Vec<T>> {
+        let mut scratch = ScratchBuffersOf::new();
+        Ok(self.predict_with(x, &mut scratch)?.to_vec())
+    }
+
+    /// Predict a single sample through caller-owned [`ScratchBuffersOf`]:
+    /// the zero-allocation serving hot path. Returns a borrow of the
+    /// scratch buffer holding the output; copy it out before the next call.
+    pub fn predict_with<'s>(
+        &self,
+        x: &[T],
+        scratch: &'s mut ScratchBuffersOf<T>,
+    ) -> Result<&'s [T]> {
+        let ScratchBuffersOf { a, b } = scratch;
+        let (mut cur, mut nxt): (&mut Vec<T>, &mut Vec<T>) = (a, b);
+        cur.clear();
+        cur.extend_from_slice(x);
+        for layer in &self.layers {
+            layer.forward_single_into(cur, nxt)?;
+            std::mem::swap(&mut cur, &mut nxt);
+        }
+        Ok(cur)
+    }
 }
 
 impl Mlp {
@@ -186,16 +265,6 @@ impl Mlp {
         &mut self.layers
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.layers[0].in_dim()
-    }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim()
-    }
-
     /// Recover the topology of this network.
     pub fn topology(&self) -> Topology {
         let mut widths = Vec::with_capacity(self.layers.len() + 1);
@@ -218,49 +287,6 @@ impl Mlp {
     /// Per-sample forward FLOPs.
     pub fn flops(&self) -> u64 {
         self.layers.iter().map(Dense::flops).sum()
-    }
-
-    /// Forward pass on a batch.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let mut a = self.layers[0].forward(x)?;
-        for layer in &self.layers[1..] {
-            a = layer.forward(&a)?;
-        }
-        Ok(a)
-    }
-
-    /// Batched forward pass (one sample per row). Each layer is a single
-    /// `matmul`, which parallelizes across rows, instead of per-sample
-    /// `matvec`s; row `i` of the result is bit-identical to
-    /// `predict(x.row(i))` because the matmul kernel treats rows
-    /// independently in the same accumulation order.
-    pub fn predict_batch(&self, x: &Matrix) -> Result<Matrix> {
-        self.forward(x)
-    }
-
-    /// Predict a single sample (convenience over [`Self::predict_with`]).
-    pub fn predict(&self, x: &[f64]) -> Result<Vec<f64>> {
-        let mut scratch = ScratchBuffers::new();
-        Ok(self.predict_with(x, &mut scratch)?.to_vec())
-    }
-
-    /// Predict a single sample through caller-owned [`ScratchBuffers`]:
-    /// the zero-allocation serving hot path. Returns a borrow of the
-    /// scratch buffer holding the output; copy it out before the next call.
-    pub fn predict_with<'s>(
-        &self,
-        x: &[f64],
-        scratch: &'s mut ScratchBuffers,
-    ) -> Result<&'s [f64]> {
-        let ScratchBuffers { a, b } = scratch;
-        let (mut cur, mut nxt): (&mut Vec<f64>, &mut Vec<f64>) = (a, b);
-        cur.clear();
-        cur.extend_from_slice(x);
-        for layer in &self.layers {
-            layer.forward_single_into(cur, nxt)?;
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        Ok(cur)
     }
 
     /// Forward pass that retains every activation (for plain backprop).
@@ -322,9 +348,44 @@ impl Mlp {
 
     /// Deserialize from JSON.
     pub fn from_json(s: &str) -> Result<Self> {
-        let mlp: Mlp = serde_json::from_str(s)
-            .map_err(|e| NnError::BadData(format!("bad model JSON: {e}")))?;
-        Mlp::from_layers(mlp.layers)
+        serde_json::from_str(s).map_err(|e| NnError::BadData(format!("bad model JSON: {e}")))
+    }
+}
+
+impl MlpF32 {
+    /// Quantize every layer of a trained `f64` MLP.
+    pub fn from_mlp(mlp: &Mlp) -> Self {
+        MlpOf {
+            layers: mlp.layers.iter().map(DenseF32::from_dense).collect(),
+        }
+    }
+}
+
+/// The JSON shape of an [`Mlp`]; reading goes through
+/// [`Mlp::from_layers`] (see `hpcnet_tensor::dense` for the serde rule).
+#[derive(Serialize, Deserialize)]
+struct MlpRepr {
+    layers: Vec<Dense>,
+}
+
+impl Serialize for Mlp {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        MlpRepr {
+            layers: self.layers.clone(),
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Mlp {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        let repr = MlpRepr::deserialize(deserializer)?;
+        Mlp::from_layers(repr.layers).map_err(serde::de::Error::custom)
     }
 }
 
@@ -431,20 +492,66 @@ mod tests {
         assert_eq!(scratch.b.capacity(), cb);
     }
 
-    #[test]
-    fn predict_batch_rows_bit_equal_single_predictions() {
-        let mut rng = seeded(12, "pb");
-        let mlp = Mlp::new(&Topology::mlp(vec![4, 9, 2]), &mut rng).unwrap();
-        // Above PAR_THRESHOLD rows so the parallel matmul path runs too.
-        let n = 70;
-        let x = Matrix::from_vec(n, 4, uniform_vec(&mut rng, n * 4, -2.0, 2.0)).unwrap();
-        let out = mlp.predict_batch(&x).unwrap();
+    fn quantized(widths: Vec<usize>, seed: u64) -> (Mlp, MlpF32) {
+        let mlp = Mlp::new(&Topology::mlp(widths), &mut seeded(seed, "f32")).unwrap();
+        let q = MlpF32::from_mlp(&mlp);
+        (mlp, q)
+    }
+
+    /// One body for both precisions: every row of a batch above
+    /// PAR_THRESHOLD (so the parallel matmul path runs too) is bit-equal
+    /// to the single-sample prediction of that row.
+    fn batch_rows_bit_equal_single<T: Scalar + std::fmt::Debug>(net: &MlpOf<T>, xs: Vec<T>) {
+        let width = net.input_dim();
+        let n = xs.len() / width;
+        let batch = net
+            .predict_batch(&MatrixOf::from_vec(n, width, xs.clone()).unwrap())
+            .unwrap();
         for i in 0..n {
-            assert_eq!(
-                out.row(i),
-                mlp.predict(x.row(i)).unwrap().as_slice(),
-                "row {i}"
-            );
+            let single = net.predict(&xs[i * width..(i + 1) * width]).unwrap();
+            assert_eq!(batch.row(i), single.as_slice(), "row {i}");
+        }
+    }
+
+    #[test]
+    fn predict_batch_rows_bit_equal_single_predictions_at_both_precisions() {
+        let (mlp, q) = quantized(vec![4, 8, 2], 2);
+        let xs = uniform_vec(&mut seeded(3, "f32-pred"), 70 * 4, -2.0, 2.0);
+        batch_rows_bit_equal_single(&q, xs.iter().map(|&v| v as f32).collect());
+        batch_rows_bit_equal_single(&mlp, xs);
+    }
+
+    #[test]
+    fn dims_survive_quantization() {
+        let (mlp, q) = quantized(vec![5, 9, 3], 1);
+        assert_eq!(q.input_dim(), mlp.input_dim());
+        assert_eq!(q.output_dim(), mlp.output_dim());
+    }
+
+    #[test]
+    fn f32_tracks_f64_closely_on_a_small_net() {
+        let (mlp, q) = quantized(vec![3, 16, 2], 4);
+        let mut rng = seeded(5, "f32-err");
+        for _ in 0..20 {
+            let x = uniform_vec(&mut rng, 3, -1.0, 1.0);
+            let y64 = mlp.predict(&x).unwrap();
+            let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+            let y32 = q.predict(&x32).unwrap();
+            for (a, b) in y64.iter().zip(&y32) {
+                assert!((a - f64::from(*b)).abs() < 1e-4, "f64={a} f32={b}");
+            }
+        }
+        // Batch path agrees with the f64 batch path to the same envelope.
+        let x = uniform_vec(&mut rng, 8 * 3, -1.0, 1.0);
+        let b64 = mlp
+            .predict_batch(&Matrix::from_vec(8, 3, x.clone()).unwrap())
+            .unwrap();
+        let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+        let b32 = q
+            .predict_batch(&MatrixOf::from_vec(8, 3, x32).unwrap())
+            .unwrap();
+        for (a, b) in b64.as_slice().iter().zip(b32.as_slice()) {
+            assert!((a - f64::from(*b)).abs() < 1e-4);
         }
     }
 

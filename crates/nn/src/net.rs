@@ -6,8 +6,7 @@ use hpcnet_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::conv::Cnn;
-use crate::infer32::MlpF32;
-use crate::mlp::{Mlp, ScratchBuffers};
+use crate::mlp::{Mlp, MlpF32};
 use crate::train::{TrainReport, Trainer};
 use crate::{NnError, Result};
 
@@ -36,23 +35,6 @@ impl SurrogateNet {
         match self {
             SurrogateNet::Mlp(m) => m.predict_batch(x),
             SurrogateNet::Cnn(c) => c.predict_batch(x),
-        }
-    }
-
-    /// Predict one sample through caller-owned scratch buffers. For MLPs
-    /// this is the zero-allocation hot path; CNNs fall back to `predict`
-    /// and park the result in the scratch space.
-    pub fn predict_with<'s>(
-        &self,
-        x: &[f64],
-        scratch: &'s mut ScratchBuffers,
-    ) -> Result<&'s [f64]> {
-        match self {
-            SurrogateNet::Mlp(m) => m.predict_with(x, scratch),
-            SurrogateNet::Cnn(c) => {
-                let y = c.predict(x)?;
-                Ok(scratch.store_owned(y))
-            }
         }
     }
 

@@ -1,75 +1,60 @@
 //! Row-major dense matrices and the kernels the NN and GP substrates use.
+//!
+//! One struct, [`MatrixOf<T>`], with [`Matrix`] (`f64`) and [`MatrixF32`]
+//! as aliases. The generic `impl` holds what serving needs at both
+//! precisions, including the only copy of the `matmul` dispatch; what only
+//! training, the solvers and the Gaussian process use stays on the `f64`
+//! alias (DESIGN.md §14.1).
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::{kernels, Result, TensorError};
+use crate::kernels::{self, Scalar};
+use crate::{Result, TensorError};
 
 /// Row count below which matmul/matvec stay serial; parallelism overhead
 /// dominates for the small layers typical of surrogate models.
 const PAR_THRESHOLD: usize = 64;
 
-/// A row-major dense `f64` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Matrix {
+/// A row-major dense matrix of `T`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MatrixOf<T> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
-impl Matrix {
+/// The `f64` matrix: training, solvers, checkpoints, default serving.
+pub type Matrix = MatrixOf<f64>;
+
+/// The `f32` matrix of the opt-in serving path (DESIGN.md §14.2). Never
+/// serialized: quantization is re-derived from the `f64` checkpoint.
+pub type MatrixF32 = MatrixOf<f32>;
+
+impl<T: Scalar> MatrixOf<T> {
     /// Creates a `rows x cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
+        MatrixOf {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![T::ZERO; rows * cols],
         }
     }
 
     /// Creates a matrix from a flat row-major buffer.
     ///
-    /// Returns an error if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
+    /// Returns an error if `data.len() != rows * cols`. The product is
+    /// checked: the dimensions may come from a file, and a wrapped
+    /// `rows * cols` must not pass for a short buffer.
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Result<Self> {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(TensorError::ShapeMismatch(
-                rows * cols,
+                rows.saturating_mul(cols),
                 data.len(),
                 "Matrix::from_vec",
             ));
         }
-        Ok(Matrix { rows, cols, data })
-    }
-
-    /// Creates a matrix from nested rows. All rows must share one length.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
-        let nrows = rows.len();
-        let ncols = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(nrows * ncols);
-        for r in rows {
-            if r.len() != ncols {
-                return Err(TensorError::ShapeMismatch(
-                    ncols,
-                    r.len(),
-                    "Matrix::from_rows",
-                ));
-            }
-            data.extend_from_slice(r);
-        }
-        Ok(Matrix {
-            rows: nrows,
-            cols: ncols,
-            data,
-        })
-    }
-
-    /// The identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
+        Ok(MatrixOf { rows, cols, data })
     }
 
     /// Number of rows.
@@ -86,74 +71,31 @@ impl Matrix {
 
     /// Borrow the flat row-major buffer.
     #[inline]
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// Mutably borrow the flat row-major buffer.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consume the matrix, returning its flat buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
-    /// Element accessor (`i` row, `j` column).
-    #[inline]
-    pub fn at(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j]
-    }
-
-    /// Mutable element accessor.
-    #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i * self.cols + j]
     }
 
     /// Borrow row `i` as a slice.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub fn row(&self, i: usize) -> &[T] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Mutably borrow row `i`.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copy column `j` out into a vector.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        (0..self.rows).map(|i| self.at(i, j)).collect()
-    }
-
-    /// Matrix transpose, cache-blocked so both the read and write streams
-    /// stay within a few cache lines per tile even for large matrices.
-    pub fn transpose(&self) -> Matrix {
-        const BLOCK: usize = 32;
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for ib in (0..self.rows).step_by(BLOCK) {
-            let imax = (ib + BLOCK).min(self.rows);
-            for jb in (0..self.cols).step_by(BLOCK) {
-                let jmax = (jb + BLOCK).min(self.cols);
-                for i in ib..imax {
-                    for j in jb..jmax {
-                        t.data[j * self.rows + i] = self.data[i * self.cols + j];
-                    }
-                }
-            }
-        }
-        t
     }
 
     /// Dense matrix product `self * rhs`, parallelized over output rows
     /// when the problem is large enough to amortize the fork-join cost.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+    pub fn matmul(&self, rhs: &Self) -> Result<Self> {
         if self.cols != rhs.rows {
             return Err(TensorError::ShapeMismatch(
                 self.cols,
@@ -161,7 +103,7 @@ impl Matrix {
                 "matmul inner dim",
             ));
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut out = Self::zeros(self.rows, rhs.cols);
         let cols = rhs.cols;
         let k_dim = self.cols;
         // Degenerate shapes (0 rows, 0 cols, or an empty inner dim) have
@@ -175,7 +117,7 @@ impl Matrix {
         // `self.data`, a 1-row matmul agrees with `vecmat_into` over the
         // same buffer (their cross-path test is `assert_eq!`).
         let sparse = kernels::is_sparse(&self.data);
-        let kernel = |(out_row, a_row): (&mut [f64], &[f64])| {
+        let kernel = |(out_row, a_row): (&mut [T], &[T])| {
             // i-k-j loop order keeps both `rhs` and `out_row` accesses
             // sequential; the branchless unrolled kernel is what lets
             // LLVM vectorize the inner loop (DESIGN.md §14).
@@ -210,6 +152,113 @@ impl Matrix {
                 .for_each(kernel);
         }
         Ok(out)
+    }
+
+    /// Row-vector × matrix product `xᵀ * self`, accumulated into a
+    /// caller-provided buffer — the zero-allocation single-sample forward
+    /// kernel. `out` is **not** cleared; callers zero it first.
+    ///
+    /// This is exactly the per-row kernel of [`Self::matmul`], so a
+    /// single-sample forward through it is bit-identical to a 1-row batch.
+    pub fn vecmat_into(&self, x: &[T], out: &mut [T]) -> Result<()> {
+        if x.len() != self.rows {
+            return Err(TensorError::ShapeMismatch(
+                self.rows,
+                x.len(),
+                "vecmat_into input",
+            ));
+        }
+        if out.len() != self.cols {
+            return Err(TensorError::ShapeMismatch(
+                self.cols,
+                out.len(),
+                "vecmat_into output",
+            ));
+        }
+        // Probing `x` here is probing the 1-row matmul's left operand, so
+        // both call sites pick the same kernel for the same logical data.
+        if kernels::is_sparse(x) {
+            kernels::gemm_row_zskip(x, &self.data, self.cols, out);
+        } else {
+            kernels::gemm_row(x, &self.data, self.cols, out);
+        }
+        Ok(())
+    }
+}
+
+impl Matrix {
+    /// Creates a matrix from nested rows. All rows must share one length.
+    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
+        let nrows = rows.len();
+        let ncols = rows.first().map_or(0, Vec::len);
+        let mut data = Vec::with_capacity(nrows * ncols);
+        for r in rows {
+            if r.len() != ncols {
+                return Err(TensorError::ShapeMismatch(
+                    ncols,
+                    r.len(),
+                    "Matrix::from_rows",
+                ));
+            }
+            data.extend_from_slice(r);
+        }
+        Ok(Matrix {
+            rows: nrows,
+            cols: ncols,
+            data,
+        })
+    }
+
+    /// The identity matrix of order `n`.
+    pub fn identity(n: usize) -> Self {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m.data[i * n + i] = 1.0;
+        }
+        m
+    }
+
+    /// Consume the matrix, returning its flat buffer.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
+    /// Element accessor (`i` row, `j` column).
+    #[inline]
+    pub fn at(&self, i: usize, j: usize) -> f64 {
+        debug_assert!(i < self.rows && j < self.cols);
+        self.data[i * self.cols + j]
+    }
+
+    /// Mutable element accessor.
+    #[inline]
+    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
+        debug_assert!(i < self.rows && j < self.cols);
+        &mut self.data[i * self.cols + j]
+    }
+
+    /// Copy column `j` out into a vector.
+    pub fn col(&self, j: usize) -> Vec<f64> {
+        (0..self.rows).map(|i| self.at(i, j)).collect()
+    }
+
+    /// Matrix transpose, cache-blocked so both the read and write streams
+    /// stay within a few cache lines per tile even for large matrices.
+    pub fn transpose(&self) -> Matrix {
+        const BLOCK: usize = 32;
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        for ib in (0..self.rows).step_by(BLOCK) {
+            let imax = (ib + BLOCK).min(self.rows);
+            for jb in (0..self.cols).step_by(BLOCK) {
+                let jmax = (jb + BLOCK).min(self.cols);
+                for i in ib..imax {
+                    for j in jb..jmax {
+                        t.data[j * self.rows + i] = self.data[i * self.cols + j];
+                    }
+                }
+            }
+        }
+        t
     }
 
     /// Fused transpose-matmul `selfᵀ * rhs` without materializing the
@@ -257,37 +306,6 @@ impl Matrix {
             out.data.chunks_mut(cols).enumerate().for_each(kernel);
         }
         Ok(out)
-    }
-
-    /// Row-vector × matrix product `xᵀ * self`, accumulated into a
-    /// caller-provided buffer — the zero-allocation single-sample forward
-    /// kernel. `out` is **not** cleared; callers zero it first.
-    ///
-    /// This is exactly the per-row kernel of [`Self::matmul`], so a
-    /// single-sample forward through it is bit-identical to a 1-row batch.
-    pub fn vecmat_into(&self, x: &[f64], out: &mut [f64]) -> Result<()> {
-        if x.len() != self.rows {
-            return Err(TensorError::ShapeMismatch(
-                self.rows,
-                x.len(),
-                "vecmat_into input",
-            ));
-        }
-        if out.len() != self.cols {
-            return Err(TensorError::ShapeMismatch(
-                self.cols,
-                out.len(),
-                "vecmat_into output",
-            ));
-        }
-        // Probing `x` here is probing the 1-row matmul's left operand, so
-        // both call sites pick the same kernel for the same logical data.
-        if kernels::is_sparse(x) {
-            kernels::gemm_row_zskip(x, &self.data, self.cols, out);
-        } else {
-            kernels::gemm_row(x, &self.data, self.cols, out);
-        }
-        Ok(())
     }
 
     /// Matrix-vector product `self * x`.
@@ -443,6 +461,60 @@ impl Matrix {
     }
 }
 
+impl MatrixF32 {
+    /// Quantize an `f64` matrix element-wise (round-to-nearest-even).
+    pub fn from_f64(m: &Matrix) -> Self {
+        MatrixOf {
+            rows: m.rows,
+            cols: m.cols,
+            data: m.data.iter().map(|&v| v as f32).collect(),
+        }
+    }
+
+    /// Widen back to an `f64` matrix (exact: every `f32` is an `f64`).
+    pub fn to_f64(&self) -> Matrix {
+        MatrixOf {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.iter().map(|&v| f64::from(v)).collect(),
+        }
+    }
+}
+
+/// The JSON shape of a [`Matrix`]. Serde is hand-written for the `f64`
+/// alias through this non-generic mirror, and reads through
+/// [`MatrixOf::from_vec`]: a file cannot produce a matrix whose buffer
+/// disagrees with its dimensions (DESIGN.md §14.1).
+#[derive(Serialize, Deserialize)]
+struct MatrixRepr {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+impl Serialize for Matrix {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        MatrixRepr {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Matrix {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        let repr = MatrixRepr::deserialize(deserializer)?;
+        Matrix::from_vec(repr.rows, repr.cols, repr.data).map_err(serde::de::Error::custom)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,11 +529,6 @@ mod tests {
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 4);
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn from_vec_rejects_wrong_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
     }
 
     #[test]
@@ -484,30 +551,67 @@ mod tests {
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
-    #[test]
-    fn matmul_shape_mismatch_errors() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
+    // The contracts below hold at both precisions: one body, instantiated
+    // at `f64` and `f32` (`lift` builds a `T` from a small exact `f64`).
+
+    fn ramp<T: Scalar>(n: usize, modulus: usize, shift: f64, lift: fn(f64) -> T) -> Vec<T> {
+        (0..n).map(|i| lift((i % modulus) as f64 - shift)).collect()
+    }
+
+    fn matmul_is_bitwise_naive_on_the_rayon_path<T: Scalar + std::fmt::Debug>(lift: fn(f64) -> T) {
+        let n = 70; // above PAR_THRESHOLD: exercises the rayon path
+        let a = MatrixOf::from_vec(n, n, ramp(n * n, 7, 3.0, lift)).unwrap();
+        let b = MatrixOf::from_vec(n, n, ramp(n * n, 5, 2.0, lift)).unwrap();
+        let c = a.matmul(&b).unwrap();
+        let reference = kernels::naive_matmul(a.as_slice(), b.as_slice(), n, n, n);
+        assert_eq!(c.as_slice(), &reference[..]);
+    }
+
+    fn vecmat_into_is_one_row_matmul<T: Scalar + std::fmt::Debug>(lift: fn(f64) -> T) {
+        let w = MatrixOf::from_vec(3, 4, ramp(12, 7, 3.0, lift)).unwrap();
+        let x = vec![lift(0.5), lift(0.0), lift(-2.0)];
+        let mut out = vec![T::ZERO; 4];
+        w.vecmat_into(&x, &mut out).unwrap();
+        let reference = MatrixOf::from_vec(1, 3, x.clone())
+            .unwrap()
+            .matmul(&w)
+            .unwrap();
+        assert_eq!(out.as_slice(), reference.as_slice());
+        // Shape guards.
+        assert!(w.vecmat_into(&x[..2], &mut out).is_err());
+        let mut short = vec![T::ZERO; 3];
+        assert!(w.vecmat_into(&x, &mut short).is_err());
+    }
+
+    fn shape_errors<T: Scalar>() {
+        let a = MatrixOf::<T>::zeros(2, 3);
+        let b = MatrixOf::<T>::zeros(2, 3);
         assert!(a.matmul(&b).is_err());
+        assert!(MatrixOf::from_vec(2, 2, vec![T::ONE; 3]).is_err());
+        // `rows * cols` wraps to 0 here; the checked product must not
+        // accept the empty buffer.
+        assert!(MatrixOf::<T>::from_vec(usize::MAX / 2 + 1, 2, Vec::new()).is_err());
     }
 
     #[test]
-    fn parallel_matmul_matches_serial_path() {
-        // Above PAR_THRESHOLD rows the rayon path is used; check it against
-        // a naive triple loop.
-        let n = 80;
-        let a = Matrix::from_vec(n, n, (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect()).unwrap();
-        let b = Matrix::from_vec(n, n, (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect()).unwrap();
-        let c = a.matmul(&b).unwrap();
-        for i in 0..n {
-            for j in 0..n {
-                let mut s = 0.0;
-                for k in 0..n {
-                    s += a.at(i, k) * b.at(k, j);
-                }
-                assert!(approx_eq(c.at(i, j), s), "mismatch at ({i},{j})");
-            }
-        }
+    fn dense_contracts_hold_at_f64() {
+        matmul_is_bitwise_naive_on_the_rayon_path::<f64>(|v| v);
+        vecmat_into_is_one_row_matmul::<f64>(|v| v);
+        shape_errors::<f64>();
+    }
+
+    #[test]
+    fn dense_contracts_hold_at_f32() {
+        matmul_is_bitwise_naive_on_the_rayon_path::<f32>(|v| v as f32);
+        vecmat_into_is_one_row_matmul::<f32>(|v| v as f32);
+        shape_errors::<f32>();
+    }
+
+    #[test]
+    fn quantize_roundtrip_preserves_f32_representable_values() {
+        let m = Matrix::from_vec(2, 3, vec![1.0, -2.5, 0.0, 0.25, 4.0, -8.0]).unwrap();
+        let q = MatrixF32::from_f64(&m);
+        assert_eq!(q.to_f64(), m);
     }
 
     #[test]
@@ -565,23 +669,6 @@ mod tests {
         let a = Matrix::zeros(3, 2);
         let b = Matrix::zeros(4, 2);
         assert!(a.at_matmul(&b).is_err());
-    }
-
-    #[test]
-    fn vecmat_into_matches_one_row_matmul() {
-        let w = Matrix::from_vec(3, 4, (0..12).map(|i| (i % 7) as f64 - 3.0).collect()).unwrap();
-        let x = vec![0.5, 0.0, -2.0];
-        let mut out = vec![0.0; 4];
-        w.vecmat_into(&x, &mut out).unwrap();
-        let reference = Matrix::from_vec(1, 3, x.clone())
-            .unwrap()
-            .matmul(&w)
-            .unwrap();
-        assert_eq!(out.as_slice(), reference.as_slice());
-        // Shape guards.
-        assert!(w.vecmat_into(&x[..2], &mut out).is_err());
-        let mut short = vec![0.0; 3];
-        assert!(w.vecmat_into(&x, &mut short).is_err());
     }
 
     #[test]

@@ -1,4 +1,3 @@
-// hpcnet-kernel: dual-precision
 //! Unrolled GEMM micro-kernels shared by the `f64` and `f32` dense matrix
 //! types.
 //!
@@ -23,38 +22,70 @@
 //!    side are carved out with `split_at` and walked with zipped slice
 //!    iterators, so LLVM sees fixed-length streams and vectorizes.
 //!
-//! This file is a *dual-precision kernel module*: all arithmetic is
-//! generic over [`Scalar`], and `hpcnet-analysis` flags any float literal
-//! here that would silently default to `f64` (rule `f64-literal`).
+//! All arithmetic is generic over [`Scalar`]; in generic code an
+//! unsuffixed float literal in a `T` position is a type error, so the
+//! compiler keeps a stray `f64` constant out of the `f32` instantiation.
 //!
 //! The module is deliberately dependency-free (no rayon/serde): callers
-//! own the parallel row-blocking, and the bench harness can compile the
-//! exact committed kernels standalone to measure them.
+//! own the parallel row-blocking.
 
-/// The element types the kernels are instantiated at.
+/// The element types the dense stack is instantiated at: `f64` and `f32`.
 ///
-/// `ZERO` is an associated const rather than `Default::default()` so the
-/// density probe and the zero-skip compare against the literal the naive
-/// reference uses.
+/// Beyond the arithmetic the GEMM kernels need, the trait carries what
+/// the element-wise activations of `hpcnet-nn` need (`Neg`, `Div`, `ONE`,
+/// `LEAKY_SLOPE`, `tanh`, `exp`). Constants are associated consts with
+/// per-type suffixed literals, so the `f32` instantiation computes with
+/// the `f32` constant and not with a rounded `f64` one.
 pub trait Scalar:
     Copy
+    + Send
+    + Sync
     + PartialEq
     + PartialOrd
     + std::ops::Add<Output = Self>
     + std::ops::Mul<Output = Self>
+    + std::ops::Div<Output = Self>
+    + std::ops::Neg<Output = Self>
     + std::ops::AddAssign
 {
     /// Additive identity of the element type.
     const ZERO: Self;
+    /// Multiplicative identity of the element type.
+    const ONE: Self;
+    /// Slope of the leaky ReLU on negative inputs (`0.01`).
+    const LEAKY_SLOPE: Self;
+    /// Hyperbolic tangent, evaluated natively at this precision.
+    fn tanh(self) -> Self;
+    /// `e^self`, evaluated natively at this precision.
+    fn exp(self) -> Self;
 }
 
 impl Scalar for f64 {
-    // hpcnet-lint: allow(f64-literal) -- the f64 instantiation of Scalar is the one place an f64 literal is the point
     const ZERO: f64 = 0.0f64;
+    const ONE: f64 = 1.0f64;
+    const LEAKY_SLOPE: f64 = 0.01f64;
+    #[inline]
+    fn tanh(self) -> f64 {
+        f64::tanh(self)
+    }
+    #[inline]
+    fn exp(self) -> f64 {
+        f64::exp(self)
+    }
 }
 
 impl Scalar for f32 {
     const ZERO: f32 = 0.0f32;
+    const ONE: f32 = 1.0f32;
+    const LEAKY_SLOPE: f32 = 0.01f32;
+    #[inline]
+    fn tanh(self) -> f32 {
+        f32::tanh(self)
+    }
+    #[inline]
+    fn exp(self) -> f32 {
+        f32::exp(self)
+    }
 }
 
 /// Number of elements the density probe samples (evenly strided) before
@@ -222,30 +253,6 @@ pub fn naive_matmul<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -
     out
 }
 
-/// The seed's scalar kernel, preserved verbatim for the perf baseline:
-/// i-k-j loop order with the unconditional zero-skip that this PR removed
-/// from the hot path. `hpcnet-serving-bench` measures it next to the fast
-/// kernels so `BENCH_serving.json` carries the before/after evidence.
-pub fn seed_scalar_matmul<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    let mut out = vec![T::ZERO; m * n];
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            if aik == T::ZERO {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &x) in out_row.iter_mut().zip(b_row) {
-                *o += aik * x;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,22 +333,5 @@ mod tests {
         gemm_row(&a, &b, 3, &mut out);
         let reference = naive_matmul(&a, &b, 1, 5, 3);
         assert_eq!(out, reference);
-    }
-
-    #[test]
-    fn seed_scalar_reference_matches_naive_on_finite_data() {
-        let (m, k, n) = (4, 6, 5);
-        let a = fill(m * k, |i| {
-            if i % 4 == 0 {
-                0.0
-            } else {
-                (i % 9) as f64 - 4.0
-            }
-        });
-        let b = fill(k * n, |i| (i % 7) as f64 - 3.0);
-        assert_eq!(
-            seed_scalar_matmul(&a, &b, m, k, n),
-            naive_matmul(&a, &b, m, k, n)
-        );
     }
 }

@@ -4,20 +4,22 @@
 //! matrices in COO/CSR form. This crate supplies those containers and the
 //! kernels the rest of the workspace (neural networks, solvers, autoencoder,
 //! Gaussian processes) is built on. Hot paths are parallelized with rayon
-//! per the workspace's HPC guides. Training element types are `f64`; the
-//! opt-in serving path additionally offers [`MatrixF32`] over the shared
-//! dual-precision kernels in [`kernels`] (DESIGN.md §14).
+//! per the workspace's HPC guides.
+//!
+//! There is one dense matrix type, [`MatrixOf<T>`], generic over the
+//! element types of [`kernels::Scalar`]; [`Matrix`] (`f64`: training,
+//! solvers, checkpoints) and [`MatrixF32`] (`f32`: the opt-in serving
+//! path) are aliases of it, and both run the same `matmul` dispatch over
+//! the same kernels in [`kernels`] (DESIGN.md §14).
 
 pub mod dense;
-pub mod dense32;
 pub mod kernels;
 pub mod rng;
 pub mod sparse;
 pub mod stats;
 pub mod vecops;
 
-pub use dense::Matrix;
-pub use dense32::MatrixF32;
+pub use dense::{Matrix, MatrixF32, MatrixOf};
 pub use sparse::{Coo, Csr};
 
 /// Errors surfaced by tensor kernels.
