@@ -3,6 +3,7 @@
 
 use auto_hpcnet::evaluate::evaluate;
 use hpcnet_apps::{BlackscholesApp, CannealApp, CgApp, HpcApp};
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::{Client, Orchestrator, TensorStore};
 use serde::{Deserialize, Serialize};
 

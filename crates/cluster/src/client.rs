@@ -9,14 +9,15 @@
 //!   out counts a degraded write), the first typed error when none did;
 //! * **reads** (`unpack_tensor`) walk the home set in preference order,
 //!   failing over past transport faults and misses;
-//! * **`run_model`** executes on the first healthy home member of the
-//!   *input* key (the replica that holds the input), then copies the
-//!   output to the output key's own home set so later reads route to it;
-//! * **batches** scatter per-executor sub-batches in parallel (each
-//!   pipelined by the underlying `RemoteClient` over a pooled connection,
-//!   which re-dials once by itself when that connection has gone stale),
-//!   gather per-pair results, and re-route a shard's pairs individually
-//!   when the shard's endpoint dies mid-batch.
+//! * **runs** ([`ClientApi::run_pairs`], one pair or many) scatter: each
+//!   pair executes on the first healthy home member of its *input* key
+//!   (the replica that holds the input), the pairs of one executor
+//!   travelling together and the executors in parallel (each sub-batch
+//!   pipelined by the underlying `RemoteClient` over a pooled connection
+//!   under its own retry rule); the pairs a transport fault leaves
+//!   unanswered move on to their next replica and scatter again; every
+//!   served output is then copied to the output key's own home set so
+//!   later reads route to it.
 //!
 //! Transport failures mark an endpoint unhealthy immediately; a
 //! background thread keeps `PING`ing every endpoint (including unhealthy
@@ -28,14 +29,13 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hpcnet_net::RemoteClient;
 use hpcnet_runtime::{ClientApi, Result, RuntimeError, ServingStats};
 use hpcnet_telemetry::trace::{self, merge_traces};
 use hpcnet_telemetry::{
-    FlightRecorder, FlightRecorderConfig, Registry, SpanId, SpanRecord, SpanTimer, Stage, Trace,
-    TraceContext,
+    FlightRecorder, FlightRecorderConfig, Registry, SpanId, SpanTimer, Stage, Trace, TraceContext,
 };
 
 use crate::ring::{HashRing, DEFAULT_VNODES};
@@ -48,7 +48,6 @@ const TRACE_SERVICE: &str = "cluster";
 pub struct ClusterClientBuilder {
     addrs: Vec<String>,
     replication: usize,
-    vnodes: usize,
     health_interval: Option<Duration>,
     connect_timeout: Duration,
     retries: u32,
@@ -60,13 +59,6 @@ impl ClusterClientBuilder {
     /// key through the loss of one endpoint.
     pub fn replication(mut self, n: usize) -> Self {
         self.replication = n.max(1);
-        self
-    }
-
-    /// Virtual nodes per endpoint on the hash ring (default
-    /// [`DEFAULT_VNODES`]).
-    pub fn vnodes(mut self, vnodes: usize) -> Self {
-        self.vnodes = vnodes.max(1);
         self
     }
 
@@ -123,7 +115,7 @@ impl ClusterClientBuilder {
             })
             .collect();
         let inner = Arc::new(Inner {
-            ring: HashRing::new(endpoints.len(), self.vnodes),
+            ring: HashRing::new(endpoints.len(), DEFAULT_VNODES),
             replication: self.replication.min(endpoints.len()),
             endpoints,
             registry,
@@ -186,8 +178,8 @@ struct Inner {
     health_checks: Arc<hpcnet_telemetry::Counter>,
     degraded_writes: Arc<hpcnet_telemetry::Counter>,
     relocations: Arc<hpcnet_telemetry::Counter>,
-    /// Fleet-side trace halves (DESIGN.md §16): the root span plus one
-    /// shard span per attempted endpoint for every routed `run_model`,
+    /// Fleet-side trace halves (DESIGN.md §16): the root span of every
+    /// run call plus one shard span per sub-batch sent to an endpoint,
     /// under the same tail-sampling rules as the servers' recorders.
     recorder: FlightRecorder,
 }
@@ -260,7 +252,6 @@ impl ClusterClient {
         ClusterClientBuilder {
             addrs: addrs.into_iter().map(Into::into).collect(),
             replication: 2,
-            vnodes: DEFAULT_VNODES,
             health_interval: Some(Duration::from_millis(500)),
             connect_timeout: Duration::from_secs(2),
             retries: 1,
@@ -296,32 +287,6 @@ impl ClusterClient {
                 "no endpoint at index {idx}"
             ))),
         }
-    }
-
-    /// One endpoint's Prometheus text (its serving and `hpcnet_net_*`
-    /// series; the cluster's own routing series come from
-    /// [`ClientApi::metrics_text`]).
-    pub fn endpoint_metrics_text(&self, idx: usize) -> Result<String> {
-        match self.inner.endpoints.get(idx) {
-            Some(e) => e.client.metrics_text(),
-            None => Err(RuntimeError::Transport(format!(
-                "no endpoint at index {idx}"
-            ))),
-        }
-    }
-
-    /// Recent traces across the whole fleet: the cluster's own routing
-    /// spans merged (by trace id) with every reachable endpoint's dump.
-    /// Never fails outright — an unreachable endpoint just contributes
-    /// nothing, since the local recorder always has the root spans.
-    pub fn trace_dump(&self) -> Result<Vec<Trace>> {
-        let mut all = self.inner.recorder.snapshot();
-        for endpoint in &self.inner.endpoints {
-            if let Ok(traces) = endpoint.client.trace_dump() {
-                all.extend(traces);
-            }
-        }
-        Ok(merge_traces(all))
     }
 
     /// Fan a write out to every member of `key`'s home set. `Ok` when at
@@ -362,135 +327,6 @@ impl ClusterClient {
             self.inner.degraded_writes.inc();
         }
         Ok(())
-    }
-
-    /// Execute one `run_model` with replica failover, then home the
-    /// output. `budget` is the remaining whole-call deadline, if any.
-    ///
-    /// This is also where the cluster originates the distributed trace
-    /// (DESIGN.md §16): it mints the root context, records the fleet
-    /// root span plus one shard span per attempted endpoint, and sends
-    /// each endpoint a child context so the server-side spans join the
-    /// same tree.
-    fn run_routed(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        budget: Option<Duration>,
-        started: Instant,
-    ) -> Result<()> {
-        let ctx = TraceContext::root();
-        let root_id = SpanId(trace::next_id());
-        let timer = SpanTimer::start();
-        let mut spans = Vec::new();
-        let result = self.run_attempts(
-            model, in_key, out_key, budget, started, ctx, root_id, &mut spans,
-        );
-        let mut root = timer
-            .finish(Stage::Request, TRACE_SERVICE)
-            .annotate("model", model);
-        // The root's id was handed to the shard attempts before the span
-        // finished, so overwrite the freshly minted one.
-        root.span_id = root_id;
-        if let Err(e) = &result {
-            root = root.with_error(e);
-        }
-        let mut t = Trace::new(ctx.trace_id);
-        t.push(root);
-        for span in spans {
-            t.push(span);
-        }
-        self.inner.recorder.record(t);
-        result
-    }
-
-    /// The failover loop behind [`ClusterClient::run_routed`]: walk the
-    /// input key's candidates, propagate `ctx` as a child of the shard
-    /// span minted per attempt, and append every attempt's span (with
-    /// endpoint, failover, relocation, and error annotations) to `spans`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_attempts(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        budget: Option<Duration>,
-        started: Instant,
-        ctx: TraceContext,
-        root_id: SpanId,
-        spans: &mut Vec<SpanRecord>,
-    ) -> Result<()> {
-        if let Some(d) = budget {
-            if d.is_zero() {
-                return Err(RuntimeError::DeadlineExceeded);
-            }
-        }
-        let home = self.inner.home(in_key);
-        let primary = home[0];
-        let mut last_transport: Option<RuntimeError> = None;
-        for e in self.inner.candidates(&home) {
-            let endpoint = &self.inner.endpoints[e];
-            let deadline = match budget {
-                None => None,
-                Some(d) => {
-                    let remaining = d.saturating_sub(started.elapsed());
-                    if remaining.is_zero() {
-                        return Err(RuntimeError::DeadlineExceeded);
-                    }
-                    Some(remaining)
-                }
-            };
-            let shard_id = SpanId(trace::next_id());
-            let shard_timer = SpanTimer::start();
-            let attempt = endpoint.client.run_model_with_context(
-                model,
-                in_key,
-                out_key,
-                deadline,
-                Some(ctx.child_of(shard_id)),
-            );
-            let mut shard_span = shard_timer
-                .finish(Stage::Shard, TRACE_SERVICE)
-                .with_parent(root_id)
-                .annotate("endpoint", &endpoint.addr);
-            shard_span.span_id = shard_id;
-            if e != primary {
-                shard_span = shard_span.annotate("failover", "true");
-            }
-            match attempt {
-                Ok(()) => {
-                    self.inner.mark_health(e, true);
-                    endpoint.routed.inc();
-                    if e != primary {
-                        self.inner.failovers.inc();
-                    }
-                    return match self.home_output(e, out_key) {
-                        Ok(relocated) => {
-                            if relocated {
-                                shard_span = shard_span.annotate("relocated", "true");
-                            }
-                            spans.push(shard_span);
-                            Ok(())
-                        }
-                        Err(err) => {
-                            spans.push(shard_span.with_error(&err));
-                            Err(err)
-                        }
-                    };
-                }
-                Err(RuntimeError::Transport(m)) => {
-                    self.inner.mark_health(e, false);
-                    spans.push(shard_span.with_error(&m));
-                    last_transport = Some(RuntimeError::Transport(m));
-                }
-                Err(err) => {
-                    spans.push(shard_span.with_error(&err));
-                    return Err(err);
-                }
-            }
-        }
-        Err(last_transport.unwrap_or(RuntimeError::Disconnected))
     }
 
     /// Copy a freshly-computed output from the endpoint that executed the
@@ -547,155 +383,6 @@ impl ClusterClient {
         }
         Ok(!executor_is_home)
     }
-
-    /// Scatter a batch across shards, gather per-pair results in pair
-    /// order. See [`ClientApi::run_model_batch`] for the contract.
-    fn batch_routed(
-        &self,
-        model: &str,
-        pairs: &[(&str, &str)],
-        budget: Option<Duration>,
-    ) -> Result<()> {
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        if let Some(d) = budget {
-            if d.is_zero() {
-                return Err(RuntimeError::DeadlineExceeded);
-            }
-        }
-        let started = Instant::now();
-        // Shard assignment: each pair executes on the first candidate of
-        // its input key's home set. BTreeMap for deterministic shard
-        // ordering.
-        let mut shards: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, (in_key, _)) in pairs.iter().enumerate() {
-            let home = self.inner.home(in_key);
-            let executor = *self.inner.candidates(&home).first().unwrap_or(&home[0]);
-            if executor != home[0] {
-                self.inner.failovers.inc();
-            }
-            shards.entry(executor).or_default().push(i);
-        }
-        let mut results: Vec<Option<Result<()>>> = vec![None; pairs.len()];
-        // Pairs served through the shard fast path still need their
-        // outputs homed; re-routed pairs handle that inside `run_routed`.
-        let mut needs_homing: Vec<Option<usize>> = vec![None; pairs.len()];
-        let run_shard = |executor: usize, idxs: Vec<usize>| {
-            let sub: Vec<(&str, &str)> = idxs.iter().map(|&i| pairs[i]).collect();
-            let endpoint = &self.inner.endpoints[executor];
-            let remaining = budget.map(|d| d.saturating_sub(started.elapsed()));
-            let outcome = if remaining.is_some_and(|d| d.is_zero()) {
-                ShardOutcome::PerPair(vec![Err(RuntimeError::DeadlineExceeded); sub.len()])
-            } else {
-                match endpoint
-                    .client
-                    .run_model_batch_results(model, &sub, remaining)
-                {
-                    Ok(per_pair) => {
-                        self.inner.mark_health(executor, true);
-                        endpoint
-                            .routed
-                            .add(per_pair.iter().filter(|r| r.is_ok()).count() as u64);
-                        ShardOutcome::Served { executor, per_pair }
-                    }
-                    Err(err) => {
-                        // The shard failed as a whole (endpoint died
-                        // mid-batch, or the reply was unusable): its
-                        // pairs re-route individually on surviving
-                        // replicas.
-                        if matches!(err, RuntimeError::Transport(_)) {
-                            self.inner.mark_health(executor, false);
-                        }
-                        ShardOutcome::Reroute
-                    }
-                }
-            };
-            (idxs, outcome)
-        };
-        // One shard runs on the calling thread, which would otherwise
-        // only wait; the others each get a scoped thread.
-        let mut shards = shards.into_iter();
-        let local = shards.next_back();
-        let shard_outcomes: Vec<(Vec<usize>, ShardOutcome)> = std::thread::scope(|scope| {
-            let run_shard = &run_shard;
-            let handles: Vec<_> = shards
-                .map(|(executor, idxs)| scope.spawn(move || run_shard(executor, idxs)))
-                .collect();
-            let local = local.map(|(executor, idxs)| run_shard(executor, idxs));
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(_) => (Vec::new(), ShardOutcome::Reroute),
-                })
-                .chain(local)
-                .collect()
-        });
-        for (idxs, outcome) in shard_outcomes {
-            match outcome {
-                ShardOutcome::Served { executor, per_pair } => {
-                    for (&i, r) in idxs.iter().zip(per_pair) {
-                        if r.is_ok() {
-                            needs_homing[i] = Some(executor);
-                        }
-                        results[i] = Some(r);
-                    }
-                }
-                ShardOutcome::PerPair(per_pair) => {
-                    for (&i, r) in idxs.iter().zip(per_pair) {
-                        results[i] = Some(r);
-                    }
-                }
-                ShardOutcome::Reroute => {
-                    // One failover hop per pair, then each pair walks the
-                    // surviving replicas on its own.
-                    for &i in &idxs {
-                        self.inner.failovers.inc();
-                        let (in_key, out_key) = pairs[i];
-                        let remaining = budget.map(|d| d.saturating_sub(started.elapsed()));
-                        results[i] = Some(self.run_routed(
-                            model,
-                            in_key,
-                            out_key,
-                            remaining,
-                            Instant::now(),
-                        ));
-                    }
-                }
-            }
-        }
-        // Home the fast-path outputs (replication / relocation).
-        for (i, homing) in needs_homing.iter().enumerate() {
-            if let Some(executor) = homing {
-                if let Err(err) = self.home_output(*executor, pairs[i].1) {
-                    results[i] = Some(Err(err));
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(RuntimeError::Disconnected)))
-            .find(std::result::Result::is_err)
-            .unwrap_or(Ok(()))
-    }
-}
-
-/// What happened to one scattered shard.
-enum ShardOutcome {
-    /// The shard's endpoint served the sub-batch; per-pair results in
-    /// sub-batch order.
-    Served {
-        /// Endpoint that executed the sub-batch (outputs need homing).
-        executor: usize,
-        /// Per-pair results in sub-batch order.
-        per_pair: Vec<Result<()>>,
-    },
-    /// Locally-determined per-pair results (e.g. the budget expired
-    /// before the shard was sent).
-    PerPair(Vec<Result<()>>),
-    /// The shard's endpoint failed as a whole; pairs must re-route.
-    Reroute,
 }
 
 impl ClientApi for ClusterClient {
@@ -707,31 +394,159 @@ impl ClientApi for ClusterClient {
         self.fanout_write(key, |c| c.put_sparse_tensor_ref(key, &value), |()| {})
     }
 
-    fn run_model(&self, model: &str, in_key: &str, out_key: &str) -> Result<()> {
-        self.run_routed(model, in_key, out_key, None, Instant::now())
-    }
-
-    fn run_model_with_deadline(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        deadline: Duration,
-    ) -> Result<()> {
-        self.run_routed(model, in_key, out_key, Some(deadline), Instant::now())
-    }
-
-    fn run_model_batch(&self, model: &str, pairs: &[(&str, &str)]) -> Result<()> {
-        self.batch_routed(model, pairs, None)
-    }
-
-    fn run_model_batch_with_deadline(
+    /// Scatter, re-route, home, trace and count in one routine
+    /// (DESIGN.md §15.3): a pair is a pair, alone or among many.
+    ///
+    /// Also where the cluster originates the distributed trace
+    /// (DESIGN.md §16): one root span per call and one shard span per
+    /// sub-batch, whose child context every frame of the sub-batch
+    /// carries, so the server-side spans join the same tree.
+    fn run_pairs(
         &self,
         model: &str,
         pairs: &[(&str, &str)],
-        deadline: Duration,
-    ) -> Result<()> {
-        self.batch_routed(model, pairs, Some(deadline))
+        deadline: Option<Duration>,
+    ) -> Vec<Result<()>> {
+        if pairs.is_empty() {
+            return Vec::new();
+        }
+        let inner = &*self.inner;
+        let timer = SpanTimer::start();
+        let ctx = TraceContext::root();
+        let root_id = SpanId(trace::next_id());
+        // Send the pairs `idxs` to `executor` as one sub-batch under a
+        // shard span of the call's trace. An exhausted budget is answered
+        // by the endpoint's client without touching the wire.
+        let run_shard = |executor: usize, idxs: &[usize]| {
+            let endpoint = &inner.endpoints[executor];
+            let sub: Vec<(&str, &str)> = idxs.iter().map(|&i| pairs[i]).collect();
+            let remaining = deadline.map(|d| d.saturating_sub(timer.elapsed()));
+            let shard_id = SpanId(trace::next_id());
+            let shard_timer = SpanTimer::start();
+            let per_pair =
+                endpoint
+                    .client
+                    .run_pairs_under(model, &sub, remaining, ctx.child_of(shard_id));
+            let mut span = shard_timer
+                .finish(Stage::Shard, TRACE_SERVICE)
+                .with_parent(root_id)
+                .annotate("endpoint", &endpoint.addr)
+                .annotate("pairs", sub.len());
+            // The shard's id went over the wire before the span existed.
+            span.span_id = shard_id;
+            if let Some(e) = per_pair.iter().find_map(|r| r.as_ref().err()) {
+                span = span.with_error(e);
+            }
+            (per_pair, span)
+        };
+        let mut spans = Vec::new();
+
+        // Per pair: its input key's primary, and the replicas still to
+        // try — healthy ones first. A pair walks them until one answers
+        // it; a transport fault strikes the replica off.
+        let mut routes: Vec<(usize, Vec<usize>)> = pairs
+            .iter()
+            .map(|(in_key, _)| {
+                let home = inner.home(in_key);
+                (home[0], inner.candidates(&home))
+            })
+            .collect();
+        let mut results: Vec<Result<()>> = vec![Err(RuntimeError::Disconnected); pairs.len()];
+        let mut unanswered: Vec<usize> = (0..pairs.len()).collect();
+        loop {
+            // BTreeMap for deterministic shard ordering. A pair that has
+            // run out of replicas keeps its last transport fault.
+            let mut shards: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for i in unanswered.drain(..) {
+                if let Some(&executor) = routes[i].1.first() {
+                    shards.entry(executor).or_default().push(i);
+                }
+            }
+            let shards: Vec<(usize, Vec<usize>)> = shards.into_iter().collect();
+            let Some((local, remote)) = shards.split_last() else {
+                break;
+            };
+            // One shard runs on the calling thread, which would otherwise
+            // only wait; the others each get a scoped thread.
+            let outcomes: Vec<_> = std::thread::scope(|scope| {
+                let run_shard = &run_shard;
+                let handles: Vec<_> = remote
+                    .iter()
+                    .map(|(executor, idxs)| scope.spawn(move || run_shard(*executor, idxs)))
+                    .collect();
+                let local = run_shard(local.0, &local.1);
+                handles
+                    .into_iter()
+                    .map(|h| h.join().ok())
+                    .chain([Some(local)])
+                    .collect()
+            });
+            for (&(executor, ref idxs), outcome) in shards.iter().zip(outcomes) {
+                let Some((per_pair, mut span)) = outcome else {
+                    for &i in idxs {
+                        results[i] = Err(RuntimeError::Inference(
+                            "cluster shard thread panicked".into(),
+                        ));
+                    }
+                    continue;
+                };
+                let endpoint = &inner.endpoints[executor];
+                let (mut served, mut failed_over, mut relocated) = (0u64, 0u64, 0u64);
+                let mut faulted = false;
+                for (&i, result) in idxs.iter().zip(per_pair) {
+                    results[i] = match result {
+                        Ok(()) => {
+                            served += 1;
+                            failed_over += u64::from(executor != routes[i].0);
+                            self.home_output(executor, pairs[i].1)
+                                .map(|moved| relocated += u64::from(moved))
+                        }
+                        Err(RuntimeError::Transport(m)) => {
+                            faulted = true;
+                            routes[i].1.remove(0);
+                            unanswered.push(i);
+                            Err(RuntimeError::Transport(m))
+                        }
+                        // Typed errors are answers, not faults.
+                        Err(e) => Err(e),
+                    };
+                }
+                if faulted {
+                    inner.mark_health(executor, false);
+                } else if served > 0 {
+                    inner.mark_health(executor, true);
+                }
+                endpoint.routed.add(served);
+                // One failover per pair served off its primary, however
+                // it came to be there.
+                inner.failovers.add(failed_over);
+                if failed_over > 0 {
+                    span = span.annotate("failover", failed_over);
+                }
+                if relocated > 0 {
+                    span = span.annotate("relocated", relocated);
+                }
+                spans.push(span);
+            }
+        }
+
+        let mut root = timer
+            .finish(Stage::Request, TRACE_SERVICE)
+            .annotate("model", model)
+            .annotate("pairs", pairs.len());
+        // The root's id was handed to the shards before the span
+        // finished, so overwrite the freshly minted one.
+        root.span_id = root_id;
+        if let Some(e) = results.iter().find_map(|r| r.as_ref().err()) {
+            root = root.with_error(e);
+        }
+        let mut t = Trace::new(ctx.trace_id);
+        t.push(root);
+        for span in spans {
+            t.push(span);
+        }
+        inner.recorder.record(t);
+        results
     }
 
     fn unpack_tensor(&self, key: &str) -> Result<Vec<f64>> {
@@ -824,7 +639,17 @@ impl ClientApi for ClusterClient {
         Ok(self.inner.registry.prometheus_text())
     }
 
+    /// Across the whole fleet: the cluster's own routing spans merged
+    /// (by trace id) with every reachable endpoint's dump. Never fails
+    /// outright — an unreachable endpoint just contributes nothing, since
+    /// the local recorder always has the root spans.
     fn trace_dump(&self) -> Result<Vec<Trace>> {
-        ClusterClient::trace_dump(self)
+        let mut all = self.inner.recorder.snapshot();
+        for endpoint in &self.inner.endpoints {
+            if let Ok(traces) = endpoint.client.trace_dump() {
+                all.extend(traces);
+            }
+        }
+        Ok(merge_traces(all))
     }
 }

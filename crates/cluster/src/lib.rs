@@ -19,10 +19,11 @@
 //!   and marked unhealthy on request-path transport failures; requests
 //!   re-route to the next healthy replica. A fleet killing one of its
 //!   endpoints mid-stream keeps serving every replicated key.
-//! * **Scatter/gather batches** — `run_model_batch` splits pairs into
-//!   per-endpoint sub-batches executed in parallel (each pipelined over
-//!   its endpoint's connection), gathers per-pair results, and keeps the
-//!   trait's first-error-but-serve-the-rest contract.
+//! * **Scatter/gather runs** — the one run call, `run_pairs`, splits its
+//!   pairs (one or many) into per-endpoint sub-batches executed in
+//!   parallel (each pipelined over its endpoint's connection), re-routes
+//!   what a transport fault left unanswered, and gathers one result per
+//!   pair in pair order.
 //! * **Fleet observability** — `serving_stats()` returns the merged
 //!   rollup across reachable endpoints; `metrics_text()` exposes the
 //!   client's own `hpcnet_cluster_*` routing series (below).
@@ -53,10 +54,11 @@ pub use ring::HashRing;
 /// Counter: requests served per endpoint (label `endpoint="<addr>"`).
 pub const ROUTED_TOTAL: &str = "hpcnet_cluster_routed_total";
 
-/// Counter: requests that were served by an endpoint other than their
-/// first-choice replica — either re-routed after a transport failure or
-/// routed around an endpoint already marked unhealthy. A request that
-/// fails over repeatedly is counted once per hop.
+/// Counter: run pairs and reads that were served by an endpoint other
+/// than their first-choice replica — either re-routed after a transport
+/// failure or routed around an endpoint already marked unhealthy. Exactly
+/// one per pair or read so served, whether the pair travelled alone or in
+/// a batch and however many replicas it tried on the way.
 pub const FAILOVERS_TOTAL: &str = "hpcnet_cluster_failovers_total";
 
 /// Gauge: endpoints currently marked unhealthy.
@@ -80,7 +82,7 @@ pub(crate) const CLUSTER_METRIC_HELP: &[(&str, &str)] = &[
     (ROUTED_TOTAL, "Requests served per endpoint."),
     (
         FAILOVERS_TOTAL,
-        "Requests served by an endpoint other than their first-choice replica, once per hop.",
+        "Run pairs and reads served by an endpoint other than their first-choice replica.",
     ),
     (UNHEALTHY_GAUGE, "Endpoints currently marked unhealthy."),
     (

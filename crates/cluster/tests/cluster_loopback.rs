@@ -11,6 +11,7 @@
 
 use std::time::Duration;
 
+use hpcnet_cluster::ring::{HashRing, DEFAULT_VNODES};
 use hpcnet_cluster::{ClientApi, ClusterClient};
 use hpcnet_net::{demo_bundle, demo_input, NetServer, DEMO_INPUT_DIM, DEMO_MODEL};
 use hpcnet_runtime::conformance::{check_overload, Conformance};
@@ -54,6 +55,7 @@ fn cluster_client_passes_the_shared_conformance_suite() {
     let predict = move |x: &[f64]| reference.surrogate.predict(x).expect("predict");
     Conformance::new(DEMO_MODEL, DEMO_INPUT_DIM, &predict)
         .key_prefix("cluster")
+        .root_service("cluster")
         .check(&client);
     for s in servers {
         s.shutdown();
@@ -232,6 +234,7 @@ fn killing_one_endpoint_mid_stream_fails_over_with_zero_data_loss() {
 #[test]
 fn batch_reroutes_when_its_shard_endpoint_dies_mid_batch() {
     const PAIRS: usize = 12;
+    const DEAD: usize = 2;
     let mut servers = fleet(3);
     // No health thread: the kill is only discoverable through the
     // request path, forcing the scatter stage to hit the dead endpoint
@@ -251,15 +254,59 @@ fn batch_reroutes_when_its_shard_endpoint_dies_mid_batch() {
             .put_tensor(in_key, &demo_input(s as u64))
             .expect("put");
     }
-
-    // Kill an endpoint the client still believes is healthy, then
-    // scatter: the dead shard's sub-batch fails as a whole and every one
-    // of its pairs must be served by the surviving replicas.
-    servers.remove(2).shutdown();
+    // Known placement: the pairs whose input key has the endpoint about
+    // to die as its primary are the ones that will be served elsewhere.
+    let ring = HashRing::new(servers.len(), DEFAULT_VNODES);
+    let displaced = keys
+        .iter()
+        .filter(|(in_key, _)| ring.replicas(in_key, 2)[0] == DEAD)
+        .count();
+    assert!(
+        displaced > 0 && displaced < PAIRS,
+        "the batch must straddle the dead shard, {displaced} of {PAIRS} pairs on it"
+    );
+    let failovers = || {
+        metric_total(
+            &client.metrics_text().expect("metrics"),
+            "hpcnet_cluster_failovers_total",
+        )
+    };
     let pairs: Vec<(&str, &str)> = keys.iter().map(|(i, o)| (i.as_str(), o.as_str())).collect();
     client
         .run_model_batch(DEMO_MODEL, &pairs)
+        .expect("batch on a healthy fleet");
+    assert_eq!(failovers(), 0.0, "every pair ran on its primary");
+
+    // Kill an endpoint the client still believes is healthy, then
+    // scatter: the dead shard's sub-batch fails as a whole and every one
+    // of its pairs must be served by the surviving replicas — one
+    // failover each, counted where the pair is served, not once more for
+    // having been re-routed.
+    servers.remove(DEAD).shutdown();
+    client
+        .run_model_batch(DEMO_MODEL, &pairs)
         .expect("batch must survive losing a shard mid-flight");
+    assert_eq!(
+        failovers(),
+        displaced as f64,
+        "one failover per pair whose primary died mid-batch"
+    );
+    assert!(!client.endpoint_health()[DEAD]);
+
+    // The same batch again, its primary now known to be down, and the
+    // displaced pairs once more one by one: a pair served off its primary
+    // counts the same however it travelled and however the cluster came
+    // to know.
+    client
+        .run_model_batch(DEMO_MODEL, &pairs)
+        .expect("batch around an endpoint marked unhealthy");
+    assert_eq!(failovers(), 2.0 * displaced as f64);
+    for (in_key, out_key) in &pairs {
+        client
+            .run_model(DEMO_MODEL, in_key, out_key)
+            .expect("single run around the dead endpoint");
+    }
+    assert_eq!(failovers(), 3.0 * displaced as f64);
 
     for (s, (_, out_key)) in keys.iter().enumerate() {
         let got = client.unpack_tensor(out_key).expect("unpack");
@@ -271,11 +318,6 @@ fn batch_reroutes_when_its_shard_endpoint_dies_mid_batch() {
             assert_eq!(g.to_bits(), w.to_bits(), "re-routed pair {s} diverged");
         }
     }
-    let metrics = client.metrics_text().expect("metrics");
-    assert!(
-        metric_total(&metrics, "hpcnet_cluster_failovers_total") > 0.0,
-        "a dead shard must register failovers:\n{metrics}"
-    );
 
     for s in servers {
         s.shutdown();

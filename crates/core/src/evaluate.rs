@@ -241,13 +241,12 @@ mod tests {
         let eval = evaluate_predictor(&app, |_| None, 6, 0.10);
         assert_eq!(eval.restarts, 6);
         assert_eq!(eval.hit_rate, 1.0, "fallback output is exact");
-        // Both paths run the same solver; the ratio is ~1 up to scheduler
-        // noise (these tests run in parallel with surrogate builds).
-        assert!(
-            eval.speedup <= 2.0,
-            "no speedup when always falling back: {}",
-            eval.speedup
-        );
+        // The restart's solver run is charged to the surrogate side, and
+        // nothing to the side both share: the `None` branch never adds to
+        // it. (No comparison of the two clocks — these tests run beside
+        // surrogate builds.)
+        assert!(eval.t_infer > 0.0);
+        assert_eq!(eval.t_other, 0.0);
     }
 
     #[test]

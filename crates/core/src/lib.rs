@@ -33,12 +33,10 @@ pub mod acquisition;
 pub mod config;
 pub mod dataset;
 pub mod evaluate;
-pub mod guard;
 pub mod pipeline;
 
 pub use config::PipelineConfig;
 pub use evaluate::{evaluate, Evaluation};
-pub use guard::{GuardStats, GuardedRegion};
 pub use pipeline::{AutoHpcnet, DeployedSurrogate, OfflineTimes};
 
 /// Errors from the end-to-end pipeline.

@@ -257,7 +257,7 @@ impl AutoHpcnet {
 mod tests {
     use super::*;
     use hpcnet_apps::{BlackscholesApp, HpcApp};
-    use hpcnet_runtime::TensorStore;
+    use hpcnet_runtime::{ClientApi, TensorStore};
 
     #[test]
     fn builds_and_deploys_a_blackscholes_surrogate() {
@@ -300,6 +300,36 @@ mod tests {
         );
         let stats = orc.serving_stats();
         assert!(stats.quality_fallbacks >= 1);
+
+        // A realistic cheap domain check on real outputs: option prices
+        // are non-negative and bounded by the spot price. The validator
+        // sees the raw input and the de-scaled output, and a trained
+        // surrogate passes it on most problems.
+        surrogate.deploy_guarded(
+            &orc,
+            "bs-net-sane",
+            |x, y| {
+                let max_spot = x.chunks(5).map(|o| o[0]).fold(0.0f64, f64::max);
+                y.iter().all(|&p| (-1.0..=2.0 * max_spot).contains(&p))
+            },
+            |raw| BlackscholesApp.run_region_exact(raw),
+        );
+        for i in 0..10 {
+            let x = app.gen_problem(9_200 + i);
+            client.put_tensor("sin", &x).unwrap();
+            client.run_model("bs-net-sane", "sin", "sout").unwrap();
+            assert_eq!(
+                client.unpack_tensor("sout").unwrap().len(),
+                app.output_dim()
+            );
+        }
+        let sane = orc.serving_stats();
+        let served = sane.quality_hits - stats.quality_hits;
+        assert_eq!(
+            served + sane.quality_fallbacks - stats.quality_fallbacks,
+            10
+        );
+        assert!(served >= 8, "served {served}/10");
 
         // The offline pipeline reported into the process-wide registry:
         // labeled samples, phase spans, NAS candidates, training epochs.

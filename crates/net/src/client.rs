@@ -9,22 +9,24 @@
 //! Transport behavior:
 //!
 //! * **Pooling** — idle connections are kept (up to
-//!   [`RemoteClientBuilder::pool`]) and reused by single calls and
-//!   pipelined batches alike; concurrent calls from clones of one client
-//!   dial extra connections on demand.
-//! * **Retries** — connect/read/write failures are retried with bounded
-//!   exponential backoff ([`RemoteClientBuilder::retries`] /
-//!   [`RemoteClientBuilder::backoff`]); when the budget is exhausted the
-//!   call returns [`RuntimeError::Transport`]. Typed server errors
+//!   [`RemoteClientBuilder::pool`]) and reused by every call, whatever
+//!   its size; concurrent calls from clones of one client dial extra
+//!   connections on demand.
+//! * **Retries** — one rule for every call (DESIGN.md §12): an attempt
+//!   that fails on connect, write or read *before any reply of the call
+//!   has been read* is repeated on a freshly dialled connection, up to
+//!   [`RemoteClientBuilder::retries`] times with bounded exponential
+//!   [`RemoteClientBuilder::backoff`]; when the budget is exhausted the
+//!   call returns [`RuntimeError::Transport`]. Once a reply has been
+//!   read nothing is re-sent: the pairs of a run that a later fault
+//!   leaves unanswered are answered with that fault. Typed server errors
 //!   (`Overloaded`, `DeadlineExceeded`, `MissingTensor`, ...) are *never*
 //!   retried — they travel back exactly as their in-process counterparts.
 //! * **At-least-once caveat** — a request whose reply is lost to a
-//!   transport fault is re-sent on a fresh connection (a batch: its first
-//!   window, once, when a pooled connection turns out to be stale before
-//!   any reply was read). Every operation
-//!   but `run_model` is idempotent; a retried `run_model` re-executes the
-//!   surrogate, which is deterministic, so the stored output is
-//!   unchanged (only the server's request counters tick twice).
+//!   transport fault is re-sent. Every operation but a run is
+//!   idempotent; a re-sent run re-executes the surrogate, which is
+//!   deterministic, so the stored output is unchanged (only the server's
+//!   request counters tick twice).
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -46,13 +48,15 @@ use crate::protocol::{
 /// Service label on spans this client records (DESIGN.md §16).
 const TRACE_SERVICE: &str = "remote_client";
 
+/// How long a read waits for a reply before the attempt counts as failed.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Configures a [`RemoteClient`].
 #[derive(Debug, Clone)]
 pub struct RemoteClientBuilder {
     addr: String,
     pool: usize,
     connect_timeout: Duration,
-    read_timeout: Option<Duration>,
     retries: u32,
     backoff: Duration,
     max_backoff: Duration,
@@ -70,13 +74,6 @@ impl RemoteClientBuilder {
     /// TCP connect timeout (default 2 s).
     pub fn connect_timeout(mut self, t: Duration) -> Self {
         self.connect_timeout = t;
-        self
-    }
-
-    /// Socket read timeout for replies (default 30 s; `None` blocks
-    /// indefinitely).
-    pub fn read_timeout(mut self, t: Option<Duration>) -> Self {
-        self.read_timeout = t;
         self
     }
 
@@ -160,7 +157,6 @@ impl RemoteClient {
             addr: addr.into(),
             pool: 2,
             connect_timeout: Duration::from_secs(2),
-            read_timeout: Some(Duration::from_secs(30)),
             retries: 3,
             backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
@@ -172,179 +168,175 @@ impl RemoteClient {
         RemoteClient::builder(addr).connect()
     }
 
-    /// Round-trip a PING and verify the echo.
-    pub fn ping(&self) -> Result<()> {
-        // relaxed: pure ID counter — uniqueness is all that matters, no
-        // other memory is published through it.
-        let nonce = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let nonce = nonce.to_le_bytes();
-        match self.call(Opcode::Ping, |buf| buf.extend_from_slice(&nonce))? {
-            Response::Pong(echo) if echo == nonce => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// The server's cumulative serving statistics.
-    pub fn serving_stats(&self) -> Result<ServingStats> {
-        match self.call(Opcode::Stats, |_| {})? {
-            Response::Text(json) => serde_json::from_str(&json)
-                .map_err(|e| RuntimeError::Protocol(format!("unparsable stats: {e}"))),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// The server's telemetry registry as Prometheus text (serving *and*
-    /// `hpcnet_net_*` series).
-    pub fn metrics_text(&self) -> Result<String> {
-        match self.call(Opcode::Metrics, |_| {})? {
-            Response::Text(text) => Ok(text),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Run a model carrying an upstream [`TraceContext`] verbatim: the
-    /// server's request span joins the caller's trace and *no* local
-    /// root span is recorded here. Fleet-level callers
-    /// (`hpcnet-cluster`) use this so the shard hop appears exactly once
-    /// in the tree — under the span id they minted, not a second root.
-    pub fn run_model_with_context(
+    /// [`ClientApi::run_pairs`] under a span the caller already holds:
+    /// every frame carries `parent` verbatim, so the server's request
+    /// spans — one per pair — join the caller's trace, and *no* local
+    /// root span is recorded here. Fleet-level callers (`hpcnet-cluster`)
+    /// use this so the shard hop appears exactly once in the tree — under
+    /// the span id they minted, not a second root.
+    ///
+    /// The pairs are *pipelined* over one pooled connection, a window of
+    /// `PIPELINE_WINDOW` (16) `RUN_MODEL` frames at a time: each window is
+    /// encoded into one buffer and written with one `write`, then its
+    /// replies (which the server produces in request order per
+    /// connection) are read and matched back by sequence number. A window
+    /// arrives at the server together, so the server submits it to the
+    /// orchestrator as one coalesced round.
+    ///
+    /// `deadline` covers the whole call: each frame carries the budget
+    /// remaining when it is encoded, and pairs whose budget is already
+    /// exhausted are answered locally with
+    /// [`RuntimeError::DeadlineExceeded`] without touching the wire.
+    pub fn run_pairs_under(
         &self,
         model: &str,
-        in_key: &str,
-        out_key: &str,
+        pairs: &[(&str, &str)],
         deadline: Option<Duration>,
-        trace: Option<TraceContext>,
-    ) -> Result<()> {
-        let deadline_micros = match deadline {
-            None => 0,
-            Some(d) if d.is_zero() => return Err(RuntimeError::DeadlineExceeded),
-            // 0 on the wire means "server default", so a sub-microsecond
-            // explicit deadline clamps to 1 µs.
-            Some(d) => (d.as_micros() as u64).max(1),
-        };
-        self.expect_ok(Opcode::RunModel, |buf| {
-            payload::run_model(buf, model, in_key, out_key, deadline_micros, trace)
-        })
-    }
-
-    /// Originate a traced `run_model`: mint a root context, send its
-    /// child context over the wire, and record the client-side root span
-    /// (endpoint, model, any error) in the local flight recorder. The
-    /// server's spans share the same trace id, so
-    /// [`RemoteClient::trace_dump`] can merge the two halves.
-    fn traced_run(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        deadline_micros: u64,
-    ) -> Result<()> {
-        let ctx = TraceContext::root();
-        let root_id = SpanId(trace::next_id());
-        let timer = SpanTimer::start();
-        let trace = Some(ctx.child_of(root_id));
-        let result = self.expect_ok(Opcode::RunModel, |buf| {
-            payload::run_model(buf, model, in_key, out_key, deadline_micros, trace)
-        });
-        // Ask the recorder first: the span is only built for the one
-        // trace in eight (and every failed or slow one) that is kept.
-        let elapsed = timer.elapsed();
-        let untagged: &[&str] = &[];
-        if self
-            .inner
-            .recorder
-            .admit(elapsed, result.is_err(), untagged)
-        {
-            let mut span = SpanRecord::new(
-                Stage::Request,
-                TRACE_SERVICE,
-                timer.start_unix_nanos(),
-                elapsed,
-            )
-            .annotate("model", model)
-            .annotate("endpoint", &self.inner.config.addr);
-            // The root's id went over the wire before the span existed.
-            span.span_id = root_id;
-            if let Err(e) = &result {
-                span = span.with_error(e);
+        parent: TraceContext,
+    ) -> Vec<Result<()>> {
+        let deadline_at = match deadline {
+            // An already-expired budget fails deterministically, without
+            // racing the server's clock over the wire.
+            Some(d) if d.is_zero() => {
+                return vec![Err(RuntimeError::DeadlineExceeded); pairs.len()]
             }
-            let mut t = Trace::new(ctx.trace_id);
-            t.push(span);
-            self.inner.recorder.retain(t);
-        }
-        result
-    }
-
-    /// Recent traces, merged across the wire: this client's root spans
-    /// joined (by trace id) with the server's flight-recorder dump,
-    /// fetched via the v2 `Traces` op. A v1-only or unreachable server
-    /// degrades to the local half instead of failing — the local
-    /// recorder always has the originating spans.
-    pub fn trace_dump(&self) -> Result<Vec<Trace>> {
-        let local = self.inner.recorder.snapshot();
-        let remote = match self.call(Opcode::Traces, |_| {}) {
-            Ok(Response::Text(json)) => traces_from_json(&json)
-                .map_err(|e| RuntimeError::Protocol(format!("unparsable traces: {e}")))?,
-            Ok(other) => return Err(unexpected(&other)),
-            Err(_) => Vec::new(),
+            // An unrepresentable (absurdly far) deadline means "no limit".
+            Some(d) => Instant::now().checked_add(d),
+            None => None,
         };
-        Ok(merge_traces(local.into_iter().chain(remote)))
+        let mut results = Vec::with_capacity(pairs.len());
+        let outcome = self.with_connection(|stream| {
+            self.run_windows(stream, model, pairs, deadline_at, parent, &mut results)
+                .map_err(|fault| match fault {
+                    // Part of the call is answered: nothing is re-sent.
+                    Fault::Retry(m) if !results.is_empty() => {
+                        Fault::Fatal(RuntimeError::Transport(m))
+                    }
+                    fault => fault,
+                })
+        });
+        // What is still unanswered was cut off by the fault or, without
+        // one, by the budget running out mid-call.
+        let unanswered = outcome.err().unwrap_or(RuntimeError::DeadlineExceeded);
+        results.resize(pairs.len(), Err(unanswered));
+        results
     }
 
-    /// One request/reply exchange with pooling and transport retries.
-    /// `body` appends the request's payload to the frame buffer: the
-    /// frame is encoded once, in place, and the same bytes are re-sent on
-    /// a retry.
+    /// One attempt at the windows of a run over `stream`. Per-pair
+    /// results are pushed onto `results` as their replies are read, so on
+    /// `Err` its length is the number of replies consumed before the
+    /// fault; on `Ok` it is short only by the pairs the budget cut off.
+    fn run_windows(
+        &self,
+        stream: &mut Conn,
+        model: &str,
+        pairs: &[(&str, &str)],
+        deadline_at: Option<Instant>,
+        parent: TraceContext,
+        results: &mut Vec<Result<()>>,
+    ) -> std::result::Result<(), Fault> {
+        let mut frames = Vec::new();
+        let mut seqs = Vec::with_capacity(pairs.len().min(PIPELINE_WINDOW));
+        for window in pairs.chunks(PIPELINE_WINDOW) {
+            frames.clear();
+            seqs.clear();
+            for (in_key, out_key) in window {
+                let deadline_micros = match deadline_at {
+                    None => 0,
+                    Some(at) => {
+                        let remaining = at.saturating_duration_since(Instant::now());
+                        if remaining.is_zero() {
+                            break;
+                        }
+                        // 0 on the wire means "server default", so a
+                        // sub-microsecond remainder clamps to 1 µs.
+                        (remaining.as_micros() as u64).max(1)
+                    }
+                };
+                let seq = self.next_seq();
+                encode_frame(&mut frames, VERSION, Opcode::RunModel, seq, |buf| {
+                    payload::run_model(buf, model, in_key, out_key, deadline_micros, Some(parent))
+                })
+                .map_err(|e| Fault::Fatal(e.into()))?;
+                seqs.push(seq);
+            }
+            stream
+                .get_mut()
+                .write_all(&frames)
+                .map_err(|e| Fault::Retry(format!("write: {e}")))?;
+            // The replies leave the server in one write and are framed
+            // from the connection's buffer; exactly `seqs.len()` of them
+            // are owed, so the buffer is empty again afterwards.
+            for &seq in &seqs {
+                results.push(match read_reply(stream, seq)? {
+                    Response::Ok => Ok(()),
+                    Response::Error(e) => Err(e.to_runtime()),
+                    other => Err(unexpected(&other)),
+                });
+            }
+            if seqs.len() < window.len() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// One request/reply exchange. `body` appends the request's payload
+    /// to the frame buffer: the frame is encoded once, in place, and the
+    /// same bytes are re-sent on a retry.
     fn call(&self, opcode: Opcode, body: impl FnOnce(&mut Vec<u8>)) -> Result<Response> {
-        let cfg = &self.inner.config;
         let seq = self.next_seq();
         let mut frame = Vec::new();
         encode_frame(&mut frame, VERSION, opcode, seq, body)?;
+        let response = self.with_connection(|stream| {
+            stream
+                .get_mut()
+                .write_all(&frame)
+                .map_err(|e| Fault::Retry(format!("write: {e}")))?;
+            read_reply(stream, seq)
+        })?;
+        match response {
+            Response::Error(e) => Err(e.to_runtime()),
+            ok => Ok(ok),
+        }
+    }
+
+    /// Run `exchange` on a connection under the client's one retry rule:
+    /// the first attempt rides a pooled connection; an attempt that ends
+    /// in [`Fault::Retry`] is repeated, after backoff, on a freshly
+    /// dialled one — what failed may be one of several connections a
+    /// server restart left stale in the pool. A connection that carried
+    /// the exchange to the end goes back to the pool.
+    fn with_connection<T>(
+        &self,
+        mut exchange: impl FnMut(&mut Conn) -> std::result::Result<T, Fault>,
+    ) -> Result<T> {
+        let cfg = &self.inner.config;
         let mut backoff = cfg.backoff;
         let mut last_err = String::new();
         for attempt in 0..=cfg.retries {
-            if attempt > 0 {
+            let stream = if attempt == 0 {
+                self.checkout()
+            } else {
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(cfg.max_backoff);
-            }
-            let mut stream = match self.checkout() {
-                Ok((s, _)) => s,
+                self.dial()
+            };
+            let mut stream = match stream {
+                Ok(s) => s,
                 Err(e) => {
                     last_err = e;
                     continue;
                 }
             };
-            if let Err(e) = stream.get_mut().write_all(&frame) {
-                last_err = format!("write: {e}");
-                continue; // stream dropped; retry on a fresh connection
-            }
-            match read_frame(&mut stream) {
-                Ok(FrameOutcome::Frame(raw)) => {
-                    if raw.seq != seq {
-                        // The stream is out of step (a stale reply from a
-                        // previous, timed-out exchange) — don't reuse it.
-                        return Err(RuntimeError::Protocol(format!(
-                            "reply seq {} does not match request seq {seq}",
-                            raw.seq
-                        )));
-                    }
-                    let response =
-                        decode_response(&raw).map_err(|e| RuntimeError::Protocol(e.to_string()))?;
+            match exchange(&mut stream) {
+                Ok(done) => {
                     self.checkin(stream);
-                    return match response {
-                        Response::Error(e) => Err(e.to_runtime()),
-                        ok => Ok(ok),
-                    };
+                    return Ok(done);
                 }
-                Ok(FrameOutcome::Corrupt { reason, .. }) => {
-                    // The reply was damaged in flight. The request may
-                    // have executed; surface that instead of re-running.
-                    return Err(RuntimeError::Protocol(format!("corrupt reply: {reason}")));
-                }
-                Err(e) => {
-                    last_err = format!("read: {e}");
-                    continue;
-                }
+                // The stream is dropped, not pooled.
+                Err(Fault::Retry(e)) => last_err = e,
+                Err(Fault::Fatal(e)) => return Err(e),
             }
         }
         Err(RuntimeError::Transport(format!(
@@ -360,8 +352,8 @@ impl RemoteClient {
         self.inner.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// A connection from the pool (`true`), or a fresh dial (`false`).
-    fn checkout(&self) -> std::result::Result<(Conn, bool), String> {
+    /// A connection from the pool, or a fresh dial when it is empty.
+    fn checkout(&self) -> std::result::Result<Conn, String> {
         let pooled = self
             .inner
             .pool
@@ -369,8 +361,8 @@ impl RemoteClient {
             .unwrap_or_else(PoisonError::into_inner)
             .pop();
         match pooled {
-            Some(s) => Ok((s, true)),
-            None => Ok((self.dial()?, false)),
+            Some(s) => Ok(s),
+            None => self.dial(),
         }
     }
 
@@ -387,7 +379,7 @@ impl RemoteClient {
             match TcpStream::connect_timeout(&addr, cfg.connect_timeout) {
                 Ok(s) => {
                     let _ = s.set_nodelay(true);
-                    let _ = s.set_read_timeout(cfg.read_timeout);
+                    let _ = s.set_read_timeout(Some(READ_TIMEOUT));
                     return Ok(BufReader::new(s));
                 }
                 Err(e) => last = format!("connect {addr}: {e}"),
@@ -424,142 +416,51 @@ impl RemoteClient {
             payload::put_sparse(buf, key, value)
         })
     }
-
-    /// Run a batch of `(in_key, out_key)` pairs *pipelined* over one
-    /// pooled connection, a window of [`PIPELINE_WINDOW`] `RUN_MODEL`
-    /// frames at a time: each window is encoded into one buffer and
-    /// written with one `write`, then its replies (which the server
-    /// produces in request order per connection) are read and matched
-    /// back by sequence number. A window arrives at the server together,
-    /// so the server submits it to the orchestrator as one coalesced
-    /// round. Returns one result per pair, in pair order.
-    ///
-    /// The outer `Err` is a transport/protocol fault that interrupted the
-    /// exchange — some pairs may have executed server-side (the usual
-    /// at-least-once caveat; re-running a deterministic surrogate stores
-    /// the same outputs). Inner errors are the per-pair typed failures.
-    ///
-    /// A pooled connection may have gone stale since its last use (the
-    /// server restarted, an idle timeout fired). When it fails with a
-    /// transport error before any reply of this batch was read, the
-    /// batch is re-sent once on a fresh connection; a fault after the
-    /// first reply, or on a fresh connection, is surfaced.
-    ///
-    /// `deadline` covers the whole batch: each frame carries the budget
-    /// remaining when it is encoded, and pairs whose budget is already
-    /// exhausted are answered locally with
-    /// [`RuntimeError::DeadlineExceeded`] without touching the wire.
-    pub fn run_model_batch_results(
-        &self,
-        model: &str,
-        pairs: &[(&str, &str)],
-        deadline: Option<Duration>,
-    ) -> Result<Vec<Result<()>>> {
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let deadline_at = match deadline {
-            Some(d) if d.is_zero() => return Err(RuntimeError::DeadlineExceeded),
-            Some(d) => Instant::now().checked_add(d),
-            None => None,
-        };
-        let (mut stream, pooled) = self.checkout().map_err(RuntimeError::Transport)?;
-        let mut results = Vec::with_capacity(pairs.len());
-        let mut outcome = self.batch_exchange(&mut stream, model, pairs, deadline_at, &mut results);
-        if pooled && results.is_empty() && matches!(outcome, Err(RuntimeError::Transport(_))) {
-            stream = self.dial().map_err(RuntimeError::Transport)?;
-            outcome = self.batch_exchange(&mut stream, model, pairs, deadline_at, &mut results);
-        }
-        outcome?;
-        self.checkin(stream);
-        Ok(results)
-    }
-
-    /// One attempt at a pipelined batch over `stream`. Per-pair results
-    /// are pushed onto `results` as their replies are read, so on `Err`
-    /// its length is the number of replies consumed before the fault.
-    fn batch_exchange(
-        &self,
-        stream: &mut Conn,
-        model: &str,
-        pairs: &[(&str, &str)],
-        deadline_at: Option<Instant>,
-        results: &mut Vec<Result<()>>,
-    ) -> Result<()> {
-        let mut frames = Vec::new();
-        let mut seqs = Vec::with_capacity(PIPELINE_WINDOW);
-        for window in pairs.chunks(PIPELINE_WINDOW) {
-            frames.clear();
-            seqs.clear();
-            for (in_key, out_key) in window {
-                let deadline_micros = match deadline_at {
-                    None => 0,
-                    Some(at) => {
-                        let remaining = at.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            break;
-                        }
-                        (remaining.as_micros() as u64).max(1)
-                    }
-                };
-                let seq = self.next_seq();
-                encode_frame(&mut frames, VERSION, Opcode::RunModel, seq, |buf| {
-                    payload::run_model(buf, model, in_key, out_key, deadline_micros, None)
-                })?;
-                seqs.push(seq);
-            }
-            stream
-                .get_mut()
-                .write_all(&frames)
-                .map_err(|e| RuntimeError::Transport(format!("batch write: {e}")))?;
-            // The replies leave the server in one write and are framed
-            // from the connection's buffer; exactly `seqs.len()` of them
-            // are owed, so the buffer is empty again afterwards.
-            for &seq in &seqs {
-                let raw = match read_frame(stream) {
-                    Ok(FrameOutcome::Frame(raw)) => raw,
-                    // The remaining replies on this stream cannot be
-                    // trusted to frame correctly; surface the fault.
-                    Ok(FrameOutcome::Corrupt { reason, .. }) => {
-                        return Err(RuntimeError::Protocol(format!(
-                            "corrupt batch reply: {reason}"
-                        )));
-                    }
-                    Err(e) => return Err(RuntimeError::Transport(format!("batch read: {e}"))),
-                };
-                if raw.seq != seq {
-                    return Err(RuntimeError::Protocol(format!(
-                        "batch reply seq {} does not match request seq {seq}",
-                        raw.seq
-                    )));
-                }
-                let response =
-                    decode_response(&raw).map_err(|e| RuntimeError::Protocol(e.to_string()))?;
-                results.push(match response {
-                    Response::Ok => Ok(()),
-                    Response::Error(e) => Err(e.to_runtime()),
-                    other => Err(unexpected(&other)),
-                });
-            }
-            if seqs.len() < window.len() {
-                // Budget exhausted mid-window: every unsent pair gets the
-                // typed answer locally.
-                break;
-            }
-        }
-        results.resize(pairs.len(), Err(RuntimeError::DeadlineExceeded));
-        Ok(())
-    }
 }
 
-/// Client-side cap on pipelined batch frames in flight per connection.
-/// Kept below the server's default per-connection window (32) so the
-/// executor's replies are always drained promptly and neither side can
-/// wedge on a full TCP buffer.
-pub const PIPELINE_WINDOW: usize = 16;
+/// Client-side cap on pipelined `RUN_MODEL` frames in flight per
+/// connection. Kept below the server's default per-connection window (32)
+/// so a window is served as one round and its replies are always drained
+/// promptly: neither side can wedge on a full TCP buffer.
+const PIPELINE_WINDOW: usize = 16;
 
 fn unexpected(r: &Response) -> RuntimeError {
     RuntimeError::Protocol(format!("unexpected {} reply", r.opcode().name()))
+}
+
+/// Why one attempt at a call, on one connection, did not complete it.
+enum Fault {
+    /// The connection failed before a reply was read off it: the call
+    /// may be repeated on a fresh connection.
+    Retry(String),
+    /// The call is answered with this error; nothing is re-sent.
+    Fatal(RuntimeError),
+}
+
+/// Read the reply to request `seq` off `stream`. An error *frame* is a
+/// reply like any other; mapping it is the caller's.
+fn read_reply(stream: &mut Conn, seq: u32) -> std::result::Result<Response, Fault> {
+    let raw = match read_frame(stream) {
+        Ok(FrameOutcome::Frame(raw)) => raw,
+        // The reply was damaged in flight. The request may have executed,
+        // and what follows on this stream cannot be trusted to frame:
+        // surface that instead of re-running.
+        Ok(FrameOutcome::Corrupt { reason, .. }) => {
+            return Err(Fault::Fatal(RuntimeError::Protocol(format!(
+                "corrupt reply: {reason}"
+            ))));
+        }
+        Err(e) => return Err(Fault::Retry(format!("read: {e}"))),
+    };
+    if raw.seq != seq {
+        // The stream is out of step (a stale reply from a previous,
+        // timed-out exchange) — don't reuse it.
+        return Err(Fault::Fatal(RuntimeError::Protocol(format!(
+            "reply seq {} does not match request seq {seq}",
+            raw.seq
+        ))));
+    }
+    decode_response(&raw).map_err(|e| Fault::Fatal(RuntimeError::Protocol(e.to_string())))
 }
 
 impl ClientApi for RemoteClient {
@@ -573,42 +474,53 @@ impl ClientApi for RemoteClient {
         self.put_sparse_tensor_ref(key, &value)
     }
 
-    fn run_model(&self, model: &str, in_key: &str, out_key: &str) -> Result<()> {
-        self.traced_run(model, in_key, out_key, 0)
-    }
-
-    fn run_model_with_deadline(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        deadline: Duration,
-    ) -> Result<()> {
-        if deadline.is_zero() {
-            // Mirror the in-process client's enqueue-time check: an
-            // already-expired budget fails deterministically without
-            // racing the server's clock over the wire.
-            return Err(RuntimeError::DeadlineExceeded);
-        }
-        // 0 on the wire means "server default", so a sub-microsecond
-        // explicit deadline clamps to 1 µs.
-        self.traced_run(model, in_key, out_key, (deadline.as_micros() as u64).max(1))
-    }
-
-    fn run_model_batch(&self, model: &str, pairs: &[(&str, &str)]) -> Result<()> {
-        first_error(self.run_model_batch_results(model, pairs, None)?)
-    }
-
-    fn run_model_batch_with_deadline(
+    /// Originates the call's trace (DESIGN.md §16): one root span per
+    /// call, whose child context every frame carries, recorded — with the
+    /// endpoint, the model and the first error — in the local flight
+    /// recorder. The server's spans share the trace id, so
+    /// [`ClientApi::trace_dump`] can merge the two halves.
+    fn run_pairs(
         &self,
         model: &str,
         pairs: &[(&str, &str)],
-        deadline: Duration,
-    ) -> Result<()> {
+        deadline: Option<Duration>,
+    ) -> Vec<Result<()>> {
         if pairs.is_empty() {
-            return Ok(());
+            return Vec::new();
         }
-        first_error(self.run_model_batch_results(model, pairs, Some(deadline))?)
+        let ctx = TraceContext::root();
+        let root_id = SpanId(trace::next_id());
+        let timer = SpanTimer::start();
+        let results = self.run_pairs_under(model, pairs, deadline, ctx.child_of(root_id));
+        // Ask the recorder first: the span is only built for the one
+        // trace in eight (and every failed or slow one) that is kept.
+        let elapsed = timer.elapsed();
+        let first_err = results.iter().find_map(|r| r.as_ref().err());
+        let untagged: &[&str] = &[];
+        if self
+            .inner
+            .recorder
+            .admit(elapsed, first_err.is_some(), untagged)
+        {
+            let mut span = SpanRecord::new(
+                Stage::Request,
+                TRACE_SERVICE,
+                timer.start_unix_nanos(),
+                elapsed,
+            )
+            .annotate("model", model)
+            .annotate("endpoint", &self.inner.config.addr)
+            .annotate("pairs", pairs.len());
+            // The root's id went over the wire before the span existed.
+            span.span_id = root_id;
+            if let Some(e) = first_err {
+                span = span.with_error(e);
+            }
+            let mut t = Trace::new(ctx.trace_id);
+            t.push(span);
+            self.inner.recorder.retain(t);
+        }
+        results
     }
 
     fn unpack_tensor(&self, key: &str) -> Result<Vec<f64>> {
@@ -625,30 +537,45 @@ impl ClientApi for RemoteClient {
         }
     }
 
+    /// Round-trips a PING and verifies the echo.
     fn ping(&self) -> Result<()> {
-        RemoteClient::ping(self)
+        let nonce = self.next_seq().to_le_bytes();
+        match self.call(Opcode::Ping, |buf| buf.extend_from_slice(&nonce))? {
+            Response::Pong(echo) if echo == nonce => Ok(()),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn serving_stats(&self) -> Result<ServingStats> {
-        RemoteClient::serving_stats(self)
+        match self.call(Opcode::Stats, |_| {})? {
+            Response::Text(json) => serde_json::from_str(&json)
+                .map_err(|e| RuntimeError::Protocol(format!("unparsable stats: {e}"))),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn metrics_text(&self) -> Result<String> {
-        RemoteClient::metrics_text(self)
+        match self.call(Opcode::Metrics, |_| {})? {
+            Response::Text(text) => Ok(text),
+            other => Err(unexpected(&other)),
+        }
     }
 
+    /// Merged across the wire: this client's root spans joined (by trace
+    /// id) with the server's flight-recorder dump, fetched via the v2
+    /// `Traces` op. A v1-only or unreachable server degrades to the local
+    /// half instead of failing — the local recorder always has the
+    /// originating spans.
     fn trace_dump(&self) -> Result<Vec<Trace>> {
-        RemoteClient::trace_dump(self)
+        let local = self.inner.recorder.snapshot();
+        let remote = match self.call(Opcode::Traces, |_| {}) {
+            Ok(Response::Text(json)) => traces_from_json(&json)
+                .map_err(|e| RuntimeError::Protocol(format!("unparsable traces: {e}")))?,
+            Ok(other) => return Err(unexpected(&other)),
+            Err(_) => Vec::new(),
+        };
+        Ok(merge_traces(local.into_iter().chain(remote)))
     }
-}
-
-/// Reduce per-pair batch results to the whole-batch contract: the first
-/// error in pair order, or `Ok(())`.
-fn first_error(results: Vec<Result<()>>) -> Result<()> {
-    results
-        .into_iter()
-        .find_map(std::result::Result::err)
-        .map_or(Ok(()), Err)
 }
 
 #[cfg(test)]

@@ -13,14 +13,14 @@
 //!   [`hpcnet_runtime::RuntimeError`],
 //! * [`server`] — a multi-threaded TCP front end
 //!   ([`NetServer`]) over an [`hpcnet_runtime::Orchestrator`]: one
-//!   reader and one executor thread per connection, a bounded
-//!   per-connection in-flight window, connection/byte/request telemetry
-//!   recorded into the orchestrator's own registry, and graceful drain
-//!   that reuses `Orchestrator::shutdown()`,
+//!   thread per connection that serves what arrived together as one
+//!   round, a bounded per-connection window, connection/byte/request
+//!   telemetry recorded into the orchestrator's own registry, and
+//!   graceful drain that reuses `Orchestrator::shutdown()`,
 //! * [`client`] — [`RemoteClient`], the same Listing-1 surface as the
 //!   in-process `Client` (both implement
-//!   [`hpcnet_runtime::ClientApi`]), with connection pooling,
-//!   configurable timeouts, and bounded-backoff reconnection.
+//!   [`hpcnet_runtime::ClientApi`]), with connection pooling, a connect
+//!   timeout, and one bounded-backoff retry rule for every call.
 //!
 //! The `hpcnet-serve` binary wraps [`server`] for two-terminal use; see
 //! `examples/remote_quickstart.rs` and the README's "Remote serving"

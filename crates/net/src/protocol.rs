@@ -1799,7 +1799,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_model_roundtrips_with_context() {
+    fn run_model_trace_context_roundtrips() {
         let ctx = TraceContext::from_wire(&{
             let mut b = [0u8; TRACE_CONTEXT_WIRE_LEN];
             b[..8].copy_from_slice(&0x1234_5678_9ABC_DEF0u64.to_le_bytes());

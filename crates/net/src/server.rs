@@ -8,11 +8,11 @@
 //! 2. take the further frames that are already complete in the
 //!    connection's read buffer, up to [`NetServerBuilder::window`] frames
 //!    in all — what a pipelining client sent together is served together;
-//! 3. execute them in request order. A run of consecutive `RUN_MODEL`s
-//!    that do not depend on each other through a key goes to the
-//!    orchestrator as *one* call ([`Client::run_round`]): one round and
-//!    one batched forward pass on an idle orchestrator, executed on this
-//!    very thread;
+//! 3. execute them in request order. A `RUN_MODEL` and the consecutive
+//!    `RUN_MODEL`s behind it that do not depend on each other through a
+//!    key go to the orchestrator as *one* call ([`Client::run_round`]):
+//!    one round and one batched forward pass on an idle orchestrator,
+//!    executed on this very thread;
 //! 4. write every reply, in request order, with one `write`.
 //!
 //! There is no queue between reading and executing, so nothing to bound:
@@ -41,7 +41,9 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hpcnet_runtime::{Client, Orchestrator, Result, RunRequest, RuntimeError, ServingStats};
+use hpcnet_runtime::{
+    Client, ClientApi, Orchestrator, Result, RunRequest, RuntimeError, ServingStats,
+};
 use hpcnet_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::protocol::{
@@ -50,20 +52,20 @@ use crate::protocol::{
 };
 
 /// Connections currently open.
-pub const CONNECTIONS_GAUGE: &str = "hpcnet_net_connections";
+const CONNECTIONS_GAUGE: &str = "hpcnet_net_connections";
 /// Connections accepted since start.
-pub const CONNECTIONS_TOTAL: &str = "hpcnet_net_connections_total";
+const CONNECTIONS_TOTAL: &str = "hpcnet_net_connections_total";
 /// Requests executed, labeled by `op`.
-pub const NET_REQUESTS_TOTAL: &str = "hpcnet_net_requests_total";
+const NET_REQUESTS_TOTAL: &str = "hpcnet_net_requests_total";
 /// Wire bytes read off client sockets.
-pub const BYTES_READ_TOTAL: &str = "hpcnet_net_bytes_read_total";
+const BYTES_READ_TOTAL: &str = "hpcnet_net_bytes_read_total";
 /// Wire bytes written to client sockets.
-pub const BYTES_WRITTEN_TOTAL: &str = "hpcnet_net_bytes_written_total";
+const BYTES_WRITTEN_TOTAL: &str = "hpcnet_net_bytes_written_total";
 /// Recoverable protocol violations answered with an error frame.
-pub const PROTOCOL_ERRORS_TOTAL: &str = "hpcnet_net_protocol_errors_total";
+const PROTOCOL_ERRORS_TOTAL: &str = "hpcnet_net_protocol_errors_total";
 /// End-to-end server-side request latency (frame taken off the stream,
 /// before decode, to reply written), labeled by `op`.
-pub const REQUEST_SECONDS: &str = "hpcnet_net_request_seconds";
+const REQUEST_SECONDS: &str = "hpcnet_net_request_seconds";
 
 /// `# HELP` text for every `hpcnet_net_*` series, installed into the
 /// orchestrator's registry when the server binds its instruments.
@@ -479,14 +481,15 @@ fn connection_loop(stream: TcpStream, conn_id: u64, shared: Arc<ServerShared>) {
 /// Execute the frames of `round` in request order, appending each reply
 /// to `out` and noting what was served for the latency metrics.
 ///
-/// A `RUN_MODEL` takes the `RUN_MODEL`s right behind it along as one
-/// [`Client::run_round`] call, up to the first that shares a key with an
-/// earlier one of the run in a way that orders them (reads or overwrites
-/// an output, overwrites an input): those execute in sequence, as does
-/// everything that is not a `RUN_MODEL`. What a client could observe is
-/// unchanged from one-at-a-time execution (DESIGN.md §12): every request
-/// keeps its own deadline, trace context, guard outcome and typed reply,
-/// in request order.
+/// Every `RUN_MODEL` goes to the orchestrator through one call,
+/// [`Client::run_round`], and takes the `RUN_MODEL`s right behind it
+/// along, up to the first that shares a key with an earlier one of the
+/// run in a way that orders them (reads or overwrites an output,
+/// overwrites an input): those execute in sequence, as does everything
+/// that is not a `RUN_MODEL`. What a client could observe is unchanged
+/// from one-at-a-time execution (DESIGN.md §12): every request keeps its
+/// own deadline, trace context, guard outcome and typed reply, in
+/// request order.
 fn serve(
     client: &Client,
     shared: &ServerShared,
@@ -494,36 +497,52 @@ fn serve(
     out: &mut Vec<u8>,
     served: &mut Vec<(Opcode, Instant)>,
 ) {
+    let orchestrator = &shared.orchestrator;
     let mut frames = round.drain(..).peekable();
     let mut run: Vec<Taken> = Vec::new();
     while let Some(frame) = frames.next() {
-        run.push(frame);
-        while let Some(next) = frames.next_if(|next| joins_run(&run, next)) {
-            run.push(next);
-        }
-        if run.len() > 1 {
-            let requests: Vec<RunRequest<'_>> = run.iter().filter_map(Taken::as_run).collect();
-            let results = client.run_round(&requests);
-            for (frame, result) in run.drain(..).zip(results) {
-                served.push((Opcode::RunModel, frame.received));
-                result
-                    .map_or_else(|e| error_response(&e), |()| Response::Ok)
-                    .encode_frame(out, frame.version, frame.seq);
+        let opcode = frame.request.as_ref().ok().map(Request::opcode);
+        let result: Result<Response> = match frame.request {
+            Ok(Request::RunModel { .. }) => {
+                run.push(frame);
+                while let Some(next) = frames.next_if(|next| joins_run(&run, next)) {
+                    run.push(next);
+                }
+                let requests: Vec<RunRequest<'_>> = run.iter().filter_map(Taken::as_run).collect();
+                let results = client.run_round(&requests);
+                for (frame, result) in run.drain(..).zip(results) {
+                    served.push((Opcode::RunModel, frame.received));
+                    result
+                        .map_or_else(|e| error_response(&e), |()| Response::Ok)
+                        .encode_frame(out, frame.version, frame.seq);
+                }
+                continue;
             }
-        }
-        for frame in run.drain(..) {
-            let response = match frame.request {
-                Ok(request) => {
-                    served.push((request.opcode(), frame.received));
-                    execute(client, &shared.orchestrator, request)
-                }
-                Err(message) => {
-                    shared.metrics.protocol_errors.inc();
-                    error_response(&RuntimeError::Protocol(message))
-                }
-            };
-            response.encode_frame(out, frame.version, frame.seq);
-        }
+            Ok(Request::PutTensor { key, values }) => {
+                client.put_tensor_owned(&key, values).map(|()| Response::Ok)
+            }
+            Ok(Request::PutSparse { key, tensor }) => client
+                .put_sparse_tensor(&key, tensor)
+                .map(|()| Response::Ok),
+            Ok(Request::GetTensor { key }) => client.unpack_tensor(&key).map(Response::Tensor),
+            Ok(Request::Del { key }) => client.del_tensor(&key).map(Response::Deleted),
+            Ok(Request::Stats) => serde_json::to_string(&orchestrator.serving_stats())
+                .map(Response::Text)
+                .map_err(|e| RuntimeError::Inference(format!("serializing stats: {e}"))),
+            Ok(Request::Metrics) => Ok(Response::Text(orchestrator.metrics_text())),
+            Ok(Request::Ping { payload }) => Ok(Response::Pong(payload)),
+            Ok(Request::Traces) => Ok(Response::Text(hpcnet_telemetry::trace::traces_to_json(
+                &orchestrator.trace_dump(),
+            ))),
+            Err(message) => {
+                shared.metrics.protocol_errors.inc();
+                Err(RuntimeError::Protocol(message))
+            }
+        };
+        served.extend(opcode.map(|op| (op, frame.received)));
+        result
+            .unwrap_or_else(|e| error_response(&e))
+            .encode_frame(out, frame.version, frame.seq);
     }
 }
 
@@ -550,45 +569,6 @@ fn deadline_of(deadline_micros: u64) -> Option<Duration> {
 
 fn error_response(e: &RuntimeError) -> Response {
     Response::Error(ErrorFrame::from_runtime(e))
-}
-
-/// Execute one decoded request against the orchestrator, mapping every
-/// failure into a typed error frame.
-fn execute(client: &Client, orchestrator: &Orchestrator, request: Request) -> Response {
-    let result: Result<Response> = match request {
-        Request::PutTensor { key, values } => {
-            client.put_tensor_owned(&key, values).map(|()| Response::Ok)
-        }
-        Request::PutSparse { key, tensor } => client
-            .put_sparse_tensor(&key, tensor)
-            .map(|()| Response::Ok),
-        Request::GetTensor { key } => client.unpack_tensor(&key).map(Response::Tensor),
-        Request::RunModel {
-            model,
-            in_key,
-            out_key,
-            deadline_micros,
-            trace,
-        } => client
-            .run_model_with_context(
-                &model,
-                &in_key,
-                &out_key,
-                deadline_of(deadline_micros),
-                trace,
-            )
-            .map(|()| Response::Ok),
-        Request::Del { key } => client.del_tensor(&key).map(Response::Deleted),
-        Request::Stats => serde_json::to_string(&orchestrator.serving_stats())
-            .map(Response::Text)
-            .map_err(|e| RuntimeError::Inference(format!("serializing stats: {e}"))),
-        Request::Metrics => Ok(Response::Text(orchestrator.metrics_text())),
-        Request::Ping { payload } => Ok(Response::Pong(payload)),
-        Request::Traces => Ok(Response::Text(hpcnet_telemetry::trace::traces_to_json(
-            &orchestrator.trace_dump(),
-        ))),
-    };
-    result.unwrap_or_else(|e| error_response(&e))
 }
 
 #[cfg(test)]

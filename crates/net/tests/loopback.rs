@@ -141,6 +141,7 @@ fn remote_client_passes_the_shared_conformance_suite() {
     let predict = move |x: &[f64]| reference.surrogate.predict(x).expect("predict");
     Conformance::new(DEMO_MODEL, DEMO_INPUT_DIM, &predict)
         .key_prefix("remote")
+        .root_service("remote_client")
         .check(&client);
     server.shutdown();
 }
@@ -502,9 +503,7 @@ fn consecutive_batches_reuse_one_pooled_connection() {
     };
     let before = connections(&client);
     for _ in 0..2 {
-        let results = client
-            .run_model_batch_results(DEMO_MODEL, &as_pairs(&keys), None)
-            .expect("batch");
+        let results = client.run_pairs(DEMO_MODEL, &as_pairs(&keys), None);
         assert_eq!(results.len(), keys.len());
         assert!(results.iter().all(Result::is_ok), "got {results:?}");
     }
@@ -537,7 +536,8 @@ fn batch_after_a_server_restart_costs_one_redial() {
     let first = launch("127.0.0.1:0");
     let addr = first.local_addr().to_string();
     let client = RemoteClient::builder(addr.as_str())
-        .retries(0)
+        .retries(1)
+        .backoff(Duration::from_millis(1), Duration::from_millis(1))
         .connect()
         .expect("connect");
     let keys: Vec<(String, String)> = (0..6)
@@ -548,14 +548,14 @@ fn batch_after_a_server_restart_costs_one_redial() {
             .put_tensor(in_key, &demo_input(s as u64))
             .expect("put");
     }
-    let batch = || client.run_model_batch_results(DEMO_MODEL, &as_pairs(&keys), None);
-    assert!(batch().expect("first batch").iter().all(Result::is_ok));
+    let batch = || client.run_pairs(DEMO_MODEL, &as_pairs(&keys), None);
+    assert!(batch().iter().all(Result::is_ok));
     first.shutdown();
 
     let second = launch(&addr);
-    // `retries(0)`: the one re-dial is the batch path's own, not the
-    // per-call retry budget.
-    let results = batch().expect("a stale pooled connection must cost a re-dial, not the batch");
+    // A stale pooled connection costs the one retry — a re-dial — not the
+    // batch: it fails before any reply of the call has been read.
+    let results = batch();
     assert!(results.iter().all(Result::is_ok), "got {results:?}");
     let metrics = client.metrics_text().expect("metrics");
     assert_eq!(
@@ -574,10 +574,17 @@ fn batch_after_a_server_restart_costs_one_redial() {
     }
     second.shutdown();
 
-    // Nothing listening any more: the re-dial fails and the fault is the
-    // typed transport error the cluster's re-route keys on.
-    let err = batch().expect_err("no server");
-    assert!(matches!(err, RuntimeError::Transport(_)), "got {err:?}");
+    // Nothing listening any more: the re-dial fails and every pair is
+    // answered with the typed transport error the cluster's re-route keys
+    // on.
+    let results = batch();
+    assert_eq!(results.len(), keys.len());
+    assert!(
+        results
+            .iter()
+            .all(|r| matches!(r, Err(RuntimeError::Transport(_)))),
+        "got {results:?}"
+    );
 }
 
 /// A guarded demo server with one worker whose validator takes `pause`
@@ -638,9 +645,7 @@ fn pipelined_batch_is_coalesced_with_per_pair_results_in_order() {
     assert_eq!(before.batches, before.requests, "singles are not coalesced");
 
     let batched = keys("batch");
-    let results = client
-        .run_model_batch_results(DEMO_MODEL, &as_pairs(&batched), None)
-        .expect("batch");
+    let results = client.run_pairs(DEMO_MODEL, &as_pairs(&batched), None);
     assert_eq!(results.len(), PAIRS);
     for (s, result) in results.iter().enumerate() {
         if s == ABSENT {
@@ -703,20 +708,16 @@ fn pipelined_frames_keep_their_own_deadlines() {
     let keys: Vec<(String, String)> = (0..3)
         .map(|s| (format!("dl/in{s}"), format!("dl/out{s}")))
         .collect();
-    let results = client
-        .run_model_batch_results(
-            DEMO_MODEL,
-            &as_pairs(&keys),
-            Some(Duration::from_millis(20)),
-        )
-        .expect("the batch itself completes");
+    let results = client.run_pairs(
+        DEMO_MODEL,
+        &as_pairs(&keys),
+        Some(Duration::from_millis(20)),
+    );
     assert_eq!(results, vec![Err(RuntimeError::DeadlineExceeded); 3]);
     occupant.join().expect("occupant").expect("slow run");
 
     // With room in the budget the same frames are served.
-    let results = client
-        .run_model_batch_results(DEMO_MODEL, &as_pairs(&keys), Some(Duration::from_secs(30)))
-        .expect("batch");
+    let results = client.run_pairs(DEMO_MODEL, &as_pairs(&keys), Some(Duration::from_secs(30)));
     assert_eq!(results, vec![Ok(()); 3]);
     assert!(client.serving_stats().expect("stats").deadline_expired >= 3);
     server.shutdown();

@@ -108,7 +108,7 @@ proptest! {
     /// Traced RunModel requests round-trip their trace context exactly,
     /// for any non-zero trace id and any parent-span value.
     #[test]
-    fn traced_run_model_roundtrips(
+    fn run_model_trace_context_roundtrips(
         model in "[A-Za-z0-9-]{1,24}",
         in_key in key_strategy(),
         out_key in key_strategy(),

@@ -7,6 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hpcnet_net::{demo_bundle, NetServer, RemoteClient, DEMO_MODEL};
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::Orchestrator;
 
 /// Threads of this process whose name starts with `prefix`. The kernel

@@ -6,40 +6,28 @@
 //! [`crate::Client`], a networked client (`hpcnet-net`'s `RemoteClient`),
 //! or a sharded fleet (`hpcnet-cluster`'s `ClusterClient`) without
 //! touching the call sites. The implementations are behaviorally
-//! interchangeable: every transport produces bit-identical `run_model`
-//! outputs and surfaces the same typed [`RuntimeError`] variants
-//! (`Overloaded`, `DeadlineExceeded`, `ShuttingDown`, `QualityRejected`),
-//! plus [`RuntimeError::Transport`] when a network itself fails.
+//! interchangeable: every transport produces bit-identical outputs and
+//! surfaces the same typed [`crate::RuntimeError`] variants (`Overloaded`,
+//! `DeadlineExceeded`, `ShuttingDown`, `QualityRejected`), plus
+//! [`crate::RuntimeError::Transport`] when a network itself fails.
 //!
-//! # The v2 surface
+//! # One run call
 //!
-//! The first revision of this trait covered only the per-request flow,
-//! which forced generic code to downcast for batching, health probes, or
-//! observability. v2 promotes the whole production surface:
-//!
-//! * [`ClientApi::run_model_batch`] / [`ClientApi::run_model_batch_with_deadline`]
-//!   — the batched hot path, with default implementations that loop
-//!   [`ClientApi::run_model`] so small transports stay trivial to write;
-//!   concrete clients override them (coalesced in-process, pipelined over
-//!   TCP, scatter/gather across a cluster).
-//! * [`ClientApi::serving_stats`] / [`ClientApi::metrics_text`] — the
-//!   observability surface, fallible on every transport (an in-process
-//!   client wraps its infallible snapshot in `Ok`).
-//! * [`ClientApi::ping`] — the liveness/admission probe callers
-//!   previously reached by downcasting to `RemoteClient::ping` or
-//!   `Client::is_admitting`.
-//!
-//! Batch semantics are part of the contract and pinned by the shared
-//! [`crate::conformance`] suite: an empty batch is `Ok(())`; a failing
-//! pair does not abort the rest (every pair is attempted, every
-//! successful pair stores its output) and the *first* error in pair
-//! order is returned.
+//! Listing 1 has one `run_model(name, {in_keys}, {out_keys})` over key
+//! lists, and so does this trait: [`ClientApi::run_pairs`] is the only
+//! run method a transport implements. `run_model`, `run_model_batch` and
+//! their `_with_deadline` forms are provided wrappers that reduce its
+//! per-pair results to the first error in pair order; no transport
+//! overrides them, so a single run *is* a batch of one on every path —
+//! same retry rule, same trace shape, same counters. The contract of the
+//! primitive is pinned by the shared [`crate::conformance`] suite
+//! (DESIGN.md §15.1).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::{Result, RuntimeError, ServingStats};
+use crate::{Result, ServingStats};
 
-/// The transport-agnostic request client: Listing 1's flow plus batching,
+/// The transport-agnostic request client: Listing 1's flow plus
 /// deletion (for bounded-memory serving), health probing, and the
 /// observability surface.
 pub trait ClientApi {
@@ -49,9 +37,39 @@ pub trait ClientApi {
     /// Put a sparse input tensor on the database without densification.
     fn put_sparse_tensor(&self, key: &str, value: hpcnet_tensor::Csr) -> Result<()>;
 
+    /// Run a registered model over every `(in_key, out_key)` pair,
+    /// storing each output under its `out_key`, and return one result per
+    /// pair, in pair order. Blocks until every pair is answered. This is
+    /// the one run method a transport implements; the four `run_model*`
+    /// methods are views of it.
+    ///
+    /// Contract (conformance-tested across every implementation):
+    ///
+    /// * no pairs in, no results out — without touching the server, even
+    ///   under a zero deadline;
+    /// * every pair is attempted and answered on its own: a missing
+    ///   input or an unknown model is the typed error of that pair, and
+    ///   every other pair still stores its output;
+    /// * `deadline` covers the whole call (`None`: the serving side's
+    ///   default, if any). A zero deadline answers every pair
+    ///   [`crate::RuntimeError::DeadlineExceeded`] before any server work;
+    /// * a call the transport refuses as a whole (a malformed key, a
+    ///   draining orchestrator, an unreachable endpoint) answers every
+    ///   pair with that error;
+    /// * one pair behaves exactly as one of many: same stored bits, same
+    ///   serving counters, same trace shape.
+    fn run_pairs(
+        &self,
+        model: &str,
+        pairs: &[(&str, &str)],
+        deadline: Option<Duration>,
+    ) -> Vec<Result<()>>;
+
     /// Run a registered model over `in_key`, storing the output under
-    /// `out_key`. Blocks until the server replies.
-    fn run_model(&self, model: &str, in_key: &str, out_key: &str) -> Result<()>;
+    /// `out_key`: [`ClientApi::run_pairs`] over one pair.
+    fn run_model(&self, model: &str, in_key: &str, out_key: &str) -> Result<()> {
+        first_error(self.run_pairs(model, &[(in_key, out_key)], None))
+    }
 
     /// [`ClientApi::run_model`] with an explicit per-request deadline.
     fn run_model_with_deadline(
@@ -60,67 +78,27 @@ pub trait ClientApi {
         in_key: &str,
         out_key: &str,
         deadline: Duration,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        first_error(self.run_pairs(model, &[(in_key, out_key)], Some(deadline)))
+    }
 
-    /// Run a model over many `(in_key, out_key)` pairs in one request.
-    ///
-    /// Contract (conformance-tested across every implementation):
-    ///
-    /// * an empty batch returns `Ok(())` without touching the server;
-    /// * every pair is attempted — a failing pair never aborts the rest,
-    ///   and each successful pair stores its output;
-    /// * the first error *in pair order* is returned (or `Ok(())` when
-    ///   every pair served).
-    ///
-    /// The default implementation loops [`ClientApi::run_model`];
-    /// concrete clients override it with their transport's batched hot
-    /// path (coalesced forward pass in-process, pipelined frames over
-    /// TCP, scatter/gather across cluster shards).
+    /// Run a model over many `(in_key, out_key)` pairs in one call and
+    /// return the first error *in pair order* (or `Ok(())` when every
+    /// pair served). A failing pair never aborts the rest; use
+    /// [`ClientApi::run_pairs`] to see every pair's own result.
     fn run_model_batch(&self, model: &str, pairs: &[(&str, &str)]) -> Result<()> {
-        let mut first_err = None;
-        for (in_key, out_key) in pairs {
-            if let Err(e) = self.run_model(model, in_key, out_key) {
-                first_err.get_or_insert(e);
-            }
-        }
-        first_err.map_or(Ok(()), Err)
+        first_error(self.run_pairs(model, pairs, None))
     }
 
     /// [`ClientApi::run_model_batch`] with an explicit deadline covering
-    /// the whole batch. A deadline that is already unreachable fails with
-    /// [`RuntimeError::DeadlineExceeded`] before any transport work.
-    ///
-    /// The default implementation loops
-    /// [`ClientApi::run_model_with_deadline`], charging each pair the
-    /// time remaining on the whole-batch budget; once the budget is
-    /// exhausted the remaining pairs are not attempted (they could only
-    /// fail the same way) and `DeadlineExceeded` is recorded as their
-    /// error.
+    /// the whole batch.
     fn run_model_batch_with_deadline(
         &self,
         model: &str,
         pairs: &[(&str, &str)],
         deadline: Duration,
     ) -> Result<()> {
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        if deadline.is_zero() {
-            return Err(RuntimeError::DeadlineExceeded);
-        }
-        let started = Instant::now();
-        let mut first_err = None;
-        for (in_key, out_key) in pairs {
-            let remaining = deadline.saturating_sub(started.elapsed());
-            if remaining.is_zero() {
-                first_err.get_or_insert(RuntimeError::DeadlineExceeded);
-                break;
-            }
-            if let Err(e) = self.run_model_with_deadline(model, in_key, out_key, remaining) {
-                first_err.get_or_insert(e);
-            }
-        }
-        first_err.map_or(Ok(()), Err)
+        first_error(self.run_pairs(model, pairs, Some(deadline)))
     }
 
     /// Get a result tensor (densified if stored sparse).
@@ -131,9 +109,9 @@ pub trait ClientApi {
 
     /// Liveness/admission probe. `Ok(())` means the serving side is
     /// reachable *and* admitting requests: the in-process client checks
-    /// the orchestrator's admission flag ([`RuntimeError::ShuttingDown`]
+    /// the orchestrator's admission flag ([`crate::RuntimeError::ShuttingDown`]
     /// once draining), networked clients round-trip a `PING` frame
-    /// ([`RuntimeError::Transport`] when unreachable), and a cluster
+    /// ([`crate::RuntimeError::Transport`] when unreachable), and a cluster
     /// client reports `Ok` while at least one endpoint is serving.
     fn ping(&self) -> Result<()>;
 
@@ -181,18 +159,24 @@ pub trait ClientApi {
     }
 }
 
+/// Reduce per-pair results to the whole-call contract of the `run_model*`
+/// wrappers: the first error in pair order, or `Ok(())`.
+pub(crate) fn first_error(results: Vec<Result<()>>) -> Result<()> {
+    results.into_iter().find(Result::is_err).unwrap_or(Ok(()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RuntimeError;
     use std::cell::RefCell;
 
-    /// A minimal transport that implements only the required methods, so
-    /// the default batch implementations are what gets exercised.
+    /// A minimal transport: the one required run method, so the provided
+    /// wrappers are what gets exercised.
     struct LoopClient {
-        /// `(in_key, outcome)` table; a missing key is `MissingTensor`.
         served: RefCell<Vec<String>>,
+        /// Input keys whose pair fails `MissingTensor`.
         fail_on: Vec<String>,
-        delay: Duration,
     }
 
     impl LoopClient {
@@ -200,7 +184,6 @@ mod tests {
             LoopClient {
                 served: RefCell::new(Vec::new()),
                 fail_on: fail_on.iter().map(|s| s.to_string()).collect(),
-                delay: Duration::ZERO,
             }
         }
     }
@@ -212,25 +195,25 @@ mod tests {
         fn put_sparse_tensor(&self, _key: &str, _value: hpcnet_tensor::Csr) -> Result<()> {
             Ok(())
         }
-        fn run_model(&self, _model: &str, in_key: &str, _out_key: &str) -> Result<()> {
-            std::thread::sleep(self.delay);
-            if self.fail_on.iter().any(|k| k == in_key) {
-                return Err(RuntimeError::MissingTensor(in_key.into()));
-            }
-            self.served.borrow_mut().push(in_key.to_string());
-            Ok(())
-        }
-        fn run_model_with_deadline(
+        fn run_pairs(
             &self,
-            model: &str,
-            in_key: &str,
-            out_key: &str,
-            deadline: Duration,
-        ) -> Result<()> {
-            if deadline.is_zero() {
-                return Err(RuntimeError::DeadlineExceeded);
+            _model: &str,
+            pairs: &[(&str, &str)],
+            deadline: Option<Duration>,
+        ) -> Vec<Result<()>> {
+            if deadline.is_some_and(|d| d.is_zero()) {
+                return vec![Err(RuntimeError::DeadlineExceeded); pairs.len()];
             }
-            self.run_model(model, in_key, out_key)
+            pairs
+                .iter()
+                .map(|(in_key, _)| {
+                    if self.fail_on.iter().any(|k| k == in_key) {
+                        return Err(RuntimeError::MissingTensor(in_key.to_string()));
+                    }
+                    self.served.borrow_mut().push(in_key.to_string());
+                    Ok(())
+                })
+                .collect()
         }
         fn unpack_tensor(&self, key: &str) -> Result<Vec<f64>> {
             Err(RuntimeError::MissingTensor(key.into()))
@@ -252,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_loops_and_reports_first_error_in_pair_order() {
+    fn wrappers_report_the_first_error_in_pair_order() {
         let c = LoopClient::new(&["b", "c"]);
         let err = c
             .run_model_batch("m", &[("a", "ao"), ("b", "bo"), ("c", "co"), ("d", "do")])
@@ -262,11 +245,22 @@ mod tests {
         // ...but every non-failing pair was still attempted.
         assert_eq!(*c.served.borrow(), vec!["a", "d"]);
         assert_eq!(c.run_model_batch("m", &[]), Ok(()));
+        // A single run is the same call over one pair.
+        assert_eq!(
+            c.run_model("m", "c", "co"),
+            Err(RuntimeError::MissingTensor("c".into()))
+        );
+        assert_eq!(c.run_model("m", "e", "eo"), Ok(()));
+        assert_eq!(*c.served.borrow(), vec!["a", "d", "e"]);
     }
 
     #[test]
-    fn default_deadline_batch_charges_one_budget() {
+    fn wrappers_hand_the_deadline_to_the_primitive() {
         let c = LoopClient::new(&[]);
+        assert_eq!(
+            c.run_model_with_deadline("m", "a", "ao", Duration::ZERO),
+            Err(RuntimeError::DeadlineExceeded)
+        );
         assert_eq!(
             c.run_model_batch_with_deadline("m", &[("a", "ao")], Duration::ZERO),
             Err(RuntimeError::DeadlineExceeded)
@@ -290,22 +284,8 @@ mod tests {
     }
 
     #[test]
-    fn default_deadline_batch_stops_once_budget_exhausted() {
-        let mut c = LoopClient::new(&[]);
-        c.delay = Duration::from_millis(30);
-        // 30 ms per pair against a 40 ms whole-batch budget: the first
-        // pair serves, a later pair hits the exhausted budget, and the
-        // batch reports DeadlineExceeded without attempting the tail.
-        let err = c
-            .run_model_batch_with_deadline(
-                "m",
-                &[("a", "ao"), ("b", "bo"), ("c", "co"), ("d", "do")],
-                Duration::from_millis(40),
-            )
-            .unwrap_err();
-        assert_eq!(err, RuntimeError::DeadlineExceeded);
-        let served = c.served.borrow();
-        assert!(served.len() < 4, "budget should cut the batch short");
-        assert_eq!(served[0], "a");
+    fn the_trait_is_object_safe() {
+        let c: Box<dyn ClientApi> = Box::new(LoopClient::new(&[]));
+        assert_eq!(c.run_pairs("m", &[("a", "ao")], None), vec![Ok(())]);
     }
 }

@@ -7,17 +7,21 @@
 //! client.unpack_tensor(out_key, ...);
 //! ```
 //!
+//! The calls themselves are [`ClientApi`]'s; this type is the in-process
+//! implementation and the reference the other transports are held to.
 //! Every call is fallible: keys are validated into [`TensorKey`]s at the
 //! boundary, a full admission queue rejects with
 //! [`RuntimeError::Overloaded`], deadlines are enforced at enqueue time
 //! (and again server-side), and a draining orchestrator answers
 //! [`RuntimeError::ShuttingDown`].
 //!
-//! Who executes a `run_model` is decided by what the client observes
-//! (DESIGN.md §9): on an idle orchestrator — nothing queued, an execution
-//! slot free — the calling thread runs the request itself as a one-round
-//! batch; otherwise the request is queued for the worker pool, which
-//! coalesces whatever is queued into batched rounds.
+//! A run is two steps whatever its size: `prepare` validates and stamps
+//! the request, `submit` gets it executed. Who executes it is decided by
+//! what the client observes (DESIGN.md §9): on an idle orchestrator —
+//! nothing queued, an execution slot free — the calling thread runs the
+//! request itself as a one-round batch; otherwise the request is queued
+//! for the worker pool, which coalesces whatever is queued into batched
+//! rounds.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -26,9 +30,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use hpcnet_telemetry::{Trace, TraceContext};
 
+use crate::api::first_error;
 use crate::server::{serve_round, Orchestrator, PendingRequest, Request, ServerCtx};
 use crate::store::TensorKey;
-use crate::{Result, RuntimeError};
+use crate::{ClientApi, Result, RuntimeError};
 
 /// A lightweight client compiled "into the application": it executes
 /// requests on the calling thread while the orchestrator is idle and
@@ -38,7 +43,7 @@ use crate::{Result, RuntimeError};
 /// # Examples
 ///
 /// ```
-/// use hpcnet_runtime::{ModelBundle, Orchestrator};
+/// use hpcnet_runtime::{ClientApi, ModelBundle, Orchestrator};
 /// use hpcnet_nn::{Mlp, Topology};
 /// let orc = Orchestrator::builder().build();
 /// let mut rng = hpcnet_tensor::rng::seeded(1, "doc");
@@ -56,8 +61,8 @@ pub struct Client {
     tx: Sender<Request>,
 }
 
-/// One `run_model` of a [`Client::run_round`]: the arguments of
-/// [`Client::run_model_with_context`], borrowed.
+/// One entry of a [`Client::run_round`]: a one-pair run that keeps its
+/// own deadline and trace context, borrowed from the frame it came in.
 #[derive(Debug, Clone, Copy)]
 pub struct RunRequest<'a> {
     /// Registered model name.
@@ -68,7 +73,9 @@ pub struct RunRequest<'a> {
     pub out_key: &'a str,
     /// Per-request deadline; `None` uses the orchestrator's default.
     pub deadline: Option<Duration>,
-    /// Upstream trace context, if the caller propagates one.
+    /// Upstream trace context (DESIGN.md §16): when present, the
+    /// server-side request span joins the caller's trace as a child of
+    /// its `parent_span` instead of rooting a fresh one.
     pub trace: Option<TraceContext>,
 }
 
@@ -93,78 +100,17 @@ impl Client {
         orchestrator.client()
     }
 
-    /// Put a dense input tensor on the database (Listing 1, line 5).
+    /// [`ClientApi::put_tensor`] for a caller that already owns the row
+    /// (the networked front end, which decoded it off the wire): the
+    /// vector moves into the store instead of being copied.
     ///
     /// Fails with [`RuntimeError::InvalidKey`] on a malformed key and
     /// [`RuntimeError::ShuttingDown`] once the orchestrator is draining.
-    pub fn put_tensor(&self, key: &str, value: &[f64]) -> Result<()> {
-        self.put_tensor_owned(key, value.to_vec())
-    }
-
-    /// [`Client::put_tensor`] for a caller that already owns the row (the
-    /// networked front end, which decoded it off the wire): the vector
-    /// moves into the store instead of being copied.
     pub fn put_tensor_owned(&self, key: &str, value: Vec<f64>) -> Result<()> {
         let key = TensorKey::new(key)?;
         self.ensure_admitting()?;
         self.ctx.store.put_dense(key.as_str(), value);
         Ok(())
-    }
-
-    /// Put a sparse input tensor on the database without densification.
-    pub fn put_sparse_tensor(&self, key: &str, value: hpcnet_tensor::Csr) -> Result<()> {
-        let key = TensorKey::new(key)?;
-        self.ensure_admitting()?;
-        self.ctx.store.put_sparse(key.as_str(), value);
-        Ok(())
-    }
-
-    /// Run a model already in the database (Listing 1, line 7). Blocks
-    /// until the server replies. Uses the orchestrator's default deadline
-    /// when one was configured.
-    pub fn run_model(&self, model: &str, in_key: &str, out_key: &str) -> Result<()> {
-        self.run_model_inner(model, in_key, out_key, None, None)
-    }
-
-    /// [`Client::run_model`] with an explicit per-request deadline that
-    /// overrides the orchestrator default. The deadline is enforced both
-    /// at enqueue time and server-side before the coalesced batch runs.
-    pub fn run_model_with_deadline(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        deadline: Duration,
-    ) -> Result<()> {
-        self.run_model_inner(model, in_key, out_key, Some(deadline), None)
-    }
-
-    /// [`Client::run_model`] carrying an upstream [`TraceContext`]
-    /// (DESIGN.md §16): the server-side request span joins the caller's
-    /// trace as a child of `trace.parent_span` instead of rooting a
-    /// fresh one. The networked front end uses this to propagate the
-    /// context it decoded off the wire.
-    pub fn run_model_with_context(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        deadline: Option<Duration>,
-        trace: Option<TraceContext>,
-    ) -> Result<()> {
-        self.run_model_inner(model, in_key, out_key, deadline, trace)
-    }
-
-    fn run_model_inner(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        deadline: Option<Duration>,
-        trace: Option<TraceContext>,
-    ) -> Result<()> {
-        let request = self.prepare(model, &[(in_key, out_key)], deadline, trace)?;
-        first_error(self.submit(vec![request]).into_iter().flatten())
     }
 
     /// Run several independent `run_model` requests as one submission and
@@ -178,8 +124,10 @@ impl Client {
     /// back until the caller's own earlier requests have been answered —
     /// a request is not failed on a queue the caller filled itself — and
     /// is the counted [`RuntimeError::Overloaded`] only when nothing of
-    /// the caller's is in flight. The networked front end serves a
-    /// pipelined window of `RUN_MODEL` frames through this call.
+    /// the caller's is in flight. The networked front end serves every
+    /// `RUN_MODEL` frame through this call, alone or in a pipelined
+    /// window: the trait's [`ClientApi::run_pairs`] cannot say a deadline
+    /// and a trace context per pair.
     pub fn run_round(&self, requests: &[RunRequest<'_>]) -> Vec<Result<()>> {
         let mut results: Vec<Option<Result<()>>> = Vec::with_capacity(requests.len());
         let mut round = Vec::with_capacity(requests.len());
@@ -303,66 +251,10 @@ impl Client {
             .unwrap_or_else(|_| vec![Err(self.closed_error()); pairs])
     }
 
-    /// Run a model over many `(in_key, out_key)` pairs in one request.
-    ///
-    /// The whole batch travels to the worker pool as a single message and
-    /// executes as one batched forward pass, so this is the
-    /// highest-throughput way to serve many samples of one model. Blocks
-    /// until every pair has been served; output rows are bit-identical to
-    /// issuing `run_model` per pair. Returns the first error if any pair
-    /// failed (all other pairs still complete and store their outputs).
-    pub fn run_model_batch(&self, model: &str, pairs: &[(&str, &str)]) -> Result<()> {
-        self.run_model_batch_inner(model, pairs, None)
-    }
-
-    /// [`Client::run_model_batch`] with an explicit deadline covering the
-    /// whole batch.
-    pub fn run_model_batch_with_deadline(
-        &self,
-        model: &str,
-        pairs: &[(&str, &str)],
-        deadline: Duration,
-    ) -> Result<()> {
-        self.run_model_batch_inner(model, pairs, Some(deadline))
-    }
-
-    fn run_model_batch_inner(
-        &self,
-        model: &str,
-        pairs: &[(&str, &str)],
-        deadline: Option<Duration>,
-    ) -> Result<()> {
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        let request = self.prepare(model, pairs, deadline, None)?;
-        first_error(self.submit(vec![request]).into_iter().flatten())
-    }
-
-    /// Get the result of the model (Listing 1, line 9).
-    pub fn unpack_tensor(&self, key: &str) -> Result<Vec<f64>> {
-        self.ctx.store.get_dense(key)
-    }
-
-    /// Recent request traces retained by the orchestrator's flight
-    /// recorder, oldest first (DESIGN.md §16). Empty when telemetry is
-    /// disabled.
-    pub fn trace_dump(&self) -> Vec<Trace> {
-        self.ctx.metrics.recorder().snapshot()
-    }
-
     /// Retained slow-request log lines, oldest first (see
     /// [`crate::OrchestratorBuilder::slow_request_threshold`]).
     pub fn slow_log(&self) -> Vec<String> {
         self.ctx.metrics.slow_log()
-    }
-
-    /// Delete a tensor from the database; returns whether it existed.
-    /// Long-running applications should delete consumed outputs so an
-    /// uncapped store does not grow without bound.
-    pub fn del_tensor(&self, key: &str) -> Result<bool> {
-        let key = TensorKey::new(key)?;
-        Ok(self.ctx.store.delete(key.as_str()))
     }
 
     /// Is the orchestrator still admitting requests?
@@ -417,63 +309,51 @@ fn refused(request: &PendingRequest, error: RuntimeError) -> Vec<Result<()>> {
     vec![Err(error); request.pair_count()]
 }
 
-/// Reduce per-pair results to the whole-request contract: the first
-/// error in pair order, or `Ok(())`.
-fn first_error(results: impl IntoIterator<Item = Result<()>>) -> Result<()> {
-    results.into_iter().find(Result::is_err).unwrap_or(Ok(()))
-}
-
 /// The in-process client is the reference implementation of the shared
 /// client surface; `hpcnet-net`'s `RemoteClient` implements the same
 /// trait over TCP and `hpcnet-cluster`'s `ClusterClient` across a
 /// sharded fleet. The observability calls are infallible in-process, so
 /// they wrap their snapshots in `Ok` to match the trait's
-/// transport-fallible signatures — the (pre-v2) infallible inherent
-/// duplicates are gone; see the README migration table.
-impl crate::ClientApi for Client {
+/// transport-fallible signatures.
+impl ClientApi for Client {
     fn put_tensor(&self, key: &str, value: &[f64]) -> Result<()> {
-        Client::put_tensor(self, key, value)
+        self.put_tensor_owned(key, value.to_vec())
     }
 
     fn put_sparse_tensor(&self, key: &str, value: hpcnet_tensor::Csr) -> Result<()> {
-        Client::put_sparse_tensor(self, key, value)
+        let key = TensorKey::new(key)?;
+        self.ensure_admitting()?;
+        self.ctx.store.put_sparse(key.as_str(), value);
+        Ok(())
     }
 
-    fn run_model(&self, model: &str, in_key: &str, out_key: &str) -> Result<()> {
-        Client::run_model(self, model, in_key, out_key)
-    }
-
-    fn run_model_with_deadline(
-        &self,
-        model: &str,
-        in_key: &str,
-        out_key: &str,
-        deadline: Duration,
-    ) -> Result<()> {
-        Client::run_model_with_deadline(self, model, in_key, out_key, deadline)
-    }
-
-    fn run_model_batch(&self, model: &str, pairs: &[(&str, &str)]) -> Result<()> {
-        // Coalesced: the whole batch travels as one message and executes
-        // as one batched forward pass (not the trait's per-pair loop).
-        Client::run_model_batch(self, model, pairs)
-    }
-
-    fn run_model_batch_with_deadline(
+    /// The pairs travel as one request: one message to the worker pool
+    /// (or one inline round) and one batched forward pass, so output rows
+    /// are bit-identical whether they were run alone or together.
+    fn run_pairs(
         &self,
         model: &str,
         pairs: &[(&str, &str)],
-        deadline: Duration,
-    ) -> Result<()> {
-        Client::run_model_batch_with_deadline(self, model, pairs, deadline)
+        deadline: Option<Duration>,
+    ) -> Vec<Result<()>> {
+        if pairs.is_empty() {
+            return Vec::new();
+        }
+        match self.prepare(model, pairs, deadline, None) {
+            Ok(request) => self.submit(vec![request]).pop().unwrap_or_default(),
+            Err(e) => vec![Err(e); pairs.len()],
+        }
     }
 
     fn unpack_tensor(&self, key: &str) -> Result<Vec<f64>> {
-        Client::unpack_tensor(self, key)
+        self.ctx.store.get_dense(key)
     }
 
+    /// Long-running applications should delete consumed outputs so an
+    /// uncapped store does not grow without bound.
     fn del_tensor(&self, key: &str) -> Result<bool> {
-        Client::del_tensor(self, key)
+        let key = TensorKey::new(key)?;
+        Ok(self.ctx.store.delete(key.as_str()))
     }
 
     fn ping(&self) -> Result<()> {
@@ -488,15 +368,15 @@ impl crate::ClientApi for Client {
         Ok(self.ctx.metrics.registry().prometheus_text())
     }
 
+    /// Empty when telemetry is disabled.
     fn trace_dump(&self) -> Result<Vec<Trace>> {
-        Ok(Client::trace_dump(self))
+        Ok(self.ctx.metrics.recorder().snapshot())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClientApi;
     use hpcnet_nn::{Mlp, Topology};
     use hpcnet_tensor::rng::seeded;
 
@@ -772,7 +652,7 @@ mod tests {
     fn listing1_flow_is_expressible_over_the_trait() {
         // The generic body only sees `ClientApi`, proving call sites can
         // swap the in-process client for a remote one.
-        fn drive<C: crate::ClientApi>(client: &C) -> Vec<f64> {
+        fn drive<C: ClientApi>(client: &C) -> Vec<f64> {
             client.ping().unwrap();
             client.put_tensor("t-in", &[0.25, -0.75]).unwrap();
             client.run_model("net", "t-in", "t-out").unwrap();

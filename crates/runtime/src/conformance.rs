@@ -16,19 +16,26 @@
 //!   round-trips bit-identically to a caller-supplied reference function;
 //! * `run_model_batch` serves every pair bit-identically to the
 //!   single-request path;
-//! * an empty batch is `Ok(())`, even with an expired deadline;
-//! * a failing pair does not abort the rest: the first error in pair
-//!   order comes back **and** every healthy pair stores its output;
-//! * a zero deadline fails typed ([`RuntimeError::DeadlineExceeded`])
-//!   before any server work, for both single requests and batches;
-//! * unknown models fail typed ([`RuntimeError::MissingModel`]);
+//! * the run primitive, [`ClientApi::run_pairs`], answers one result per
+//!   pair in pair order: no pairs in, no results out, even with an
+//!   expired deadline; a missing input fails its own pair only and every
+//!   healthy pair around it stores its output; an unknown model is the
+//!   typed [`RuntimeError::MissingModel`] of each pair;
+//! * a zero deadline answers every pair typed
+//!   ([`RuntimeError::DeadlineExceeded`]) before any server work — the
+//!   serving side's request count does not move;
+//! * a single run *is* a batch of one: same stored bits, same
+//!   `requests`/`batches` deltas, same trace shape;
 //! * `del_tensor` reports prior existence and deletion is visible;
 //! * `ping` succeeds, `serving_stats` counts the suite's requests, and
 //!   `metrics_text` exposes `hpcnet_`-prefixed series;
 //! * `trace_dump` exposes the same per-request view everywhere
-//!   (DESIGN.md §16): a failed request's trace is always retained by
-//!   the flight recorder, carries a root span, and carries the serving
-//!   stage children (`queue_wait`/`fetch`/`encode`/`infer`).
+//!   (DESIGN.md §16): a failed pair's trace — run alone, as a batch of
+//!   one, or inside a batch of several — is always retained by the
+//!   flight recorder under one trace id, rooted in a span of the layer
+//!   that originated the call ([`Conformance::root_service`]), and
+//!   carries the serving stage children
+//!   (`queue_wait`/`fetch`/`encode`/`infer`).
 //!
 //! [`check_overload`] is separate because it needs a deliberately
 //! saturated server (one worker, queue depth 1, a stalling model):
@@ -72,6 +79,7 @@ pub struct Conformance<'a> {
     input_dim: usize,
     reference: &'a dyn Fn(&[f64]) -> Vec<f64>,
     prefix: String,
+    root_service: &'a str,
 }
 
 impl<'a> Conformance<'a> {
@@ -87,7 +95,16 @@ impl<'a> Conformance<'a> {
             input_dim,
             reference,
             prefix: "conf".to_string(),
+            root_service: "orchestrator",
         }
+    }
+
+    /// The `service` of the span that roots a run's trace: the layer that
+    /// originates the call (default `orchestrator`, the in-process
+    /// client; a networked client names itself).
+    pub fn root_service(mut self, service: &'a str) -> Self {
+        self.root_service = service;
+        self
     }
 
     /// Prefix for every tensor key the suite creates (default `conf`).
@@ -116,6 +133,7 @@ impl<'a> Conformance<'a> {
         self.check_batch_bit_exact(client);
         self.check_batch_error_semantics(client);
         self.check_deadline_semantics(client);
+        self.check_one_pair_is_a_batch_of_one(client);
         self.check_observability(client);
         self.check_model_versions(client);
         self.check_tracing(client);
@@ -194,12 +212,14 @@ impl<'a> Conformance<'a> {
             assert_bits_eq(&y, &(self.reference)(x), &format!("batch pair {s} output"));
         }
 
-        // Empty batches are served locally, even with an expired budget.
-        pass("empty batch", client.run_model_batch(self.model, &[]));
-        pass(
-            "empty batch with zero deadline",
-            client.run_model_batch_with_deadline(self.model, &[], Duration::ZERO),
-        );
+        // No pairs in, no results out — even with an expired budget.
+        for deadline in [None, Some(Duration::ZERO)] {
+            assert_eq!(
+                client.run_pairs(self.model, &[], deadline),
+                Vec::new(),
+                "conformance: an empty run answers nothing (deadline {deadline:?})"
+            );
+        }
     }
 
     fn check_batch_error_semantics(&self, client: &dyn ClientApi) {
@@ -215,12 +235,14 @@ impl<'a> Conformance<'a> {
             (missing_in.as_str(), "err-missing-out"),
             (ok2_in.as_str(), ok2_out.as_str()),
         ];
-        let err = client
-            .run_model_batch(self.model, &pairs)
-            .expect_err("conformance: a batch with a missing input must fail");
+        let results = client.run_pairs(self.model, &pairs, None);
         assert!(
-            matches!(&err, RuntimeError::MissingTensor(k) if k.contains("err-missing-in")),
-            "conformance: first error in pair order must be the missing input, got {err:?}"
+            matches!(
+                &results[..],
+                [Ok(()), Err(RuntimeError::MissingTensor(k)), Ok(())] if k.contains("err-missing-in")
+            ),
+            "conformance: one result per pair in pair order, the missing input failing \
+             its own pair only, got {results:?}"
         );
         // ...but the healthy pairs around it were still served.
         for (x_sample, out_key) in [(200, &ok1_out), (201, &ok2_out)] {
@@ -234,6 +256,17 @@ impl<'a> Conformance<'a> {
                 "served-despite-error output",
             );
         }
+
+        // An unknown model is each pair's own typed answer.
+        let healthy = [pairs[0], pairs[2]];
+        let results = client.run_pairs("no-such-model", &healthy, None);
+        assert!(
+            results.len() == healthy.len()
+                && results
+                    .iter()
+                    .all(|r| matches!(r, Err(RuntimeError::MissingModel(_)))),
+            "conformance: unknown model must be typed MissingModel per pair, got {results:?}"
+        );
     }
 
     fn check_deadline_semantics(&self, client: &dyn ClientApi) {
@@ -250,14 +283,20 @@ impl<'a> Conformance<'a> {
             RuntimeError::DeadlineExceeded,
             "conformance: zero single-request deadline must be typed DeadlineExceeded"
         );
-        let pairs: Vec<(&str, &str)> = vec![(in_key.as_str(), "dl-batch-out")];
-        let err = client
-            .run_model_batch_with_deadline(self.model, &pairs, Duration::ZERO)
-            .expect_err("conformance: zero batch deadline must fail");
+        let pairs: Vec<(&str, &str)> = vec![
+            (in_key.as_str(), "dl-batch-out0"),
+            (in_key.as_str(), "dl-batch-out1"),
+        ];
+        let before = pass("serving_stats", client.serving_stats()).requests;
         assert_eq!(
-            err,
-            RuntimeError::DeadlineExceeded,
-            "conformance: zero batch deadline must be typed DeadlineExceeded"
+            client.run_pairs(self.model, &pairs, Some(Duration::ZERO)),
+            vec![Err(RuntimeError::DeadlineExceeded); pairs.len()],
+            "conformance: a zero deadline answers every pair typed DeadlineExceeded"
+        );
+        assert_eq!(
+            pass("serving_stats", client.serving_stats()).requests,
+            before,
+            "conformance: a zero deadline must not reach the serving side"
         );
 
         // A generous budget serves bit-identically to the undeadlined path.
@@ -271,6 +310,44 @@ impl<'a> Conformance<'a> {
             client.unpack_tensor(&out_key),
         );
         assert_bits_eq(&y, &(self.reference)(&self.input(300)), "deadlined output");
+    }
+
+    /// A single run is the primitive over one pair, not a path of its
+    /// own: the same input stores the same bits and moves the serving
+    /// side's `requests` and `batches` by the same amounts either way.
+    fn check_one_pair_is_a_batch_of_one(&self, client: &dyn ClientApi) {
+        let in_key = self.key("one-in");
+        let (single_out, batch_out) = (self.key("one-single-out"), self.key("one-batch-out"));
+        pass("put_tensor", client.put_tensor(&in_key, &self.input(400)));
+        let counts = || {
+            let stats = pass("serving_stats", client.serving_stats());
+            (stats.requests, stats.batches)
+        };
+        let start = counts();
+        pass(
+            "run_model",
+            client.run_model(self.model, &in_key, &single_out),
+        );
+        let after_single = counts();
+        assert_eq!(
+            client.run_pairs(self.model, &[(&in_key, &batch_out)], None),
+            vec![Ok(())],
+            "conformance: a batch of one answers its one pair"
+        );
+        let after_batch = counts();
+        assert_eq!(
+            (after_single.0 - start.0, after_single.1 - start.1),
+            (
+                after_batch.0 - after_single.0,
+                after_batch.1 - after_single.1
+            ),
+            "conformance: a single run and a batch of one must move (requests, batches) alike"
+        );
+        assert_bits_eq(
+            &pass("unpack_tensor", client.unpack_tensor(&batch_out)),
+            &pass("unpack_tensor", client.unpack_tensor(&single_out)),
+            "batch-of-one output against the single run's",
+        );
     }
 
     fn check_observability(&self, client: &dyn ClientApi) {
@@ -318,54 +395,87 @@ impl<'a> Conformance<'a> {
     }
 
     /// `trace_dump` is pinned identical across transports (DESIGN.md
-    /// §16): a failed request is *always* retained by tail sampling, its
-    /// trace has a root span, and the serving stages appear as child
-    /// spans. Driven by a deliberately missing input tensor so the check
-    /// does not depend on the recorder's one-in-N sampling of healthy
-    /// requests.
+    /// §16): a failed pair is *always* retained by tail sampling — run
+    /// alone, as a batch of one, or inside a batch of several — under one
+    /// trace whose root span belongs to the layer that originated the
+    /// call, with the serving stages as child spans. Driven by
+    /// deliberately missing input tensors so the check does not depend on
+    /// the recorder's one-in-N sampling of healthy requests.
     fn check_tracing(&self, client: &dyn ClientApi) {
-        let in_key = self.key("trace-missing-in"); // never stored
+        let ok_in = self.key("trace-ok-in");
+        pass("put_tensor", client.put_tensor(&ok_in, &self.input(500)));
+        let ok_out = self.key("trace-ok-out");
+        let out = self.key("trace-missing-out");
+        // Never stored, one per call shape.
+        let missing = ["single", "one", "several"].map(|n| self.key(&format!("trace-missing-{n}")));
+
         let err = client
-            .run_model(self.model, &in_key, &self.key("trace-missing-out"))
+            .run_model(self.model, &missing[0], &out)
             .expect_err("conformance: a missing input must fail");
         assert!(
             matches!(err, RuntimeError::MissingTensor(_)),
             "conformance: missing input must be typed MissingTensor, got {err:?}"
         );
-        let traces = pass("trace_dump", client.trace_dump());
+        let results = client.run_pairs(self.model, &[(&missing[1], &out)], None);
         assert!(
-            !traces.is_empty(),
-            "conformance: trace_dump must retain the failed request's trace"
+            matches!(results[..], [Err(RuntimeError::MissingTensor(_))]),
+            "conformance: missing input must be typed MissingTensor, got {results:?}"
         );
+        let results = client.run_pairs(
+            self.model,
+            &[(&ok_in, &ok_out), (&missing[2], &out), (&ok_in, &ok_out)],
+            None,
+        );
+        assert!(
+            matches!(
+                results[..],
+                [Ok(()), Err(RuntimeError::MissingTensor(_)), Ok(())]
+            ),
+            "conformance: missing input must fail its own pair only, got {results:?}"
+        );
+
+        let traces = pass("trace_dump", client.trace_dump());
+        for needle in &missing {
+            self.assert_failed_trace(&traces, needle);
+        }
+    }
+
+    /// The retained trace of the request that failed on `needle`: tagged
+    /// as an error, rooted where the call originated, stage children
+    /// present.
+    fn assert_failed_trace(&self, traces: &[hpcnet_telemetry::Trace], needle: &str) {
         let t = traces
             .iter()
             .rev()
             .find(|t| {
-                t.spans.iter().any(
-                    |s| matches!(&s.status, SpanStatus::Error(m) if m.contains("trace-missing-in")),
-                )
+                t.spans
+                    .iter()
+                    .any(|s| matches!(&s.status, SpanStatus::Error(m) if m.contains(needle)))
             })
             .unwrap_or_else(|| {
                 // hpcnet-lint: allow(no-panic) -- conformance failures are test assertions
-                panic!("conformance: the failed request's trace must be retained with its error")
+                panic!("conformance: the trace of the request that failed on `{needle}` must be retained with its error")
             });
         assert!(
             t.has_tag(tags::ERROR),
             "conformance: the failed request's trace must carry the error retention tag, got {:?}",
             t.tags
         );
-        let root = t.root().unwrap_or_else(|| {
-            // hpcnet-lint: allow(no-panic) -- conformance failures are test assertions
-            panic!("conformance: a retained trace must have a root span")
-        });
+        let roots: Vec<_> = t.spans.iter().filter(|s| s.parent.is_none()).collect();
         assert!(
-            root.parent.is_none(),
-            "conformance: the root span must have no parent"
+            matches!(roots[..], [root] if root.service == self.root_service),
+            "conformance: `{needle}`: a retained trace has exactly one root span, recorded by \
+             `{}`; roots: {:?}",
+            self.root_service,
+            roots
+                .iter()
+                .map(|s| (s.service.as_str(), s.name.as_str()))
+                .collect::<Vec<_>>()
         );
         for stage in [Stage::QueueWait, Stage::Fetch, Stage::Encode, Stage::Infer] {
             assert!(
                 t.span_named(stage).is_some(),
-                "conformance: stage child span `{}` missing from the trace; spans: {:?}",
+                "conformance: `{needle}`: stage child span `{}` missing from the trace; spans: {:?}",
                 stage.as_str(),
                 t.spans.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
             );

@@ -31,7 +31,7 @@
 //!   [`Orchestrator::metrics_text`] / [`Orchestrator::metrics_snapshot`],
 //! * [`conformance`] — the shared [`ClientApi`] conformance suite every
 //!   transport's tests run (in-process here, TCP in `hpcnet-net`,
-//!   sharded in `hpcnet-cluster`), pinning the v2 contract executably.
+//!   sharded in `hpcnet-cluster`), pinning the one-run-call contract executably.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 

@@ -210,8 +210,8 @@ impl ServingStats {
         self.retrain_rejected += other.retrain_rejected;
     }
 
-    /// Fraction of guarded requests answered by the surrogate (the
-    /// serving-side analog of `GuardStats::surrogate_rate`).
+    /// Fraction of guarded requests answered by the surrogate: the
+    /// serving-side HitRate (paper Eqn 3).
     pub fn quality_hit_rate(&self) -> f64 {
         let total = self.quality_hits + self.quality_fallbacks + self.quality_rejected;
         if total == 0 {

@@ -479,7 +479,6 @@ pub struct OrchestratorBuilder {
     telemetry: bool,
     serve_f32: bool,
     slow_request_threshold: Option<Duration>,
-    trace_capacity: Option<usize>,
     online: Option<RetrainConfig>,
 }
 
@@ -493,7 +492,6 @@ impl Default for OrchestratorBuilder {
             telemetry: true,
             serve_f32: false,
             slow_request_threshold: None,
-            trace_capacity: None,
             online: None,
         }
     }
@@ -566,14 +564,6 @@ impl OrchestratorBuilder {
         self
     }
 
-    /// Bound on traces the flight recorder retains (oldest evicted
-    /// beyond it). Clamped to at least 1; defaults to
-    /// [`FlightRecorderConfig::default`]'s capacity.
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity.max(1));
-        self
-    }
-
     /// Opt into online retraining from guard fallbacks (DESIGN.md §17,
     /// default: off). Every guard fallback then also captures its
     /// `(input, exact output)` pair into a bounded per-model replay
@@ -603,9 +593,6 @@ impl OrchestratorBuilder {
         let mut recorder_config = FlightRecorderConfig::default();
         if let Some(t) = self.slow_request_threshold {
             recorder_config.slow_threshold = t;
-        }
-        if let Some(c) = self.trace_capacity {
-            recorder_config.capacity = c;
         }
         let metrics = Arc::new(ServingMetrics::new(
             Arc::new(metrics_registry),
@@ -902,8 +889,8 @@ impl Orchestrator {
     /// [`OrchestratorBuilder::slow_request_threshold`], with its full
     /// per-stage timing breakdown. A view rendering the `slow`-tagged
     /// traces [`trace_dump`](Self::trace_dump) still retains (so bounded
-    /// by [`OrchestratorBuilder::trace_capacity`]); the same lines go to
-    /// stderr once, as the requests complete.
+    /// by the flight recorder's capacity); the same lines go to stderr
+    /// once, as the requests complete.
     pub fn slow_log(&self) -> Vec<String> {
         self.ctx.metrics.slow_log()
     }
@@ -1909,6 +1896,7 @@ fn infer_and_scatter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClientApi;
     use hpcnet_nn::{Mlp, Topology};
     use hpcnet_tensor::rng::seeded;
 
@@ -2248,7 +2236,7 @@ mod tests {
             assert_eq!(span.parent, Some(root.span_id));
         }
         // Client handles expose the same dump as the orchestrator.
-        assert_eq!(client.trace_dump().len(), traces.len());
+        assert_eq!(client.trace_dump().unwrap().len(), traces.len());
     }
 
     #[test]
@@ -2299,10 +2287,14 @@ mod tests {
         let parent = trace::SpanId(trace::next_id());
         let ctx = upstream.child_of(parent);
         // A failing request: the error rule retains it deterministically.
-        let err = orc
-            .client()
-            .run_model_with_context("m", "missing", "out2", None, Some(ctx));
-        assert!(err.is_err());
+        let results = orc.client().run_round(&[crate::RunRequest {
+            model: "m",
+            in_key: "missing",
+            out_key: "out2",
+            deadline: None,
+            trace: Some(ctx),
+        }]);
+        assert!(matches!(results[..], [Err(RuntimeError::MissingTensor(_))]));
         let traces = orc.trace_dump();
         let t = traces
             .iter()

@@ -132,15 +132,6 @@ impl TensorValue {
             TensorValue::Sparse(c) => c.ncols(),
         }
     }
-
-    /// Bytes this tensor occupies in the store (the data-loading cost the
-    /// speedup formula's `T_data_load` charges).
-    pub fn stored_bytes(&self) -> usize {
-        match self {
-            TensorValue::Dense(v) => v.len() * 8,
-            TensorValue::Sparse(c) => c.nnz() * 16 + (c.nrows() + 1) * 8,
-        }
-    }
 }
 
 /// One stored tensor plus its recency stamp (for LRU eviction).
@@ -342,7 +333,6 @@ mod tests {
         assert_eq!(store.get_dense("s").unwrap(), vec![0.0, 0.0, 7.0, 0.0, 0.0]);
         let v = store.get("s").unwrap();
         assert_eq!(v.width(), 5);
-        assert!(v.stored_bytes() < 5 * 8 * 2);
     }
 
     #[test]

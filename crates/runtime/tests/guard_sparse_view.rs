@@ -22,6 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use hpcnet_nn::train::FeatureScaler;
 use hpcnet_nn::{Autoencoder, Mlp, Topology};
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::{ModelBundle, Orchestrator, QualityGuard, RunRequest, RuntimeError};
 use hpcnet_tensor::rng::seeded;
 use hpcnet_tensor::{Csr, Matrix};

@@ -5,6 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hpcnet_nn::{Activation, Mlp, Topology};
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::{ModelBundle, Orchestrator, TensorStore};
 use hpcnet_tensor::rng::{seeded, uniform_vec};
 use proptest::prelude::*;

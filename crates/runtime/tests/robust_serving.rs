@@ -8,6 +8,7 @@
 use std::time::Duration;
 
 use hpcnet_nn::{Mlp, Topology};
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::{ModelBundle, Orchestrator, QualityGuard, RuntimeError, TensorStore};
 use hpcnet_tensor::rng::{seeded, uniform_vec};
 

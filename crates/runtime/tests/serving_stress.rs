@@ -6,6 +6,7 @@
 
 use hpcnet_nn::train::FeatureScaler;
 use hpcnet_nn::{Autoencoder, Mlp, Topology};
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::{Client, ModelBundle, Orchestrator, TensorStore};
 use hpcnet_tensor::rng::{seeded, uniform_vec};
 use hpcnet_tensor::{Coo, Matrix};

@@ -13,6 +13,7 @@ use hpcnet_runtime::metrics::{
     BATCHES_TOTAL, ERRORS_TOTAL, F32_FALLBACKS_TOTAL, F32_SERVED_TOTAL, MODEL_LOAD_SECONDS,
     QUALITY_FALLBACKS_TOTAL, QUALITY_HITS_TOTAL, QUEUE_WAIT_SECONDS, REQUESTS_TOTAL, STAGE_SECONDS,
 };
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::{
     ModelBundle, OnlineTimers, Orchestrator, QualityGuard, RegistrySnapshot, RuntimeError,
     ServingStats, TensorStore,

@@ -11,6 +11,7 @@ use auto_hpcnet::config::PipelineConfig;
 use auto_hpcnet::evaluate::evaluate;
 use auto_hpcnet::pipeline::AutoHpcnet;
 use hpcnet_apps::{CgApp, HpcApp};
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::{Orchestrator, TensorStore};
 
 fn main() {

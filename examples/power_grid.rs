@@ -11,6 +11,7 @@
 use auto_hpcnet::config::PipelineConfig;
 use auto_hpcnet::pipeline::AutoHpcnet;
 use hpcnet_apps::{AmgApp, HpcApp};
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::{Client, Orchestrator, TensorStore};
 
 fn main() {

@@ -8,6 +8,7 @@
 
 use auto_hpcnet::config::PipelineConfig;
 use auto_hpcnet::pipeline::AutoHpcnet;
+use hpcnet_runtime::ClientApi;
 use hpcnet_trace::{parse_program, Interpreter, PerturbSpec};
 
 /// A damped-oscillator integrator: the region advances the state (x, v)

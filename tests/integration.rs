@@ -7,6 +7,7 @@ use auto_hpcnet::evaluate::{evaluate, evaluate_predictor};
 use auto_hpcnet::pipeline::AutoHpcnet;
 use hpcnet_apps::{BlackscholesApp, HpcApp, MiniQmcApp, StreamclusterApp};
 use hpcnet_nas::{NasTask, TwoDNas};
+use hpcnet_runtime::ClientApi;
 use hpcnet_runtime::{Orchestrator, TensorStore};
 use hpcnet_tensor::Matrix;
 use hpcnet_trace::{kernels, PerturbSpec};
