@@ -2,7 +2,7 @@
 //! seam.
 //!
 //! One `hpcnet-serve` process is a single orchestrator: one tensor store,
-//! one worker pool, one admission queue. This crate scales that out
+//! one set of execution slots, one pending queue. This crate scales that out
 //! horizontally without touching application code. [`ClusterClient`]
 //! implements the same [`ClientApi`] the in-process `Client` and the TCP
 //! `RemoteClient` implement, but routes every keyed operation across N

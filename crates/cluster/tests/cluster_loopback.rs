@@ -18,7 +18,7 @@ use hpcnet_runtime::conformance::{check_overload, Conformance};
 use hpcnet_runtime::{Orchestrator, QualityGuard, RuntimeError, TensorStore};
 
 /// Stand up `n` independent demo endpoints (each its own orchestrator,
-/// store, and worker pool) on ephemeral loopback ports.
+/// store, and execution slots) on ephemeral loopback ports.
 fn fleet(n: usize) -> Vec<NetServer> {
     (0..n)
         .map(|_| {

@@ -2,13 +2,14 @@
 //!
 //! The concurrency model tests in `hpcnet-telemetry` and `hpcnet-runtime`
 //! are written against loom's API (`model`, `thread::spawn`, `sync::Arc`,
-//! `sync::atomic::*`). Under `--cfg loom` (the CI `loom` job) they import
-//! the real model checker, which exhaustively explores interleavings.
-//! Under a plain `cargo test` they import this crate instead: the same
-//! test body runs many times with deterministic, seeded `yield_now`
-//! injection before every atomic operation and lock acquisition, which is
-//! far weaker than exhaustive exploration but still shakes out ordering
-//! bugs on real hardware — and keeps the model tests running in tier-1 CI
+//! `sync::Mutex`, `sync::Condvar`, `sync::atomic::*`). Under `--cfg loom`
+//! (the CI `loom` job) they import the real model checker, which
+//! exhaustively explores interleavings. Under a plain `cargo test` they
+//! import this crate instead: the same test body runs many times with
+//! deterministic, seeded `yield_now` injection before every atomic
+//! operation, lock acquisition, wait and notification, which is far
+//! weaker than exhaustive exploration but still shakes out ordering bugs
+//! on real hardware — and keeps the model tests running in tier-1 CI
 //! without any external dependency.
 //!
 //! The shim deliberately mirrors only the subset of loom's API the
@@ -115,6 +116,34 @@ pub mod sync {
         pub fn lock(&self) -> std::sync::LockResult<std::sync::MutexGuard<'_, T>> {
             super::maybe_yield();
             self.0.lock()
+        }
+    }
+
+    /// A condition variable for the shimmed [`Mutex`], mirroring
+    /// `loom::sync::Condvar`: waits and notifications perturb the
+    /// schedule.
+    #[derive(Debug, Default)]
+    pub struct Condvar(std::sync::Condvar);
+
+    impl Condvar {
+        /// A new condition variable.
+        pub fn new() -> Self {
+            Condvar(std::sync::Condvar::new())
+        }
+
+        /// Release `guard`, block until notified, re-acquire.
+        pub fn wait<'a, T>(
+            &self,
+            guard: std::sync::MutexGuard<'a, T>,
+        ) -> std::sync::LockResult<std::sync::MutexGuard<'a, T>> {
+            super::maybe_yield();
+            self.0.wait(guard)
+        }
+
+        /// Wake every waiter after a possible yield.
+        pub fn notify_all(&self) {
+            super::maybe_yield();
+            self.0.notify_all();
         }
     }
 

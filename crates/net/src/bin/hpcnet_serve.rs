@@ -6,6 +6,10 @@
 //!              --workers 4 --queue-depth 256 --default-deadline-ms 5000
 //! ```
 //!
+//! `--workers N` is how many rounds may execute at once (the connection
+//! threads execute them; the orchestrator has no threads of its own),
+//! `--queue-depth N` how many requests may be pending behind them.
+//!
 //! The bound address is printed as `listening on <addr>` once the server
 //! is accepting (scripts wait for that line). Graceful drain: send the
 //! line `quit` on stdin — already-admitted requests finish, final stats

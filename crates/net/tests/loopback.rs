@@ -3,7 +3,7 @@
 //!
 //! Run single-threaded (`--test-threads=1`) in CI: each test stands up
 //! its own server and the overload/deadline tests depend on owning the
-//! orchestrator's worker pool.
+//! orchestrator's execution slots.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

@@ -10,34 +10,32 @@
 //! The calls themselves are [`ClientApi`]'s; this type is the in-process
 //! implementation and the reference the other transports are held to.
 //! Every call is fallible: keys are validated into [`TensorKey`]s at the
-//! boundary, a full admission queue rejects with
-//! [`RuntimeError::Overloaded`], deadlines are enforced at enqueue time
-//! (and again server-side), and a draining orchestrator answers
-//! [`RuntimeError::ShuttingDown`].
+//! boundary, a full pending queue rejects with
+//! [`RuntimeError::Overloaded`], deadlines are enforced when the request
+//! is prepared, while it is pending and again before it executes, and a
+//! draining orchestrator answers [`RuntimeError::ShuttingDown`].
 //!
 //! A run is two steps whatever its size: `prepare` validates and stamps
-//! the request, `submit` gets it executed. Who executes it is decided by
-//! what the client observes (DESIGN.md §9): on an idle orchestrator —
-//! nothing queued, an execution slot free — the calling thread runs the
-//! request itself as a one-round batch; otherwise the request is queued
-//! for the worker pool, which coalesces whatever is queued into batched
-//! rounds.
+//! the request, `submit` gets it executed — always by a calling thread
+//! (DESIGN.md §9). On an idle orchestrator — nothing pending, an
+//! execution slot free — that is this thread, at once. Otherwise the
+//! request joins the pending queue and this thread waits: for a slot,
+//! with which it serves whatever is pending as one coalesced round, or
+//! for another caller's round to answer it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use hpcnet_telemetry::{Trace, TraceContext};
 
 use crate::api::first_error;
-use crate::server::{serve_round, Orchestrator, PendingRequest, Request, ServerCtx};
+use crate::server::{serve_round, Orchestrator, PendingRequest, ServerCtx};
 use crate::store::TensorKey;
 use crate::{ClientApi, Result, RuntimeError};
 
-/// A lightweight client compiled "into the application": it executes
-/// requests on the calling thread while the orchestrator is idle and
-/// hands them to the worker pool over a bounded queue under load, exactly
+/// A lightweight client compiled "into the application": requests execute
+/// on the threads that call it, at once while the orchestrator is idle
+/// and coalesced through a bounded pending queue under load, exactly
 /// mirroring the paper's request/response flow.
 ///
 /// # Examples
@@ -58,7 +56,6 @@ use crate::{ClientApi, Result, RuntimeError};
 /// ```
 pub struct Client {
     ctx: ServerCtx,
-    tx: Sender<Request>,
 }
 
 /// One entry of a [`Client::run_round`]: a one-pair run that keeps its
@@ -79,19 +76,19 @@ pub struct RunRequest<'a> {
     pub trace: Option<TraceContext>,
 }
 
-/// How an attempt to queue a request ended.
-enum Enqueued {
-    /// Admitted; the results arrive on this channel.
-    Admitted(Receiver<Vec<Result<()>>>),
-    /// The admission queue is full; the request comes back.
-    Full(PendingRequest),
-    /// The orchestrator is gone or draining.
-    Closed(RuntimeError),
+/// One of the caller's requests that is in the pending queue or in a
+/// round another caller executes.
+struct Admitted {
+    /// Position among the caller's requests.
+    index: usize,
+    ticket: u64,
+    /// When to stop waiting and withdraw it; `None` once that is moot.
+    deadline: Option<Instant>,
 }
 
 impl Client {
-    pub(crate) fn from_parts(ctx: ServerCtx, tx: Sender<Request>) -> Self {
-        Client { ctx, tx }
+    pub(crate) fn new(ctx: ServerCtx) -> Self {
+        Client { ctx }
     }
 
     /// Connect a client to a running orchestrator (equivalent to
@@ -119,15 +116,15 @@ impl Client {
     ///
     /// On an idle orchestrator the calling thread executes them as one
     /// round and one batched forward pass per model. Under backlog all of
-    /// them are queued before any reply is awaited, so a worker's drain
-    /// coalesces them the same way. A full admission queue holds the rest
-    /// back until the caller's own earlier requests have been answered —
-    /// a request is not failed on a queue the caller filled itself — and
-    /// is the counted [`RuntimeError::Overloaded`] only when nothing of
-    /// the caller's is in flight. The networked front end serves every
-    /// `RUN_MODEL` frame through this call, alone or in a pipelined
-    /// window: the trait's [`ClientApi::run_pairs`] cannot say a deadline
-    /// and a trace context per pair.
+    /// them are queued before any answer is awaited, so the round that
+    /// takes them coalesces them the same way. A full pending queue holds
+    /// the rest back until the caller's own earlier requests have been
+    /// answered — a request is not failed on a queue the caller filled
+    /// itself — and is the counted [`RuntimeError::Overloaded`] only when
+    /// nothing of the caller's is in flight. The networked front end
+    /// serves every `RUN_MODEL` frame through this call, alone or in a
+    /// pipelined window: the trait's [`ClientApi::run_pairs`] cannot say
+    /// a deadline and a trace context per pair.
     pub fn run_round(&self, requests: &[RunRequest<'_>]) -> Vec<Result<()>> {
         let mut results: Vec<Option<Result<()>>> = Vec::with_capacity(requests.len());
         let mut round = Vec::with_capacity(requests.len());
@@ -168,118 +165,111 @@ impl Client {
     }
 
     /// Get prepared requests executed and return each one's per-pair
-    /// results, in order. Idle orchestrator (nothing queued, an execution
-    /// slot free): this thread runs them as one round. Otherwise: queue
-    /// them all, then await them all.
+    /// results, in order. Idle orchestrator (nothing pending, an execution
+    /// slot free): this thread runs them as one round. Otherwise they join
+    /// the pending queue, and until all are answered this thread leads a
+    /// round of whatever is pending each time it finds a slot free, and
+    /// waits — no longer than its requests' deadlines — while there is
+    /// none. The lock is given up around every round.
     fn submit(&self, mut round: Vec<PendingRequest>) -> Vec<Vec<Result<()>>> {
         let shared = &self.ctx.shared;
         if round.is_empty() {
             return Vec::new();
         }
-        if shared.queued() == 0 {
-            if let Some(mut slot) = shared.slots.try_acquire() {
-                // A drain takes every slot once to wait for inline rounds;
-                // a slot obtained after it began must not start a new one.
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return round
-                        .iter()
-                        .map(|p| refused(p, RuntimeError::ShuttingDown))
-                        .collect();
-                }
+        let mut state = shared.lock();
+        if state.queued() == 0 && !shared.is_shutting_down() {
+            if let Some(mut slot) = shared.take_slot(&mut state) {
+                drop(state);
                 let now = Instant::now();
                 for p in &mut round {
                     p.enqueued = now;
                 }
-                return serve_round(&self.ctx, &mut slot, round, now);
+                return serve_round(&self.ctx, &mut slot.scratch, round, now);
             }
         }
-        // Results are pushed in request order: the replies still owed are
-        // collected before anything that is answered without a reply.
-        let mut results = Vec::with_capacity(round.len());
-        let mut in_flight = VecDeque::with_capacity(round.len());
-        for mut request in round {
-            let pairs = request.pair_count();
-            let outcome = loop {
-                match self.enqueue(request) {
-                    // Our own earlier requests hold queue places: once the
-                    // oldest is answered its round has left the queue, so
-                    // try again.
-                    Enqueued::Full(back) if !in_flight.is_empty() => {
-                        results.extend(in_flight.pop_front().map(|w| self.await_reply(w)));
-                        request = back;
+        let mut results: Vec<Option<Vec<Result<()>>>> = round.iter().map(|_| None).collect();
+        let mut held: VecDeque<(usize, PendingRequest)> = round.into_iter().enumerate().collect();
+        let mut admitted: Vec<Admitted> = Vec::new();
+        loop {
+            admitted.retain(|a| {
+                results[a.index] = state.collect(a.ticket);
+                results[a.index].is_none()
+            });
+            // The drain raises its flag before it takes the lock, so a
+            // request admitted here is one the drain waits for.
+            while let Some((index, request)) = held.pop_front() {
+                if shared.is_shutting_down() {
+                    results[index] = Some(refused(&request, RuntimeError::ShuttingDown));
+                    continue;
+                }
+                if state.queued() < shared.queue_depth {
+                    let deadline = request.deadline();
+                    admitted.push(Admitted {
+                        index,
+                        ticket: state.admit(request),
+                        deadline,
+                    });
+                } else if admitted.is_empty() {
+                    results[index] = Some(refused(&request, self.overloaded(request.model())));
+                } else {
+                    // Our own earlier requests hold queue places: try
+                    // again once one of them has been answered.
+                    held.push_front((index, request));
+                    break;
+                }
+            }
+            if admitted.is_empty() {
+                break;
+            }
+            let slot = (state.queued() > 0)
+                .then(|| shared.take_slot(&mut state))
+                .flatten();
+            if let Some(mut slot) = slot {
+                let (tickets, requests) = state.take_round();
+                drop(state);
+                let answers = serve_round(&self.ctx, &mut slot.scratch, requests, Instant::now());
+                slot.answers = tickets.into_iter().zip(answers).collect();
+                drop(slot);
+                state = shared.lock();
+                continue;
+            }
+            let wake_at = admitted.iter().filter_map(|a| a.deadline).min();
+            state = shared.wait(state, wake_at);
+            // Overdue and still pending: withdrawn and answered here, not
+            // whenever a slot frees. Overdue and executing: its round
+            // answers it.
+            let now = Instant::now();
+            let mut expired = (Vec::new(), Vec::new());
+            for a in &mut admitted {
+                if a.deadline.is_some_and(|d| d <= now) {
+                    a.deadline = None;
+                    if let Some(request) = shared.withdraw(&mut state, a.ticket) {
+                        expired.0.push(a.index);
+                        expired.1.push(request);
                     }
-                    outcome => break outcome,
-                }
-            };
-            match outcome {
-                Enqueued::Admitted(reply) => in_flight.push_back((reply, pairs)),
-                Enqueued::Full(back) => results.push(refused(&back, self.overloaded(back.model()))),
-                Enqueued::Closed(e) => {
-                    results.extend(in_flight.drain(..).map(|w| self.await_reply(w)));
-                    results.push(vec![Err(e); pairs]);
                 }
             }
-        }
-        results.extend(in_flight.into_iter().map(|w| self.await_reply(w)));
-        results
-    }
-
-    /// Bounded admission: take a queue place and hand the request to the
-    /// worker pool — never a block.
-    fn enqueue(&self, mut request: PendingRequest) -> Enqueued {
-        if !self.ctx.shared.try_admit() {
-            return Enqueued::Full(request);
-        }
-        let (reply_tx, reply_rx) = bounded(1);
-        request.reply = Some(reply_tx);
-        request.enqueued = Instant::now();
-        match self.tx.try_send(Request::Run(request)) {
-            Ok(()) => Enqueued::Admitted(reply_rx),
-            // The channel has room for everything `try_admit` lets in, so
-            // a failed send means the orchestrator is gone.
-            Err(_) => {
-                self.ctx.shared.leave_queue(1);
-                Enqueued::Closed(self.closed_error())
+            if !expired.0.is_empty() {
+                drop(state);
+                let answers = serve_round(&self.ctx, &mut Vec::new(), expired.1, now);
+                for (index, answer) in expired.0.into_iter().zip(answers) {
+                    results[index] = Some(answer);
+                }
+                admitted.retain(|a| results[a.index].is_none());
+                state = shared.lock();
             }
         }
-    }
-
-    /// Block until the worker pool answers a queued request.
-    fn await_reply(&self, (reply, pairs): (Receiver<Vec<Result<()>>>, usize)) -> Vec<Result<()>> {
-        reply
-            .recv()
-            .unwrap_or_else(|_| vec![Err(self.closed_error()); pairs])
-    }
-
-    /// Retained slow-request log lines, oldest first (see
-    /// [`crate::OrchestratorBuilder::slow_request_threshold`]).
-    pub fn slow_log(&self) -> Vec<String> {
-        self.ctx.metrics.slow_log()
-    }
-
-    /// Is the orchestrator still admitting requests?
-    pub fn is_admitting(&self) -> bool {
-        !self.ctx.shared.shutting_down.load(Ordering::SeqCst)
+        results.into_iter().map(Option::unwrap_or_default).collect()
     }
 
     fn ensure_admitting(&self) -> Result<()> {
-        if self.ctx.shared.shutting_down.load(Ordering::SeqCst) {
+        if self.ctx.shared.is_shutting_down() {
             return Err(RuntimeError::ShuttingDown);
         }
         Ok(())
     }
 
-    /// The error to report when the channel is gone: `ShuttingDown` during
-    /// a drain, `Disconnected` if the orchestrator vanished outright.
-    fn closed_error(&self) -> RuntimeError {
-        if self.ctx.shared.shutting_down.load(Ordering::SeqCst) {
-            RuntimeError::ShuttingDown
-        } else {
-            RuntimeError::Disconnected
-        }
-    }
-
-    /// Enqueue-side deadline stamping: a zero (or already-elapsed)
+    /// Deadline stamping at `prepare`: a zero (or already-elapsed)
     /// deadline fails immediately with `DeadlineExceeded` — the request
     /// never occupies queue capacity.
     fn compute_deadline(&self, explicit: Option<Duration>) -> Result<Option<Instant>> {
@@ -327,9 +317,9 @@ impl ClientApi for Client {
         Ok(())
     }
 
-    /// The pairs travel as one request: one message to the worker pool
-    /// (or one inline round) and one batched forward pass, so output rows
-    /// are bit-identical whether they were run alone or together.
+    /// The pairs travel as one request: one entry of one round and one
+    /// batched forward pass, so output rows are bit-identical whether
+    /// they were run alone or together.
     fn run_pairs(
         &self,
         model: &str,
@@ -506,17 +496,17 @@ mod tests {
             client.run_model_batch_with_deadline("net", &[("in", "out")], Duration::ZERO),
             Err(RuntimeError::DeadlineExceeded)
         );
-        // Nothing reached the workers.
+        // Nothing was executed.
         assert_eq!(orc.serving_stats().requests, 0);
     }
 
     #[test]
     fn run_round_answers_each_request_in_order_and_a_full_queue_is_not_a_rejection() {
         use std::sync::mpsc::channel;
-        // One worker, a queue of one, and a validator that reports in and
+        // One slot, a queue of one, and a validator that reports in and
         // then blocks until the test lets it go. (`orc` is declared first
         // so that a failing assertion drops `release` before the
-        // orchestrator joins its worker.)
+        // orchestrator drains.)
         let orc = Orchestrator::builder().workers(1).queue_depth(1).build();
         let (entered, validating) = channel::<()>();
         let (release, gate) = channel::<()>();
@@ -676,11 +666,9 @@ mod tests {
         let client = orc.client();
         client.put_tensor("in", &[0.4, 0.1]).unwrap();
         client.run_model("net", "in", "out").unwrap();
-        assert!(client.is_admitting());
+        assert_eq!(client.ping(), Ok(()));
         let stats = orc.shutdown();
         assert_eq!(stats.requests, 1);
-        assert!(!client.is_admitting());
-        // The trait-level probe reports the same admission state, typed.
         assert_eq!(client.ping(), Err(RuntimeError::ShuttingDown));
         assert_eq!(
             client.put_tensor("in2", &[1.0]),

@@ -38,7 +38,7 @@
 //!   (`queue_wait`/`fetch`/`encode`/`infer`).
 //!
 //! [`check_overload`] is separate because it needs a deliberately
-//! saturated server (one worker, queue depth 1, a stalling model):
+//! saturated server (`workers(1)`, queue depth 1, a stalling model):
 //! it pins that admission rejection arrives as the *typed*
 //! [`RuntimeError::Overloaded`] with the server's queue depth, not as a
 //! transport failure or a hang.
@@ -504,10 +504,10 @@ fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
 
 /// Pin typed admission rejection against a deliberately saturated server.
 ///
-/// `connect` must yield clients of an orchestrator built with **one
-/// worker and `queue_depth` 1**, serving `model` through a guard that
+/// `connect` must yield clients of an orchestrator built with
+/// **`workers` 1 and `queue_depth` 1**, serving `model` through a guard that
 /// stalls each request for a few hundred milliseconds (see the loopback
-/// tests for the canonical setup). The helper occupies the worker, fills
+/// tests for the canonical setup). The helper occupies the slot, fills
 /// the queue, then asserts the next request is rejected with the typed
 /// [`RuntimeError::Overloaded`] carrying the server's depth.
 pub fn check_overload<C>(connect: impl Fn() -> C, model: &str, input_dim: usize)
@@ -530,7 +530,7 @@ where
             );
         })
     };
-    // Let the occupant reach the worker, then saturate the queue.
+    // Let the occupant take the slot, then saturate the queue.
     std::thread::sleep(Duration::from_millis(100));
     let filler = {
         let client = connect();

@@ -10,9 +10,9 @@
 //!   (`put_tensor` / `get_tensor` / `unpack_tensor`), with [`TensorKey`]
 //!   as the validated key type at the client/server boundary,
 //! * [`server::Orchestrator`] — the inference server holding the model
-//!   registry and executing `run_model` / `run_model_batch` requests on a
-//!   worker pool that coalesces queued requests into batched forward
-//!   passes. Admission is bounded ([`RuntimeError::Overloaded`]),
+//!   registry; `run_model` / `run_model_batch` requests execute on the
+//!   threads that bring them, coalesced into batched forward passes
+//!   under load. Admission is bounded ([`RuntimeError::Overloaded`]),
 //!   requests carry deadlines ([`RuntimeError::DeadlineExceeded`]), and
 //!   shutdown drains in-flight work ([`RuntimeError::ShuttingDown`]).
 //!   A registered model may carry a [`QualityGuard`] so the server itself
@@ -76,17 +76,18 @@ pub enum RuntimeError {
     /// A tensor key failed validation (empty, or longer than
     /// [`store::MAX_KEY_BYTES`] bytes).
     InvalidKey(String),
-    /// The bounded admission queue was full; the request was rejected at
-    /// enqueue time instead of growing the backlog. Carries the
+    /// The bounded pending queue was full; the request was rejected at
+    /// once instead of growing the backlog. Carries the
     /// configured queue depth so callers can size their retry policy.
     Overloaded {
-        /// Admission-queue capacity the orchestrator was built with.
+        /// Pending-queue capacity the orchestrator was built with.
         queue_depth: usize,
     },
-    /// The request's deadline passed before it executed. Raised at
-    /// enqueue time when the deadline is already unreachable, and by the
-    /// worker pool when a queued request expires before its coalesced
-    /// batch runs — expired requests are always answered, never dropped.
+    /// The request's deadline passed before it executed. Raised at once
+    /// when the deadline is already unreachable, by the request's owner
+    /// when it expires while pending, and by the round that takes it
+    /// when it expired before its coalesced batch runs — expired
+    /// requests are always answered, never dropped.
     DeadlineExceeded,
     /// The orchestrator is draining and no longer admits new requests.
     ShuttingDown,

@@ -50,9 +50,10 @@ serving_metric_consts! {
     pub const BATCHES_TOTAL: &str = "hpcnet_serving_batches_total";
     /// Distribution of coalesced batch sizes (dimensionless).
     pub const BATCH_SIZE: &str = "hpcnet_serving_batch_size";
-    /// Wall time workers spent executing groups.
+    /// Wall time spent executing groups.
     pub const BUSY_SECONDS: &str = "hpcnet_serving_busy_seconds";
-    /// Per-request time from enqueue to worker pickup, labeled by `model`.
+    /// Per-request time from enqueue to the start of its round, labeled by
+    /// `model`.
     pub const QUEUE_WAIT_SECONDS: &str = "hpcnet_serving_queue_wait_seconds";
     /// Per-group stage timings, labeled by `model` and `stage`.
     pub const STAGE_SECONDS: &str = "hpcnet_serving_stage_seconds";
@@ -324,7 +325,7 @@ impl ServingMetrics {
     }
 
     /// Charge one executed model group: request/error counts, batch shape,
-    /// the per-stage timing split, and the worker's busy time.
+    /// the per-stage timing split, and the executing thread's busy time.
     pub(crate) fn record_group(
         &self,
         model: &str,
@@ -345,7 +346,7 @@ impl ServingMetrics {
     }
 
     /// Charge `n` requests that failed outside any recorded group — e.g.
-    /// the worker loop's panic backstop, which answers every pending slot
+    /// `serve_round`'s panic backstop, which answers every pending slot
     /// with a typed error. They count as both requests and errors so the
     /// `ServingStats` totals stay consistent with delivered replies
     /// (`fail_pending` only fills slots no `record_group` has charged).

@@ -43,7 +43,7 @@ pub const BATCH_HIST_BUCKETS: usize = 11;
 
 /// Cumulative statistics for the orchestrator's batched serving path:
 /// request volume per model, how well the coalescing loop is batching, and
-/// end-to-end throughput over worker busy time.
+/// end-to-end throughput over busy time.
 ///
 /// This is a *view*: the orchestrator records into its
 /// `hpcnet_telemetry::Registry` and assembles a `ServingStats` on demand
@@ -63,7 +63,7 @@ pub struct ServingStats {
     pub batch_hist: [u64; BATCH_HIST_BUCKETS],
     /// Requests served per model name.
     pub per_model: HashMap<String, u64>,
-    /// Wall time workers spent executing groups (fetch + encode + infer).
+    /// Wall time spent executing groups (fetch + encode + infer).
     /// Serialized as f64 seconds.
     #[serde(with = "duration_secs")]
     pub busy: Duration,
@@ -234,7 +234,7 @@ mod tests {
     use super::*;
 
     /// One group of `size` requests for `model`, `errors` failed, `busy_ms`
-    /// of worker time — as `from_registry_snapshot` would assemble it.
+    /// of busy time — as `from_registry_snapshot` would assemble it.
     fn one_group(model: &str, size: u64, errors: u64, busy_ms: u64) -> ServingStats {
         let mut batch_hist = [0; BATCH_HIST_BUCKETS];
         batch_hist[(63 - size.leading_zeros()) as usize] = 1;

@@ -7,12 +7,12 @@
 //! fallback path, the background retrainer thread, the versioned atomic
 //! hot-swap (a pointer exchange under the registry write lock), and the
 //! probation/rollback state machine driven by guard outcomes on the
-//! worker threads.
+//! serving threads.
 //!
 //! Swap/rollback safety rests on two properties:
 //!
-//! * workers clone the entry `Arc` out of the registry before executing a
-//!   group, so a swap mid-batch never changes results mid-row and no
+//! * a round clones the entry `Arc` out of the registry before executing
+//!   a group, so a swap mid-batch never changes results mid-row and no
 //!   request ever fails because of a swap;
 //! * every install re-checks, under the write lock, that the entry it
 //!   trained from (or put on probation) is still the served one
@@ -20,10 +20,10 @@
 //!   swap/rollback is abandoned.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use hpcnet_online::{
     FineTuneOutcome, FineTuner, Probation, ProbationVerdict, ReplayBuffer, RetrainConfig,
 };
@@ -109,7 +109,7 @@ impl OnlineState {
     }
 }
 
-/// Capture one guard-fallback pair on the worker thread. `feature` is the
+/// Capture one guard-fallback pair on the serving thread. `feature` is the
 /// row exactly as the surrogate saw it (post-encode, post-scaler);
 /// `exact` is the fallback's answer in physical units, standardized here
 /// into the surrogate's output space so the fine-tuner trains in model

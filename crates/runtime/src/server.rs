@@ -1,30 +1,31 @@
-//! The inference server ("Orchestrator"): model registry + a worker pool
-//! with request coalescing, bounded admission, request deadlines, graceful
-//! drain, and server-side quality guarding.
+//! The inference server ("Orchestrator"): model registry + caller-run
+//! rounds with request coalescing, bounded admission, request deadlines,
+//! graceful drain, and server-side quality guarding.
 //!
 //! A round — expire overdue requests, group the rest by model name, one
-//! batched forward pass per group, trace, answer — is executed by
-//! whichever thread brought it (`serve_round`, DESIGN.md §9). On an idle
-//! orchestrator (nothing queued, an execution slot free) that is the
-//! calling thread itself: no queue, no wake-up, no reply channel. Under
-//! backlog requests go through the admission queue: workers block on a
-//! shared request channel; on wake-up a worker takes an execution slot,
-//! drains whatever else is already queued (up to `MAX_COALESCE`
-//! requests) and executes them as one round — the process-local analog
-//! of dynamic batching in a GPU-side inference server. At most `workers`
-//! rounds execute at any instant, inline ones included. Batched outputs
-//! are bit-identical to the single-sample path because every kernel on
-//! the path treats rows independently in the same accumulation order.
+//! batched forward pass per group, trace, answer — is executed by the
+//! thread that brought it (`serve_round`, DESIGN.md §9); the orchestrator
+//! owns no serving thread. A round executes only while it holds one of
+//! the `workers` execution slots. A caller that finds nothing pending and
+//! a slot free runs its request on the spot. Any other caller puts its
+//! requests in the bounded pending queue and waits; whichever waiting
+//! caller gets a slot takes what is pending (up to `MAX_COALESCE` pairs,
+//! its own and everyone else's), serves it as one round and files each
+//! request's answer for its owner — the process-local analog of dynamic
+//! batching in a GPU-side inference server. Batched outputs are
+//! bit-identical to the single-sample path because every kernel on the
+//! path treats rows independently in the same accumulation order.
 //!
 //! Robustness semantics (DESIGN.md §10):
 //!
-//! * the admission queue is **bounded** — a full queue rejects new
+//! * the pending queue is **bounded** — a full queue rejects new
 //!   requests with [`RuntimeError::Overloaded`] instead of growing,
-//! * every request may carry a **deadline** — checked at enqueue and
-//!   again before its coalesced batch runs; expired requests are answered
-//!   with [`RuntimeError::DeadlineExceeded`], never silently dropped,
-//! * [`Orchestrator::shutdown`] (and `Drop`) **drains**: in-flight and
-//!   already-queued requests complete, new ones are refused with
+//! * every request may carry a **deadline** — checked when it is
+//!   prepared, by its owner while it is pending, and again before its
+//!   coalesced batch runs; expired requests are answered with
+//!   [`RuntimeError::DeadlineExceeded`], never silently dropped,
+//! * [`Orchestrator::shutdown`] (and `Drop`) **drains**: executing and
+//!   already-pending requests complete, new ones are refused with
 //!   [`RuntimeError::ShuttingDown`],
 //! * a registered model may carry a [`QualityGuard`] — the paper's
 //!   restart-on-quality-miss (§7.1/§8) executed server-side: a validator
@@ -47,12 +48,11 @@
 //!   retained in a bounded event ring. Disable with
 //!   [`OrchestratorBuilder::telemetry`]`(false)`.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use hpcnet_nn::train::FeatureScaler;
 use hpcnet_nn::{Autoencoder, MlpF32, SurrogateNet};
 use hpcnet_telemetry::trace::{self, tags};
@@ -286,162 +286,204 @@ impl RegisteredModel {
     }
 }
 
-/// What travels over the admission queue.
-pub(crate) enum Request {
-    /// An admitted request, with the channel its results go back on.
-    Run(PendingRequest),
-    /// Shutdown sentinel: each worker consumes exactly one and exits after
-    /// finishing the round it was coalescing.
-    Drain,
-}
-
-/// Most requests a worker folds into one coalescing round. Bounds both the
-/// latency of the first drained request and peak batch memory.
+/// Most pairs a round takes from the pending queue. Bounds both the
+/// latency of the first drained request and peak batch memory. Requests
+/// are taken whole, so the request that crosses the bound is the round's
+/// last.
 const MAX_COALESCE: usize = 512;
 
-/// Default bound on the admission queue (requests, not pairs).
+/// Default bound on the pending queue (requests, not pairs).
 pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 
 pub(crate) type Registry = Arc<RwLock<HashMap<String, Arc<RegisteredModel>>>>;
 
-/// Admission-control state shared between the orchestrator, its workers
-/// and every client it hands out: the drain flag, the queue bound and its
-/// occupancy, the execution slots, and the default deadline.
+/// Serving state shared between the orchestrator and every client it
+/// hands out: the drain flag, the queue bound, the default deadline, and
+/// — under one lock — the pending queue and the execution slots. The
+/// lock is held for bookkeeping only, never while a round executes.
 pub(crate) struct ServingShared {
-    pub(crate) shutting_down: AtomicBool,
+    shutting_down: AtomicBool,
     pub(crate) queue_depth: usize,
     pub(crate) default_deadline: Option<Duration>,
-    /// Requests admitted to the queue whose round has not started
-    /// executing yet — in the channel, or held by a worker that waits
-    /// for an execution slot. Bounded by `queue_depth`.
-    queued: AtomicUsize,
-    pub(crate) slots: ExecutionSlots,
+    /// Execution slots in all: rounds that may execute at once.
+    workers: usize,
+    state: Mutex<ServingState>,
+    /// Signalled, when anyone waits, each time a round ends (its answers
+    /// are filed and its slot is free) or a request is withdrawn.
+    changed: Condvar,
 }
 
-impl ServingShared {
-    /// Take one place in the admission queue; `false` when it is full.
-    /// The compare-and-swap loop means two racing admits can never both
-    /// squeeze into the last place (`tests/admission_model.rs`).
-    pub(crate) fn try_admit(&self) -> bool {
-        self.queued
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |queued| {
-                (queued < self.queue_depth).then_some(queued + 1)
-            })
-            .is_ok()
-    }
-
-    /// Give back the places of `n` admitted requests: their round starts
-    /// executing (or they could not be handed to a worker after all).
-    pub(crate) fn leave_queue(&self, n: usize) {
-        self.queued.fetch_sub(n, Ordering::AcqRel);
-    }
-
-    /// Requests admitted and not yet executing.
-    pub(crate) fn queued(&self) -> usize {
-        self.queued.load(Ordering::Acquire)
-    }
-}
-
-/// The execution slots, one per worker: a round executes only while it
-/// holds one, so at most `workers` rounds run at any instant whether a
-/// worker or a calling thread runs them. A worker blocks for a slot
-/// after it received a request; a caller only ever tries.
-pub(crate) struct ExecutionSlots {
-    state: Mutex<SlotState>,
-    freed: Condvar,
-}
-
-struct SlotState {
-    free: usize,
-    /// Threads blocked in [`ExecutionSlots::acquire`]; a release skips
-    /// the wake-up call while there are none.
-    waiting: usize,
+/// What [`ServingShared`] keeps under its lock.
+pub(crate) struct ServingState {
+    /// Admitted requests whose round has not started executing, oldest
+    /// first, each under the ticket its owner waits on. At most
+    /// `queue_depth` long.
+    queue: VecDeque<(u64, PendingRequest)>,
+    /// Answers of executed requests their owners have not collected yet.
+    answered: HashMap<u64, Vec<Result<()>>>,
+    next_ticket: u64,
+    /// Execution slots nobody holds. A round executes only while it
+    /// holds one, so at most `workers` rounds run at any instant.
+    free_slots: usize,
     /// The guard scratch buffers of the free slots that have one: handed
-    /// out and taken back with the slot, under the same lock, so there
-    /// are never more than `workers` of them however many threads run
-    /// rounds over time.
+    /// out and taken back with the slot, so there are never more than
+    /// `workers` of them however many threads run rounds over time.
     scratch: Vec<Vec<f64>>,
+    /// Threads blocked in [`ServingShared::wait`]; the end of a round
+    /// skips the wake-up call while there are none.
+    waiting: usize,
 }
 
-/// A held execution slot; dropping it frees the slot.
+/// A held execution slot. Dropping it ends the round: the answers put in
+/// `answers` are filed for their owners and the slot is freed, in one
+/// critical section.
 pub(crate) struct SlotGuard<'a> {
-    slots: &'a ExecutionSlots,
+    shared: &'a ServingShared,
     /// Where the round's guarded sparse inputs take dense form
     /// ([`ScatteredView`]): all zeros whenever no view is alive, as wide
     /// as the widest such input any round on this buffer has seen.
-    scratch: Vec<f64>,
+    pub(crate) scratch: Vec<f64>,
+    /// `(ticket, answer)` of every request the round took from the queue.
+    pub(crate) answers: Vec<(u64, Vec<Result<()>>)>,
 }
 
-impl ExecutionSlots {
-    fn new(slots: usize) -> Self {
-        ExecutionSlots {
-            state: Mutex::new(SlotState {
-                free: slots,
-                waiting: 0,
+impl ServingShared {
+    fn new(workers: usize, queue_depth: usize, default_deadline: Option<Duration>) -> Self {
+        ServingShared {
+            shutting_down: AtomicBool::new(false),
+            queue_depth,
+            default_deadline,
+            workers,
+            state: Mutex::new(ServingState {
+                queue: VecDeque::new(),
+                answered: HashMap::new(),
+                next_ticket: 0,
+                free_slots: workers,
                 scratch: Vec::new(),
+                waiting: 0,
             }),
-            freed: Condvar::new(),
+            changed: Condvar::new(),
         }
     }
 
-    /// The counts stay valid at every step, so a lock poisoned by a
+    /// The state stays valid at every step, so a lock poisoned by a
     /// panicking peer is safe to keep using.
-    fn lock(&self) -> MutexGuard<'_, SlotState> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ServingState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A slot if one is free right now.
-    pub(crate) fn try_acquire(&self) -> Option<SlotGuard<'_>> {
-        let mut state = self.lock();
-        if state.free == 0 {
+    pub(crate) fn is_shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::SeqCst)
+    }
+
+    /// Give up the lock until the state changes — or until `until`, or
+    /// for no reason at all: callers re-check what they wait for.
+    pub(crate) fn wait<'a>(
+        &self,
+        mut state: MutexGuard<'a, ServingState>,
+        until: Option<Instant>,
+    ) -> MutexGuard<'a, ServingState> {
+        state.waiting += 1;
+        let mut state = match until {
+            None => self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner),
+            Some(until) => {
+                let timeout = until.saturating_duration_since(Instant::now());
+                self.changed
+                    .wait_timeout(state, timeout)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+        };
+        state.waiting -= 1;
+        state
+    }
+
+    /// Take a free slot for a round, with a scratch buffer a round before
+    /// it grew if one is there.
+    pub(crate) fn take_slot(&self, state: &mut ServingState) -> Option<SlotGuard<'_>> {
+        if state.free_slots == 0 {
             return None;
         }
-        Some(self.take(&mut state))
-    }
-
-    /// Block until a slot is free.
-    fn acquire(&self) -> SlotGuard<'_> {
-        let mut state = self.lock();
-        while state.free == 0 {
-            state.waiting += 1;
-            state = self
-                .freed
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-            state.waiting -= 1;
-        }
-        self.take(&mut state)
-    }
-
-    /// Take a slot that `state` has free, with a scratch buffer a round
-    /// before it grew if one is there.
-    fn take(&self, state: &mut SlotState) -> SlotGuard<'_> {
-        state.free -= 1;
-        SlotGuard {
-            slots: self,
+        state.free_slots -= 1;
+        Some(SlotGuard {
+            shared: self,
             scratch: state.scratch.pop().unwrap_or_default(),
+            answers: Vec::new(),
+        })
+    }
+
+    /// Take a request back out of the queue, if no round has taken it.
+    pub(crate) fn withdraw(&self, state: &mut ServingState, ticket: u64) -> Option<PendingRequest> {
+        let at = state.queue.iter().position(|(t, _)| *t == ticket)?;
+        let (_, request) = state.queue.remove(at)?;
+        // A drain may be waiting for exactly this.
+        if state.waiting > 0 {
+            self.changed.notify_all();
         }
+        Some(request)
+    }
+}
+
+impl ServingState {
+    /// Requests admitted and not yet executing.
+    pub(crate) fn queued(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Put `request` at the back of the pending queue and return the
+    /// ticket its answer will be filed under. The caller has checked
+    /// that fewer than `queue_depth` requests are pending.
+    pub(crate) fn admit(&mut self, mut request: PendingRequest) -> u64 {
+        request.enqueued = Instant::now();
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.queue.push_back((ticket, request));
+        ticket
+    }
+
+    /// Take the next round off the front of the queue: whole requests,
+    /// oldest first, until [`MAX_COALESCE`] pairs are reached.
+    pub(crate) fn take_round(&mut self) -> (Vec<u64>, Vec<PendingRequest>) {
+        let mut pairs = 0;
+        let mut round = (Vec::new(), Vec::new());
+        while pairs < MAX_COALESCE {
+            let Some((ticket, request)) = self.queue.pop_front() else {
+                break;
+            };
+            pairs += request.pairs.len();
+            round.0.push(ticket);
+            round.1.push(request);
+        }
+        round
+    }
+
+    /// The answer filed under `ticket`, once its round has ended.
+    pub(crate) fn collect(&mut self, ticket: u64) -> Option<Vec<Result<()>>> {
+        self.answered.remove(&ticket)
     }
 }
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        let mut state = self.slots.lock();
-        state.free += 1;
+        let mut state = self.shared.lock();
+        state.answered.extend(self.answers.drain(..));
+        state.free_slots += 1;
         if self.scratch.capacity() > 0 {
             state.scratch.push(std::mem::take(&mut self.scratch));
         }
         let wake = state.waiting > 0;
         drop(state);
         if wake {
-            self.slots.freed.notify_one();
+            self.shared.changed.notify_all();
         }
     }
 }
 
-/// State shared between the orchestrator handle, its workers, its
-/// clients (which execute rounds inline when the orchestrator is idle),
-/// and the background retrainer thread.
+/// State shared between the orchestrator handle, its clients (whose
+/// threads execute the rounds), and the background retrainer thread.
 #[derive(Clone)]
 pub(crate) struct ServerCtx {
     pub(crate) store: TensorStore,
@@ -505,14 +547,15 @@ impl OrchestratorBuilder {
         self
     }
 
-    /// Worker-pool size. Defaults to one worker per available core,
-    /// capped at 8. Clamped to at least 1.
+    /// How many rounds may execute at once — the callers' threads execute
+    /// them, the orchestrator spawns none. Defaults to one per available
+    /// core, capped at 8. Clamped to at least 1.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
     }
 
-    /// Bound on the admission queue, in requests. A full queue rejects
+    /// Bound on the pending queue, in requests. A full queue rejects
     /// with [`RuntimeError::Overloaded`]. Clamped to at least 1; defaults
     /// to [`DEFAULT_QUEUE_DEPTH`].
     pub fn queue_depth(mut self, depth: usize) -> Self {
@@ -577,7 +620,9 @@ impl OrchestratorBuilder {
         self
     }
 
-    /// Launch the worker pool and return the orchestrator handle.
+    /// Build the orchestrator. No thread is started unless
+    /// [`online_retraining`](Self::online_retraining) asked for the
+    /// retrainer.
     pub fn build(self) -> Orchestrator {
         let workers = self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -599,13 +644,11 @@ impl OrchestratorBuilder {
             recorder_config,
         ));
         let online = self.online.map(|config| Arc::new(OnlineState::new(config)));
-        let shared = Arc::new(ServingShared {
-            shutting_down: AtomicBool::new(false),
-            queue_depth: self.queue_depth,
-            default_deadline: self.default_deadline,
-            queued: AtomicUsize::new(0),
-            slots: ExecutionSlots::new(workers),
-        });
+        let shared = Arc::new(ServingShared::new(
+            workers,
+            self.queue_depth,
+            self.default_deadline,
+        ));
         let ctx = ServerCtx {
             store: self.store,
             registry: Arc::default(),
@@ -614,48 +657,28 @@ impl OrchestratorBuilder {
             online,
             shared,
         };
-        // `queued` is what bounds admission; the channel only has to hold
-        // what was admitted plus the drain sentinels, so a send never
-        // blocks.
-        let (tx, rx) = bounded::<Request>(self.queue_depth + workers);
-        let handles = (0..workers)
-            .map(|_| {
-                let ctx = ctx.clone();
-                let rx = rx.clone();
-                std::thread::spawn(move || worker_loop(&ctx, &rx))
-            })
-            .collect();
         let retrainer = ctx.online.as_ref().map(|online| {
             let tick = online.config().tick;
-            let (stop_tx, stop_rx) = bounded::<()>(1);
+            let (stop_tx, stop_rx) = mpsc::channel::<()>();
             let ctx = ctx.clone();
             let handle = std::thread::spawn(move || retrain::retrainer_loop(&ctx, &stop_rx, tick));
             (stop_tx, handle)
         });
-        Orchestrator {
-            ctx,
-            tx,
-            rx,
-            workers: handles,
-            retrainer,
-        }
+        Orchestrator { ctx, retrainer }
     }
 }
 
-/// The inference server. Owns the model registry; executes `run_model` /
-/// `run_model_batch` requests from clients on a pool of worker threads
-/// (the process-local analog of the GPU-side RedisAI server). Built via
+/// The inference server (the process-local analog of the GPU-side
+/// RedisAI server). Owns the model registry, the pending queue and the
+/// execution slots; the `run_model` / `run_model_batch` requests of its
+/// clients execute on the threads that bring them, at most
+/// [`worker_count`](Self::worker_count) rounds at once. Built via
 /// [`Orchestrator::builder`].
 pub struct Orchestrator {
     ctx: ServerCtx,
-    tx: Sender<Request>,
-    /// Kept so drain can answer requests that raced past the admission
-    /// flag (they are failed with `ShuttingDown`, never dropped).
-    rx: Receiver<Request>,
-    workers: Vec<std::thread::JoinHandle<()>>,
     /// The background retrainer thread and its stop channel, present
     /// when built with [`OrchestratorBuilder::online_retraining`].
-    retrainer: Option<(Sender<()>, std::thread::JoinHandle<()>)>,
+    retrainer: Option<(mpsc::Sender<()>, std::thread::JoinHandle<()>)>,
 }
 
 impl Orchestrator {
@@ -669,12 +692,13 @@ impl Orchestrator {
         &self.ctx.store
     }
 
-    /// Number of worker threads serving requests.
+    /// Number of rounds that may execute at once
+    /// ([`OrchestratorBuilder::workers`]).
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.ctx.shared.workers
     }
 
-    /// Admission-queue bound this orchestrator was built with.
+    /// Pending-queue bound this orchestrator was built with.
     pub fn queue_depth(&self) -> usize {
         self.ctx.shared.queue_depth
     }
@@ -682,9 +706,9 @@ impl Orchestrator {
     /// Requests admitted to the queue whose round has not started
     /// executing yet (at most [`queue_depth`](Self::queue_depth)).
     /// Reads zero on an idle orchestrator — the state in which a
-    /// client's request runs on its own thread instead of being queued.
+    /// client's request runs at once instead of being queued.
     pub fn queued(&self) -> usize {
-        self.ctx.shared.queued()
+        self.ctx.shared.lock().queued()
     }
 
     /// Whether this orchestrator quantizes registered MLP bundles to
@@ -696,7 +720,7 @@ impl Orchestrator {
     /// A client connected to this orchestrator (equivalent to
     /// [`Client::connect`]).
     pub fn client(&self) -> Client {
-        Client::from_parts(self.ctx.clone(), self.tx.clone())
+        Client::new(self.ctx.clone())
     }
 
     /// Register a model bundle under a name (Listing 2's
@@ -901,68 +925,50 @@ impl Orchestrator {
         self.ctx.metrics.recorder().slow_threshold()
     }
 
-    /// Graceful shutdown: stop admitting, let the workers finish every
-    /// already-queued request and the callers every round they are
-    /// executing inline, join the workers, and answer any request that
-    /// raced past the admission flag with
-    /// [`RuntimeError::ShuttingDown`]. Returns the final statistics.
-    /// `Drop` performs the same drain.
+    /// Graceful shutdown: stop admitting, then wait until every admitted
+    /// request has been executed by the callers that own them — the
+    /// pending queue is empty and every execution slot is back. Returns
+    /// the final statistics. `Drop` performs the same drain.
     pub fn shutdown(mut self) -> ServingStats {
-        self.drain_and_join();
+        self.drain();
         self.ctx.metrics.stats()
     }
 
-    fn drain_and_join(&mut self) {
-        // Stop the retrainer first so no swap lands while workers drain.
+    fn drain(&mut self) {
+        // Stop the retrainer first so no swap lands while rounds drain.
         if let Some((stop, handle)) = self.retrainer.take() {
             let _ = stop.send(());
             drop(stop);
             let _ = handle.join();
         }
-        self.ctx.shared.shutting_down.store(true, Ordering::SeqCst);
-        // One sentinel per worker, queued BEHIND all admitted requests
-        // (the channel is FIFO), so in-flight work completes first.
-        for _ in &self.workers {
-            let _ = self.tx.send(Request::Drain);
-        }
-        let slots = self.workers.len();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // Rounds that callers are executing inline hold the remaining
-        // slots: taking every slot once waits for each of them. A caller
-        // that gets a slot afterwards re-checks the flag and backs off.
-        let inline_rounds: Vec<SlotGuard<'_>> = (0..slots)
-            .map(|_| self.ctx.shared.slots.acquire())
-            .collect();
-        drop(inline_rounds);
-        // Requests that slipped in after the flag but behind the
-        // sentinels are answered, never dropped.
-        while let Ok(req) = self.rx.try_recv() {
-            if let Request::Run(mut p) = req {
-                self.ctx.shared.leave_queue(1);
-                p.fail_pending(&RuntimeError::ShuttingDown);
-                let _ = p.deliver();
-            }
+        let shared = &self.ctx.shared;
+        shared.shutting_down.store(true, Ordering::SeqCst);
+        // A caller reads the flag under this lock before it admits or
+        // starts anything, so what is pending or executing now is all
+        // there will ever be — and each pending request has an owner that
+        // leads or awaits its round.
+        let mut state = shared.lock();
+        while state.queued() > 0 || state.free_slots < shared.workers {
+            state = shared.wait(state, None);
         }
     }
 }
 
 impl Drop for Orchestrator {
     fn drop(&mut self) {
-        self.drain_and_join();
+        self.drain();
     }
 }
 
 /// One client request, with per-pair result slots: what a client builds,
-/// the admission queue carries, and a round executes.
+/// the pending queue carries, and a round executes.
 pub(crate) struct PendingRequest {
     model: String,
     pairs: Vec<(TensorKey, TensorKey)>,
     results: Vec<Option<Result<()>>>,
     deadline: Option<Instant>,
-    /// When the request entered the queue — or, executed inline, when its
-    /// round started, which makes its queue wait zero.
+    /// When the request entered the queue — or, on an idle orchestrator,
+    /// when its round started, which makes its queue wait zero.
     pub(crate) enqueued: Instant,
     /// Upstream trace context (DESIGN.md §16): when present, the
     /// server-side request span joins the caller's trace instead of
@@ -971,10 +977,6 @@ pub(crate) struct PendingRequest {
     /// Pairs of this request the quality guard answered via its fallback
     /// (or rejected) — drives the trace's `guard_fallback` retention tag.
     guard_fallbacks: u64,
-    /// Where a queued request's results go. `None` while the caller has
-    /// the request in hand: a round it executes itself returns the
-    /// results to it directly ([`serve_round`]).
-    pub(crate) reply: Option<Sender<Vec<Result<()>>>>,
 }
 
 impl PendingRequest {
@@ -992,7 +994,6 @@ impl PendingRequest {
             enqueued: Instant::now(),
             trace,
             guard_fallbacks: 0,
-            reply: None,
         }
     }
 
@@ -1002,6 +1003,10 @@ impl PendingRequest {
 
     pub(crate) fn pair_count(&self) -> usize {
         self.pairs.len()
+    }
+
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.deadline
     }
 
     /// Fill every unanswered slot with `err`; returns how many were
@@ -1017,21 +1022,12 @@ impl PendingRequest {
         filled
     }
 
-    /// Answer the request: over its reply channel when it was queued
-    /// (`None`), back to the caller that holds it otherwise.
-    pub(crate) fn deliver(self) -> Option<Vec<Result<()>>> {
-        let results = self
-            .results
+    /// The request's answer, one result per pair.
+    fn into_results(self) -> Vec<Result<()>> {
+        self.results
             .into_iter()
             .map(|r| r.unwrap_or_else(|| Err(RuntimeError::Inference("request dropped".into()))))
-            .collect();
-        match self.reply {
-            Some(tx) => {
-                let _ = tx.send(results);
-                None
-            }
-            None => Some(results),
-        }
+            .collect()
     }
 }
 
@@ -1066,53 +1062,16 @@ impl<'a> Unit<'a> {
     }
 }
 
-/// Worker body: block for one request, take an execution slot, drain the
-/// backlog, serve the round, repeat. The requests keep their places in
-/// the admission queue until the slot is taken — while a worker waits
-/// behind rounds that callers execute inline, its request still counts
-/// against `queue_depth`, and whatever queues up behind it meanwhile is
-/// coalesced into the same round.
-fn worker_loop(ctx: &ServerCtx, rx: &Receiver<Request>) {
-    loop {
-        let first = match rx.recv() {
-            Ok(Request::Run(first)) => first,
-            Ok(Request::Drain) | Err(_) => return,
-        };
-        let mut slot = ctx.shared.slots.acquire();
-        let mut queued = first.pairs.len();
-        let mut pending = vec![first];
-        let mut stop = false;
-        while queued < MAX_COALESCE {
-            match rx.try_recv() {
-                Ok(Request::Run(p)) => {
-                    queued += p.pairs.len();
-                    pending.push(p);
-                }
-                Ok(Request::Drain) => {
-                    stop = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        ctx.shared.leave_queue(pending.len());
-        serve_round(ctx, &mut slot, pending, Instant::now());
-        drop(slot);
-        if stop {
-            return;
-        }
-    }
-}
-
-/// Execute one round on the calling thread — a worker that drained it
-/// from the queue, or a client that found the orchestrator idle: record
-/// each request's queue wait, expire overdue requests, execute the rest
-/// grouped by model, record the traces, answer every request. `slot` is
-/// the execution slot the caller holds. Returns the results of the
-/// requests that carry no reply channel (the caller's own), in order.
+/// Execute one round on the calling thread: record each request's queue
+/// wait, expire overdue requests, execute the rest grouped by model,
+/// record the traces, and return every request's answer, in order.
+/// `scratch` is the buffer of the execution slot the caller holds — a
+/// round of nothing but overdue requests executes nothing and needs no
+/// slot, which is how an owner answers a request that expired while it
+/// was pending.
 pub(crate) fn serve_round(
     ctx: &ServerCtx,
-    slot: &mut SlotGuard<'_>,
+    scratch: &mut Vec<f64>,
     mut pending: Vec<PendingRequest>,
     picked_up: Instant,
 ) -> Vec<Vec<Result<()>>> {
@@ -1124,15 +1083,15 @@ pub(crate) fn serve_round(
     // and `infer_and_scatter` already converts panicking guard/model
     // closures into per-unit errors, but if anything else in the round
     // panics, answer every still-pending request with a typed error
-    // instead of unwinding the thread — a dead worker strands its share
-    // of the queue and every future request routed to it, and an
-    // unwinding caller would take the application down.
+    // instead of unwinding the thread — the round's other requests would
+    // never be answered, and an unwinding caller would take the
+    // application down.
     let round = contained(
         || {
             expire_overdue(ctx, &mut pending);
-            process_round(ctx, &mut pending, &mut slot.scratch)
+            process_round(ctx, &mut pending, scratch)
         },
-        |msg| format!("serving worker panicked mid-round: {msg}"),
+        |msg| format!("serving thread panicked mid-round: {msg}"),
     );
     let reports = match round {
         Ok(reports) => reports,
@@ -1157,16 +1116,16 @@ pub(crate) fn serve_round(
     }
     pending
         .into_iter()
-        .filter_map(PendingRequest::deliver)
+        .map(PendingRequest::into_results)
         .collect()
 }
 
 /// Panic containment for everything user- or model-supplied that runs on
-/// a worker (validator, fallback region, forward passes, the round as a
-/// whole): run `f`, and turn a panic into a typed
+/// a serving thread (validator, fallback region, forward passes, the
+/// round as a whole): run `f`, and turn a panic into a typed
 /// [`RuntimeError::Inference`] whose text is `describe(panic message)`,
-/// so the failure lands on the request that caused it and the worker
-/// thread keeps serving.
+/// so the failure lands on the request that caused it and the thread
+/// keeps serving.
 fn contained<T>(f: impl FnOnce() -> T, describe: impl FnOnce(&str) -> String) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         let message = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1270,8 +1229,8 @@ fn record_request_trace(
     ctx.metrics.retain_trace(t);
 }
 
-/// Deadline enforcement at execution time (the enqueue-side check lives
-/// in the client): requests whose deadline has already passed are failed
+/// Deadline enforcement at execution time (the checks before it live in
+/// the client): requests whose deadline has already passed are failed
 /// with `DeadlineExceeded` before any work is spent on them.
 fn expire_overdue(ctx: &ServerCtx, pending: &mut [PendingRequest]) {
     let now = Instant::now();

@@ -53,7 +53,7 @@ pub(crate) fn densify(tensor: &Csr) -> Result<Vec<f64>> {
 /// A validated tensor key: non-empty and at most [`MAX_KEY_BYTES`] bytes.
 ///
 /// The redesigned client/orchestrator API moves key validation to the
-/// boundary: requests travel through the worker pool carrying `TensorKey`s
+/// boundary: requests travel through the serving path carrying `TensorKey`s
 /// that are known-good, so the hot path never re-checks them.
 ///
 /// ```

@@ -1,16 +1,21 @@
-//! Model-checked admission-queue depth accounting.
+//! Model-checked serving protocol: pending-queue depth accounting and the
+//! caller-combining rounds around it.
 //!
-//! The orchestrator bounds its queue with a CAS loop over an atomic depth
-//! counter (admit = compare-exchange up, complete = fetch-sub down). This
-//! harness re-states that protocol against the same two-harness setup as
+//! The orchestrator has no serving thread: a caller that finds it idle
+//! executes its request at once, any other caller puts its request in the
+//! bounded pending queue and waits on a condition variable, and whichever
+//! waiting caller gets an execution slot serves everything pending as one
+//! round and files the answers (DESIGN.md §9/§10). This harness re-states
+//! that protocol against the same two-harness setup as
 //! `hpcnet-telemetry/tests/concurrency_model.rs`: the seeded stress shim
 //! under plain `cargo test`, the real `loom` model checker under
 //! `RUSTFLAGS="--cfg loom"` (the CI `loom` job).
 //!
 //! Invariants proved: the observed depth never exceeds the bound, every
 //! attempt is either admitted or rejected (none double-counted or lost),
-//! and the queue drains to exactly zero once every admitted request
-//! completes.
+//! the queue drains to exactly zero once every admitted request
+//! completes, no more rounds execute at once than there are slots — and
+//! every caller returns, which is to say no wake-up is lost.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -30,9 +35,11 @@ use hpcnet_modelcheck::{
     thread,
 };
 
-/// The admission protocol under test, isolated from the channel plumbing:
-/// a CAS-bounded depth counter with exact admitted/rejected/completed
-/// tallies. Mirrors the orchestrator's bounded-queue accounting.
+/// The depth accounting under test, isolated from the queue it counts: a
+/// CAS-bounded depth with exact admitted/rejected/completed tallies. The
+/// orchestrator moves its depth (the pending queue's length) under its
+/// serving lock; the model proves the bound for the harder case of
+/// racing lock-free admits, and [`Serving`] below counts with it.
 struct Admission {
     depth: AtomicU64,
     bound: u64,
@@ -148,15 +155,15 @@ fn full_queue_rejects_rather_than_overshoots() {
 }
 
 // ---------------------------------------------------------------------
-// Who executes: the idle rule, the execution slots, and when a queued
-// request gives its queue place back (DESIGN.md §9/§10).
+// How a round comes to execute: at once when idle, else through the
+// pending queue and a waiting caller that leads (DESIGN.md §9/§10).
 // ---------------------------------------------------------------------
 
 #[cfg(loom)]
-use loom::sync::Mutex;
+use loom::sync::{Condvar, Mutex};
 
 #[cfg(not(loom))]
-use hpcnet_modelcheck::sync::Mutex;
+use hpcnet_modelcheck::sync::{Condvar, Mutex};
 
 /// Calls per caller thread: the model checker explores every
 /// interleaving, the seeded shim samples them.
@@ -165,26 +172,33 @@ const CALLS: u64 = 1;
 #[cfg(not(loom))]
 const CALLS: u64 = 3;
 
-/// The serving protocol around [`Admission`], isolated from the channel
-/// and the round itself. A caller that observes an idle orchestrator
-/// (nothing queued) *tries* for an execution slot and runs inline;
-/// otherwise it takes a queue place and hands the request over. A worker
-/// receives a request, *waits* for a slot, and only then — when the round
-/// starts executing — gives the queue place back. Mirrors
-/// `ServingShared` + `ExecutionSlots` in `src/server.rs`.
+const CALLERS: u64 = 3;
+
+/// What `ServingShared` keeps under its lock, requests reduced to their
+/// tickets.
+struct Pending {
+    /// Admitted and not yet taken by a round, oldest first.
+    queue: Vec<u64>,
+    /// Executed and not yet collected by their owners.
+    answered: Vec<u64>,
+    next_ticket: u64,
+    free_slots: u64,
+    /// Callers blocked on `changed`.
+    waiting: u64,
+}
+
+/// The serving protocol, isolated from the round itself. Mirrors
+/// `Client::submit` over `ServingShared` in `src/{client,server}.rs`:
+/// there is no thread but the callers'.
 struct Serving {
     admission: Admission,
     workers: u64,
-    /// Free execution slots, under the lock `ExecutionSlots` keeps them.
-    free_slots: Mutex<u64>,
-    /// Requests handed to the channel and not yet received by a worker.
-    in_channel: AtomicU64,
-    /// Rounds executing right now, inline ones included.
+    pending: Mutex<Pending>,
+    changed: Condvar,
+    /// Rounds executing right now.
     executing: AtomicU64,
     inline: AtomicU64,
     served: AtomicU64,
-    /// No caller will hand over another request.
-    closed: AtomicU64,
 }
 
 impl Serving {
@@ -192,27 +206,24 @@ impl Serving {
         Serving {
             admission: Admission::new(bound),
             workers,
-            free_slots: Mutex::new(workers),
-            in_channel: AtomicU64::new(0),
+            pending: Mutex::new(Pending {
+                queue: Vec::new(),
+                answered: Vec::new(),
+                next_ticket: 0,
+                free_slots: workers,
+                waiting: 0,
+            }),
+            changed: Condvar::new(),
             executing: AtomicU64::new(0),
             inline: AtomicU64::new(0),
             served: AtomicU64::new(0),
-            closed: AtomicU64::new(0),
         }
     }
 
-    fn try_slot(&self) -> bool {
-        let mut free = self.free_slots.lock().expect("slot lock");
-        if *free == 0 {
-            return false;
-        }
-        *free -= 1;
-        true
-    }
-
-    /// One round, holding a slot: the invariant under test is that no
-    /// more than `workers` of these ever overlap.
-    fn execute_and_release(&self) {
+    /// One round of `requests` requests, holding a slot and not the lock:
+    /// the invariant under test is that no more than `workers` of these
+    /// ever overlap.
+    fn execute(&self, requests: u64) {
         let now = self.executing.fetch_add(1, Ordering::AcqRel) + 1;
         assert!(
             now <= self.workers,
@@ -220,104 +231,121 @@ impl Serving {
             self.workers
         );
         // relaxed: pure tally, read only after join.
-        self.served.fetch_add(1, Ordering::Relaxed);
+        self.served.fetch_add(requests, Ordering::Relaxed);
         self.executing.fetch_sub(1, Ordering::AcqRel);
-        *self.free_slots.lock().expect("slot lock") += 1;
     }
 
-    /// `Client::submit`: inline when idle, else through the queue.
-    fn call(&self) {
-        if self.admission.depth.load(Ordering::Acquire) == 0 && self.try_slot() {
-            // relaxed: pure tally, read only after join.
-            self.inline.fetch_add(1, Ordering::Relaxed);
-            self.execute_and_release();
-        } else if self.admission.try_admit() {
-            self.in_channel.fetch_add(1, Ordering::Release);
+    /// `SlotGuard::drop`: file the round's answers and free its slot in
+    /// one critical section, then wake whoever waits.
+    fn end_round(&self, round: &[u64]) {
+        let mut pending = self.pending.lock().expect("serving lock");
+        pending.answered.extend_from_slice(round);
+        pending.free_slots += 1;
+        let wake = pending.waiting > 0;
+        drop(pending);
+        if wake {
+            self.changed.notify_all();
         }
     }
 
-    /// `worker_loop`: receive, wait for a slot, leave the queue, execute.
-    fn work(&self) {
+    /// `Client::submit` for one request: at once when idle; else take a
+    /// queue place (or be rejected), then lead a round of everything
+    /// pending whenever a slot is free, and wait while there is none,
+    /// until the request has been answered.
+    fn call(&self) {
+        let mut pending = self.pending.lock().expect("serving lock");
+        if pending.queue.is_empty() && pending.free_slots > 0 {
+            pending.free_slots -= 1;
+            drop(pending);
+            // relaxed: pure tally, read only after join.
+            self.inline.fetch_add(1, Ordering::Relaxed);
+            self.execute(1);
+            self.end_round(&[]);
+            return;
+        }
+        // Under the lock, so the depth is the queue's length.
+        if !self.admission.try_admit() {
+            return;
+        }
+        let ticket = pending.next_ticket;
+        pending.next_ticket += 1;
+        pending.queue.push(ticket);
         loop {
-            // Read `closed` first: the drain sentinel is queued behind
-            // every admitted request, so a worker that sees it has seen
-            // them all.
-            let closed = self.closed.load(Ordering::Acquire) == 1;
-            let waiting = self.in_channel.load(Ordering::Acquire);
-            if waiting == 0 {
-                if closed {
-                    return;
+            if let Some(at) = pending.answered.iter().position(|t| *t == ticket) {
+                pending.answered.swap_remove(at);
+                return;
+            }
+            if !pending.queue.is_empty() && pending.free_slots > 0 {
+                pending.free_slots -= 1;
+                // A request keeps its queue place until its round starts.
+                let round = std::mem::take(&mut pending.queue);
+                for _ in &round {
+                    self.admission.complete();
                 }
-                thread::yield_now();
+                drop(pending);
+                self.execute(round.len() as u64);
+                self.end_round(&round);
+                pending = self.pending.lock().expect("serving lock");
                 continue;
             }
-            if self
-                .in_channel
-                .compare_exchange(waiting, waiting - 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            // The request keeps its queue place while the worker waits.
-            while !self.try_slot() {
-                // relaxed: advisory read for the assertion only.
-                let depth = self.admission.depth.load(Ordering::Relaxed);
-                assert!(depth >= 1, "a held request must still occupy the queue");
-                thread::yield_now();
-            }
-            self.admission.complete();
-            self.execute_and_release();
+            pending.waiting += 1;
+            pending = self.changed.wait(pending).expect("serving lock");
+            pending.waiting -= 1;
         }
     }
 }
 
+/// One slot throughout. A queue of one sheds the third caller; a queue of
+/// two lets a leader serve another caller's request with its own.
 #[test]
-fn inline_and_queued_rounds_share_the_slots_and_the_queue_drains() {
-    model(|| {
-        let serving = Arc::new(Serving::new(1, 1));
-        let worker = {
-            let serving = serving.clone();
-            thread::spawn(move || serving.work())
-        };
-        let callers: Vec<_> = (0..2)
-            .map(|_| {
-                let serving = serving.clone();
-                thread::spawn(move || {
-                    for _ in 0..CALLS {
-                        // relaxed: advisory read for the assertion only.
-                        let seen = serving.admission.depth.load(Ordering::Relaxed);
-                        assert!(seen <= serving.admission.bound, "depth {seen} above bound");
-                        serving.call();
-                    }
+fn idle_and_queued_rounds_share_the_slots_and_every_caller_returns() {
+    for bound in [1, 2] {
+        model(move || {
+            let serving = Arc::new(Serving::new(1, bound));
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    let serving = serving.clone();
+                    thread::spawn(move || {
+                        for _ in 0..CALLS {
+                            // relaxed: advisory read for the assertion only.
+                            let seen = serving.admission.depth.load(Ordering::Relaxed);
+                            assert!(seen <= serving.admission.bound, "depth {seen} above bound");
+                            serving.call();
+                        }
+                    })
                 })
-            })
-            .collect();
-        for caller in callers {
-            caller.join().expect("caller thread");
-        }
-        serving.closed.store(1, Ordering::Release);
-        worker.join().expect("worker thread");
+                .collect();
+            // Joining is the liveness check: a caller whose wake-up was
+            // lost never returns (loom reports the deadlock, the shim
+            // hangs into the test timeout).
+            for caller in callers {
+                caller.join().expect("caller thread");
+            }
 
-        let admitted = serving.admission.admitted.load(Ordering::Relaxed);
-        let rejected = serving.admission.rejected.load(Ordering::Relaxed);
-        let inline = serving.inline.load(Ordering::Relaxed);
-        assert_eq!(
-            inline + admitted + rejected,
-            2 * CALLS,
-            "every call ran inline, was queued, or was rejected — exactly once"
-        );
-        assert_eq!(
-            serving.served.load(Ordering::Relaxed),
-            inline + admitted,
-            "every inline and every admitted request was executed"
-        );
-        assert_eq!(
-            serving.admission.completed.load(Ordering::Relaxed),
-            admitted,
-            "every admitted request left the queue when its round started"
-        );
-        assert_eq!(serving.admission.depth.load(Ordering::Relaxed), 0);
-        assert_eq!(serving.executing.load(Ordering::Relaxed), 0);
-        assert_eq!(*serving.free_slots.lock().expect("slot lock"), 1);
-    });
+            let admitted = serving.admission.admitted.load(Ordering::Relaxed);
+            let rejected = serving.admission.rejected.load(Ordering::Relaxed);
+            let inline = serving.inline.load(Ordering::Relaxed);
+            assert_eq!(
+                inline + admitted + rejected,
+                CALLERS * CALLS,
+                "every call ran at once, was queued, or was rejected — exactly once"
+            );
+            assert_eq!(
+                serving.served.load(Ordering::Relaxed),
+                inline + admitted,
+                "every admitted request was executed exactly once"
+            );
+            assert_eq!(
+                serving.admission.completed.load(Ordering::Relaxed),
+                admitted,
+                "every admitted request left the queue when its round started"
+            );
+            assert_eq!(serving.admission.depth.load(Ordering::Relaxed), 0);
+            assert_eq!(serving.executing.load(Ordering::Relaxed), 0);
+            let pending = serving.pending.lock().expect("serving lock");
+            assert!(pending.queue.is_empty() && pending.answered.is_empty());
+            assert_eq!(pending.free_slots, 1);
+            assert_eq!(pending.waiting, 0);
+        });
+    }
 }

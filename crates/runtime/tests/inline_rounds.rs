@@ -1,8 +1,9 @@
-//! Who executes a round (DESIGN.md §9): on an idle orchestrator the
-//! calling thread, under backlog a worker — and nothing a client can
-//! observe tells the two apart. Every test runs with one and with two
-//! workers, and none of them sleeps: a request is put "in flight" by a
-//! validator that parks until the test releases it over a channel.
+//! How a round comes to execute (DESIGN.md §9): at once on an idle
+//! orchestrator, through the pending queue under backlog — on a calling
+//! thread either way, and nothing a client can observe tells the two
+//! apart. Every test runs with one and with two execution slots, and none
+//! of them sleeps: a request is put "in flight" by a validator that parks
+//! until the test releases it over a channel.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -13,7 +14,8 @@ use std::sync::{Arc, Mutex};
 use hpcnet_nn::{Mlp, Topology};
 use hpcnet_runtime::metrics::QUEUE_WAIT_SECONDS;
 use hpcnet_runtime::{
-    ClientApi, ModelBundle, Orchestrator, QualityGuard, RuntimeError, ServingStats, TensorStore,
+    ClientApi, ModelBundle, Orchestrator, OrchestratorBuilder, QualityGuard, RuntimeError,
+    ServingStats, TensorStore,
 };
 
 const MODEL: &str = "m";
@@ -58,14 +60,16 @@ struct Gate {
     max_inside: Arc<AtomicUsize>,
 }
 
-/// An f32-serving orchestrator with `workers` workers and one guarded
-/// model whose validator obeys the input's [`Marker`].
+/// An f32-serving orchestrator with `workers` execution slots and one
+/// guarded model whose validator obeys the input's [`Marker`].
 fn serve(workers: usize) -> (Orchestrator, Gate) {
-    let orc = Orchestrator::builder()
-        .store(TensorStore::new())
-        .workers(workers)
-        .serve_f32(true)
-        .build();
+    serve_on(Orchestrator::builder().workers(workers))
+}
+
+/// [`serve`] on a builder that already says how many slots and how deep
+/// a queue.
+fn serve_on(builder: OrchestratorBuilder) -> (Orchestrator, Gate) {
+    let orc = builder.store(TensorStore::new()).serve_f32(true).build();
     let (parked_tx, parked) = channel();
     let (release, release_rx) = channel::<()>();
     let release_rx = Mutex::new(release_rx);
@@ -104,8 +108,8 @@ fn serve(workers: usize) -> (Orchestrator, Gate) {
     )
 }
 
-/// Occupy every execution slot: one thread per worker finds the
-/// orchestrator idle, executes inline, and parks inside the validator.
+/// Occupy every execution slot: one thread per slot finds the
+/// orchestrator idle, executes at once, and parks inside the validator.
 /// Returns once all of them are parked.
 fn occupy_all_slots(
     orc: &Orchestrator,
@@ -170,10 +174,10 @@ struct Served {
 /// Serve one fixed request sequence — hits, demotions, fallbacks and a
 /// missing input — each request preceded by a full set of slot
 /// occupants. `queued == false`: the occupants are released before they
-/// park, so everything executes inline, one round after the other.
+/// park, so everything executes at once, one round after the other.
 /// `queued == true`: the occupants hold every slot while the request is
-/// submitted, so it goes through the queue and a worker executes it once
-/// the slots are released. Returns every output and the final stats.
+/// submitted, so it goes through the queue and its caller executes it
+/// once a slot is released. Returns every output and the final stats.
 fn serve_sequence(workers: usize, queued: bool) -> Served {
     let (orc, gate) = serve(workers);
     let sequence = [
@@ -309,7 +313,7 @@ fn rounds_in_execution_never_exceed_the_worker_count() {
 }
 
 #[test]
-fn backlog_behind_held_slots_is_coalesced_by_the_workers() {
+fn backlog_behind_held_slots_is_coalesced_into_one_round() {
     for workers in [1, 2] {
         const CALLERS: usize = 6;
         let (orc, gate) = serve(workers);
@@ -324,7 +328,7 @@ fn backlog_behind_held_slots_is_coalesced_by_the_workers() {
                 std::thread::spawn(move || client.run_model(MODEL, &in_key, &out_key))
             })
             .collect();
-        // Every slot is busy, so all of them queue up — none runs inline.
+        // Every slot is busy, so all of them queue up — none runs at once.
         while orc.queued() < CALLERS {
             std::thread::yield_now();
         }
@@ -335,17 +339,67 @@ fn backlog_behind_held_slots_is_coalesced_by_the_workers() {
         }
         let stats = orc.shutdown();
         assert_eq!(stats.requests, (CALLERS + workers) as u64);
-        // Each worker holds at most one request while it waits for a
-        // slot; whichever gets a slot first drains the rest of the queue
-        // into its round. One worker: exactly one round of all six.
+        // Whichever caller gets a slot first takes everything that is
+        // pending (six pairs, far below `MAX_COALESCE`) into its round; a
+        // second slot's caller finds the queue empty or takes what was
+        // left. One slot: exactly one round of all six.
         let rounds = stats.batches - workers as u64;
         assert!(
             (1..=workers as u64).contains(&rounds),
-            "{CALLERS} queued requests took {rounds} rounds with {workers} workers"
+            "{CALLERS} queued requests took {rounds} rounds with {workers} slots"
         );
         if workers == 1 {
             assert_eq!(stats.batch_hist[2], 1, "one batch of six: [4, 8)");
         }
+    }
+}
+
+/// Liveness under contention: many more callers than slots and a queue
+/// far too short for them. Every call returns — no lost wake-up — with
+/// `Ok` or the counted `Overloaded`, and afterwards nothing is pending
+/// and every slot can be taken again.
+#[test]
+fn contended_callers_all_return_and_leave_the_orchestrator_idle() {
+    for workers in [1, 2] {
+        const CALLERS: usize = 16;
+        const REQUESTS: usize = 200;
+        let (orc, gate) = serve_on(Orchestrator::builder().workers(workers).queue_depth(4));
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|c| {
+                let client = orc.client();
+                std::thread::spawn(move || {
+                    let (in_key, out_key) = (format!("lv{c}/in"), format!("lv{c}/out"));
+                    client
+                        .put_tensor(&in_key, &input(Marker::Accept, c))
+                        .unwrap();
+                    let (mut ok, mut overloaded) = (0u64, 0u64);
+                    for _ in 0..REQUESTS {
+                        match client.run_model(MODEL, &in_key, &out_key) {
+                            Ok(()) => ok += 1,
+                            Err(RuntimeError::Overloaded { queue_depth: 4 }) => overloaded += 1,
+                            Err(e) => panic!("neither served nor shed: {e:?}"),
+                        }
+                    }
+                    (ok, overloaded)
+                })
+            })
+            .collect();
+        let (mut ok, mut overloaded) = (0, 0);
+        for caller in callers {
+            let (o, v) = caller.join().unwrap();
+            ok += o;
+            overloaded += v;
+        }
+        assert_eq!(ok + overloaded, (CALLERS * REQUESTS) as u64);
+        assert_eq!(orc.queued(), 0);
+        let stats = orc.serving_stats();
+        assert_eq!(stats.requests, ok);
+        assert_eq!(stats.overload_rejected, overloaded);
+        assert_eq!(stats.errors, 0);
+        // Every slot is free: `workers` occupants each get one at once.
+        let occupants = occupy_all_slots(&orc, &gate, 0);
+        release_all(&gate, occupants);
+        assert_eq!(orc.shutdown().requests, ok + workers as u64);
     }
 }
 
@@ -372,9 +426,9 @@ fn shutdown_waits_for_a_round_a_caller_is_executing() {
             stats
         });
         // The drain has begun once the flag is up; from then on a call is
-        // refused, and the drain itself cannot finish while the inline
-        // round is still inside the validator.
-        while bystander.is_admitting() {
+        // refused, and the drain itself cannot finish while the round is
+        // still inside the validator.
+        while bystander.ping().is_ok() {
             std::thread::yield_now();
         }
         assert_eq!(
@@ -390,7 +444,7 @@ fn shutdown_waits_for_a_round_a_caller_is_executing() {
         gate.release.send(()).unwrap();
         assert_eq!(inline.join().unwrap(), Ok(()));
         let stats = shutdown.join().unwrap();
-        assert_eq!(stats.requests, 1, "the inline round is in the final stats");
+        assert_eq!(stats.requests, 1, "the round is in the final stats");
         assert_eq!(stats.quality_hits, 1);
         assert_eq!(client.unpack_tensor("out").unwrap().len(), 2);
         assert!(client.unpack_tensor("late/out").is_err());

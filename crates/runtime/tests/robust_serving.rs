@@ -24,7 +24,7 @@ fn bundle(seed: u64) -> ModelBundle {
 
 /// An orchestrator serving one model named `slow` whose quality validator
 /// sleeps for `delay` per answer — a stand-in for expensive inference
-/// that keeps the worker pool busy deterministically.
+/// that keeps the execution slots busy deterministically.
 fn slow_orchestrator(workers: usize, queue_depth: usize, delay: Duration) -> Orchestrator {
     let orc = Orchestrator::builder()
         .store(TensorStore::new())
@@ -42,8 +42,8 @@ fn slow_orchestrator(workers: usize, queue_depth: usize, delay: Duration) -> Orc
     orc
 }
 
-/// The ISSUE acceptance scenario: many clients against one slow worker
-/// and a depth-2 queue. Every reply must be one of the three typed
+/// The ISSUE acceptance scenario: many clients against one slow execution
+/// slot and a depth-2 queue. Every reply must be one of the three typed
 /// outcomes, and the orchestrator's counters must account for each.
 #[test]
 fn saturated_queue_yields_only_typed_results() {
@@ -92,7 +92,7 @@ fn saturated_queue_yields_only_typed_results() {
     assert_eq!(ok + over + dead, (THREADS * REQUESTS) as u64);
     assert!(
         over + dead > 0,
-        "a depth-2 queue behind one slow worker must shed load"
+        "a depth-2 queue behind one slow slot must shed load"
     );
 
     // The telemetry registry must show the same story: executed requests
@@ -105,7 +105,7 @@ fn saturated_queue_yields_only_typed_results() {
     assert!(queue_wait.count > 0, "executed requests record queue wait");
     assert!(
         queue_wait.sum > 0,
-        "a saturated single-worker queue implies non-zero waiting"
+        "a saturated single-slot queue implies non-zero waiting"
     );
     let infer = snap
         .find_histogram(
@@ -132,7 +132,7 @@ fn saturated_queue_yields_only_typed_results() {
     assert_eq!(stats.overload_rejected, over);
     assert_eq!(stats.deadline_expired, dead);
     // Executed requests are exactly the Ok ones: the validator accepts
-    // everything, rejected/expired requests never reach a worker.
+    // everything, rejected/expired requests are never executed.
     assert_eq!(stats.requests, ok);
     assert_eq!(stats.errors, 0);
     assert_eq!(stats.quality_hits, ok);
@@ -162,7 +162,7 @@ fn overloaded_at_exact_queue_limit_then_recovers() {
         c.run_model("slow", "c_in", "c_out"),
         Err(RuntimeError::Overloaded { queue_depth: 1 })
     );
-    assert!(c.is_admitting(), "overload is transient, not a shutdown");
+    assert_eq!(c.ping(), Ok(()), "overload is transient, not a shutdown");
 
     assert_eq!(a_thread.join().unwrap(), Ok(()));
     assert_eq!(b_thread.join().unwrap(), Ok(()));
@@ -176,10 +176,10 @@ fn overloaded_at_exact_queue_limit_then_recovers() {
     assert_eq!(stats.requests, 3);
 }
 
-/// Deadline expiry under a saturated worker: a request whose deadline
-/// passes while it waits in the queue is failed server-side with
-/// `DeadlineExceeded` before any inference is spent on it, and no output
-/// tensor is ever written for it.
+/// Deadline expiry under a saturated slot: a request whose deadline
+/// passes while it waits in the queue is failed with `DeadlineExceeded`
+/// before any inference is spent on it, and no output tensor is ever
+/// written for it.
 #[test]
 fn queued_request_expires_server_side() {
     let orc = slow_orchestrator(1, 8, Duration::from_millis(300));
@@ -189,7 +189,7 @@ fn queued_request_expires_server_side() {
     let a_thread = std::thread::spawn(move || a.run_model("slow", "a_in", "a_out"));
     std::thread::sleep(Duration::from_millis(100)); // A is in flight
 
-    // B's 50 ms budget elapses while A still holds the only worker.
+    // B's 50 ms budget elapses while A still holds the only slot.
     let b = orc.client();
     b.put_tensor("b_in", &[4.0, 5.0, 6.0]).unwrap();
     assert_eq!(
@@ -205,6 +205,70 @@ fn queued_request_expires_server_side() {
     );
 
     assert_eq!(a_thread.join().unwrap(), Ok(()));
+    let stats = orc.shutdown();
+    assert_eq!(stats.deadline_expired, 1);
+    assert_eq!(stats.requests, 1);
+}
+
+/// A deadline covers the wait for a slot, not just what follows it: with
+/// the only slot held by a validator that parks until the test lets it
+/// go, a second caller's 50 ms deadline answers it `DeadlineExceeded`
+/// while the slot is still held — counted, logged and traced like any
+/// other expiry — and its place in the queue is given back.
+#[test]
+fn queued_request_expires_while_the_slot_is_still_held() {
+    use std::sync::mpsc::channel;
+    // `orc` is declared first so that a failing assertion drops `release`
+    // (which unparks the validator) before the orchestrator drains.
+    let orc = Orchestrator::builder()
+        .store(TensorStore::new())
+        .workers(1)
+        .build();
+    let (parked_tx, parked) = channel::<()>();
+    let (release, gate) = channel::<()>();
+    let hooks = std::sync::Mutex::new((parked_tx, gate));
+    orc.register_guarded_model(
+        "gated",
+        bundle(3),
+        QualityGuard::new(move |raw, _| {
+            if raw[0] > 0.0 {
+                let hooks = hooks.lock().unwrap();
+                hooks.0.send(()).unwrap();
+                let _ = hooks.1.recv();
+            }
+            true
+        }),
+    );
+
+    let a = orc.client();
+    a.put_tensor("a_in", &[1.0, 2.0, 3.0]).unwrap();
+    let holder = std::thread::spawn(move || a.run_model("gated", "a_in", "a_out"));
+    parked.recv().unwrap();
+
+    let b = orc.client();
+    b.put_tensor("b_in", &[-1.0, 5.0, 6.0]).unwrap();
+    assert_eq!(
+        b.run_model_with_deadline("gated", "b_in", "b_out", Duration::from_millis(50)),
+        Err(RuntimeError::DeadlineExceeded)
+    );
+    assert!(!holder.is_finished(), "the slot is still held");
+    assert_eq!(orc.queued(), 0, "the expired request left the queue");
+    assert!(matches!(
+        b.unpack_tensor("b_out"),
+        Err(RuntimeError::MissingTensor(_))
+    ));
+    let stats = orc.serving_stats();
+    assert_eq!(stats.deadline_expired, 1);
+    assert_eq!(stats.requests, 0, "nothing has finished executing");
+    let snap = orc.metrics_snapshot();
+    assert_eq!(snap.events_of_kind("deadline_expired").len(), 1);
+    assert!(orc
+        .trace_dump()
+        .iter()
+        .any(|t| t.has_tag("deadline_exceeded")));
+
+    release.send(()).unwrap();
+    assert_eq!(holder.join().unwrap(), Ok(()));
     let stats = orc.shutdown();
     assert_eq!(stats.deadline_expired, 1);
     assert_eq!(stats.requests, 1);
@@ -256,7 +320,7 @@ fn shutdown_drains_in_flight_requests() {
     assert_eq!(stats.requests, served);
 
     // After the drain every path refuses with the typed shutdown error.
-    assert!(!after.is_admitting());
+    assert_eq!(after.ping(), Err(RuntimeError::ShuttingDown));
     assert_eq!(
         after.put_tensor("late_in", &[1.0]),
         Err(RuntimeError::ShuttingDown)
@@ -309,7 +373,7 @@ fn server_side_fallback_bit_matches_the_original_region() {
 
 /// A panicking quality validator must be contained to the offending
 /// request: the client gets a typed `Inference` error naming the panic,
-/// the worker thread survives, and the same (single) worker then serves
+/// the calling thread survives, and the same (single) slot then serves
 /// a clean request.
 #[test]
 fn panicking_validator_is_contained_to_its_request() {
@@ -347,7 +411,7 @@ fn panicking_validator_is_contained_to_its_request() {
         "a failed request must not leave a partial output tensor"
     );
 
-    // Same single worker: if the panic had killed it, this would hang.
+    // Same single slot: if the panic had leaked it, this would hang.
     client.put_tensor("ok_in", &[-1.0, 0.0, 0.0]).unwrap();
     client.run_model("guarded", "ok_in", "ok_out").unwrap();
     assert_eq!(client.unpack_tensor("ok_out").unwrap().len(), 2);
@@ -386,7 +450,7 @@ fn panicking_fallback_is_contained_and_guard_is_replaceable() {
     );
     assert_eq!(orc.serving_stats().quality_fallbacks, 0);
 
-    // The worker survived; an accepting guard serves the same input.
+    // The slot came back; an accepting guard serves the same input.
     orc.set_quality_guard("guarded", QualityGuard::new(|_, _| true))
         .unwrap();
     client.run_model("guarded", "in", "out").unwrap();
@@ -398,9 +462,9 @@ fn panicking_fallback_is_contained_and_guard_is_replaceable() {
     assert_eq!(stats.quality_hits, 1);
 }
 
-/// A panic anywhere in a worker round (here: a validator that panics for
-/// every member of a coalesced batch) must answer every queued request
-/// with a typed error rather than stranding the batch.
+/// A panic anywhere in a round (here: a validator that panics for every
+/// member of a batch) must answer every request of the round with a
+/// typed error rather than stranding the batch.
 #[test]
 fn panicking_batch_answers_every_request() {
     let orc = Orchestrator::builder()

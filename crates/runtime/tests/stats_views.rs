@@ -193,7 +193,6 @@ fn views_equal_the_one_recording() {
     // Slow log: one line per retained slow request trace.
     let log = orc.slow_log();
     assert_eq!(log.len(), 6);
-    assert_eq!(client.slow_log(), log);
     let ghost: serde_json::Value = serde_json::from_str(&log[5]).unwrap();
     assert_eq!(ghost["slow_request"]["model"], "ghost");
     assert!(ghost["slow_request"]["error"].as_str().is_some());

@@ -96,7 +96,7 @@ fn main() {
     }
 
     // Deploy and serve one request under a per-request deadline, then
-    // drain the worker pool gracefully.
+    // drain the orchestrator gracefully.
     let orc = hpcnet_runtime::Orchestrator::builder()
         .store(hpcnet_runtime::TensorStore::new())
         .build();
