@@ -147,7 +147,7 @@ impl TwoDNas {
 
         if matches!(self.search.search_type, SearchType::FullInput) || k_lo >= d {
             // Single-level search over θ on the raw input.
-            self.inner_search(task, None, d, &history, &best, &ae_seconds)?;
+            self.inner_search(task, None, d, &history, &best)?;
             let outcome = self.finish(
                 history.into_inner(),
                 best.into_inner(),
@@ -179,8 +179,7 @@ impl TwoDNas {
             let ae_elapsed = t_ae.elapsed();
             ae_hist.record_duration(ae_elapsed);
             *ae_seconds.borrow_mut() += ae_elapsed.as_secs_f64();
-            self.inner_search(task, Some(ae), k, &history, &best, &ae_seconds)
-                .ok()
+            self.inner_search(task, Some(ae), k, &history, &best).ok()
         })?;
 
         let checkpoint = SearchCheckpoint {
@@ -222,7 +221,6 @@ impl TwoDNas {
         k: usize,
         history: &RefCell<Vec<StepRecord>>,
         best: &RefCell<Option<BestBundle>>,
-        _ae_seconds: &RefCell<f64>,
     ) -> Result<f64> {
         // Encode the dataset once per K.
         let encoded = match &autoencoder {
@@ -402,15 +400,7 @@ impl TwoDNas {
 fn encode_dataset(ae: &Autoencoder, task: &NasTask) -> Result<Matrix> {
     match &task.sparse_inputs {
         Some(sp) => Ok(ae.encode_sparse(sp)?),
-        None => {
-            let n = task.inputs.rows();
-            let mut out = Matrix::zeros(n, ae.latent_dim());
-            for i in 0..n {
-                let enc = ae.encode(task.inputs.row(i))?;
-                out.row_mut(i).copy_from_slice(&enc);
-            }
-            Ok(out)
-        }
+        None => Ok(ae.encode_batch(&task.inputs)?),
     }
 }
 

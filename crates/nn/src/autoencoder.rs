@@ -92,12 +92,39 @@ pub struct AeReport {
 }
 
 /// Hourglass autoencoder with a designated latent layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// `latent_idx` counts the encoder's layers and the two widths restate
+/// the network's; every constructor, reading a bundle included, goes
+/// through `Autoencoder::from_parts`, which checks them.
+#[derive(Debug, Clone, Serialize)]
 pub struct Autoencoder {
     net: Mlp,
     latent_idx: usize,
     input_dim: usize,
     latent_dim: usize,
+}
+
+/// What a serialized [`Autoencoder`] holds. A bundle is outside input:
+/// `latent_idx = 0` used to register and then panic in `encode_sparse`
+/// and `encode_batch` (and pass the raw input on as its own encoding in
+/// `encode`), one past the last layer panicked in all three, and widths
+/// that disagree with the network were believed by whoever asked.
+#[derive(Deserialize)]
+struct AutoencoderRepr {
+    net: Mlp,
+    latent_idx: usize,
+    input_dim: usize,
+    latent_dim: usize,
+}
+
+impl<'de> Deserialize<'de> for Autoencoder {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        let repr = AutoencoderRepr::deserialize(deserializer)?;
+        Autoencoder::from_parts(repr.net, repr.latent_idx, repr.input_dim, repr.latent_dim)
+            .map_err(serde::de::Error::custom)
+    }
 }
 
 impl Autoencoder {
@@ -129,10 +156,41 @@ impl Autoencoder {
             crate::layer::Dense::new_random(latent_dim, mid, Activation::Tanh, rng),
             crate::layer::Dense::new_random(mid, input_dim, Activation::Identity, rng),
         ];
-        let net = Mlp::from_layers(layers)?;
+        Autoencoder::from_parts(Mlp::from_layers(layers)?, 1, input_dim, latent_dim)
+    }
+
+    /// The one place an `Autoencoder` is put together: the encoder is the
+    /// first `latent_idx` layers (at least one, at most all), and the two
+    /// recorded widths are the network's input width and the width that
+    /// layer produces.
+    fn from_parts(
+        net: Mlp,
+        latent_idx: usize,
+        input_dim: usize,
+        latent_dim: usize,
+    ) -> Result<Self> {
+        let layers = net.layers();
+        if latent_idx == 0 || latent_idx > layers.len() {
+            return Err(NnError::InvalidTopology(format!(
+                "latent layer index {latent_idx} must be between 1 and the {} layers",
+                layers.len()
+            )));
+        }
+        if input_dim != net.input_dim() {
+            return Err(NnError::InvalidTopology(format!(
+                "recorded input width {input_dim} is not the network's {}",
+                net.input_dim()
+            )));
+        }
+        let encoded = layers[latent_idx - 1].out_dim();
+        if latent_dim != encoded {
+            return Err(NnError::InvalidTopology(format!(
+                "recorded latent width {latent_dim} is not the {encoded} that layer {latent_idx} produces"
+            )));
+        }
         Ok(Autoencoder {
             net,
-            latent_idx: 1,
+            latent_idx,
             input_dim,
             latent_dim,
         })
@@ -401,6 +459,7 @@ fn gather_rows(m: &Matrix, idx: &[usize]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::DenseGrads;
     use hpcnet_tensor::rng::seeded;
     use hpcnet_tensor::Coo;
 
@@ -545,6 +604,98 @@ mod tests {
         let first = report.losses[0];
         let last = *report.losses.last().unwrap();
         assert!(last < first / 3.0, "loss {first} -> {last}");
+    }
+
+    /// `a · b` by the naive triple loop.
+    fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let data = hpcnet_tensor::kernels::naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
+        Matrix::from_vec(m, n, data).unwrap()
+    }
+
+    /// One sparse-path step as the textbook writes it: every product the
+    /// naive triple loop over dense operands, every transpose built.
+    fn reference_step(net: &mut Mlp, opt: &mut Adam, x: &Matrix) -> f64 {
+        let add_bias = |mut z: Matrix, layer: &Dense| {
+            for r in 0..z.rows() {
+                for (v, &b) in z.row_mut(r).iter_mut().zip(layer.bias()) {
+                    *v += b;
+                }
+                layer.activation().apply(z.row_mut(r));
+            }
+            z
+        };
+        let layers = net.layers();
+        let mut acts = vec![x.clone()];
+        for layer in layers {
+            let z = naive(acts.last().unwrap(), layer.weights());
+            acts.push(add_bias(z, layer));
+        }
+        let out = acts.last().unwrap();
+        let loss = Loss::Mse.value(out, x);
+        let mut d = Loss::Mse.gradient(out, x);
+        let mut grads = Vec::new();
+        for (i, layer) in layers.iter().enumerate().rev() {
+            let a = &acts[i + 1];
+            for (g, &av) in d.as_mut_slice().iter_mut().zip(a.as_slice()) {
+                *g *= layer.activation().derivative_from_output(av);
+            }
+            let mut db = vec![0.0; layer.out_dim()];
+            for r in 0..d.rows() {
+                for (s, &g) in db.iter_mut().zip(d.row(r)) {
+                    *s += g;
+                }
+            }
+            let dw = naive(&acts[i].transpose(), &d);
+            grads.push(DenseGrads { dw, db });
+            d = naive(&d, &layer.weights().transpose());
+        }
+        grads.reverse();
+        opt.step(net, &grads);
+        loss
+    }
+
+    #[test]
+    fn sparse_steps_equal_the_naive_reference_over_the_tile_budget() {
+        // 24 rows of 4 096, K = 32, mid 128: the decoder weight is 4 MiB,
+        // sixteen times the GEMM's tile budget, so its forward, `dW` and
+        // `dX` all run tiled; one epoch is a 16-row and an 8-row step.
+        let (n, d) = (24, 4096);
+        let mut coo = Coo::new(n, d);
+        for i in 0..n {
+            for k in 0..40 {
+                let j = (i * 131 + k * 97) % d;
+                coo.push(i, j, ((i + 3 * j) as f64 * 0.37).sin());
+            }
+        }
+        let data = coo.to_csr();
+        let mut rng = seeded(8, "ae-tiled");
+        let mut ae = Autoencoder::new(d, 32, &mut rng).unwrap();
+        assert_eq!(ae.network().layers()[2].in_dim(), 128);
+        let mut reference = ae.network().clone();
+        let cfg = AeTrainConfig {
+            epochs: 1,
+            ..AeTrainConfig::default()
+        };
+        let report = ae.train_sparse(&data, &cfg).unwrap();
+
+        // The same two mini-batches, in `train_sparse`'s shuffle.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut hpcnet_tensor::rng::seeded(cfg.seed, "ae-sparse"));
+        let mut opt = Adam::new(cfg.lr);
+        let mut loss = 0.0;
+        for chunk in order.chunks(cfg.batch_size) {
+            let x = data.select_rows(chunk).to_dense();
+            loss += reference_step(&mut reference, &mut opt, &x);
+        }
+        assert_eq!(ae.network(), &reference);
+        assert_eq!(report.losses, vec![loss / 2.0]);
+        let dense = data.to_dense();
+        let rec = reference.forward(&dense).unwrap();
+        assert_eq!(
+            report.final_sigma,
+            sigma_y(dense.as_slice(), rec.as_slice(), cfg.mu, cfg.abs_tol)
+        );
     }
 
     #[test]

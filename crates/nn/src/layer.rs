@@ -168,7 +168,12 @@ impl Dense {
     pub fn backward(&self, x: &Matrix, a: &Matrix, da: &Matrix) -> Result<(Matrix, DenseGrads)> {
         let dz = chain_activation(self.act, a, da);
         // dW = Xᵀ · dZ (fused, no transpose copy), db = column sums of dZ,
-        // dX = dZ · Wᵀ.
+        // dX = dZ · Wᵀ, computed as (W · dZᵀ)ᵀ: the two batch-sized
+        // matrices are transposed instead of the weight, and `W` streams
+        // through the product once as its left operand. Each dX element
+        // is the same products summed in the same increasing order
+        // (multiplication commutes exactly), so the bits are those of
+        // the product taken with a materialised `Wᵀ`.
         let dw = x.at_matmul(&dz)?;
         let mut db = vec![0.0; self.out_dim()];
         for row in 0..dz.rows() {
@@ -176,7 +181,7 @@ impl Dense {
                 *d += g;
             }
         }
-        let dx = dz.matmul(&self.w.transpose())?;
+        let dx = self.w.matmul(&dz.transpose())?.transpose();
         Ok((dx, DenseGrads { dw, db }))
     }
 
@@ -412,6 +417,31 @@ mod tests {
                         act.name()
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn dx_is_bitwise_dz_times_w_transposed() {
+        // `backward` never builds `Wᵀ`; its `dX` must still be the bits of
+        // the product written that way. A 40 x 1000 weight is over the
+        // GEMM's tile budget (the transposed operand is cut along `k`), a
+        // 6 x 4 one is one tile; tanh makes `dZ` differ from `dA`.
+        let mut rng = seeded(17, "dx");
+        for (in_dim, out_dim) in [(40usize, 1000usize), (6, 4)] {
+            for act in [Activation::Tanh, Activation::Identity] {
+                let layer = Dense::new_random(in_dim, out_dim, act, &mut rng);
+                let uniform = |rng: &mut StdRng, r: usize, c: usize| {
+                    let data = hpcnet_tensor::rng::uniform_vec(rng, r * c, -1.0, 1.0);
+                    Matrix::from_vec(r, c, data).unwrap()
+                };
+                let x = uniform(&mut rng, 5, in_dim);
+                let da = uniform(&mut rng, 5, out_dim);
+                let a = layer.forward(&x).unwrap();
+                let (dx, _) = layer.backward(&x, &a, &da).unwrap();
+                let dz = chain_activation(act, &a, &da);
+                let reference = dz.matmul(&layer.weights().transpose()).unwrap();
+                assert_eq!(dx, reference, "{in_dim}x{out_dim} {}", act.name());
             }
         }
     }

@@ -1,8 +1,9 @@
 //! A bundle file is input from outside the program: what it says about
 //! its own shapes is checked where it is read. A malformed bundle is
 //! refused with the typed `RuntimeError::Inference("bad surrogate: …")`
-//! and nothing is registered; a well-formed one in the format earlier
-//! commits wrote still loads and predicts the same bits.
+//! (`"bad autoencoder: …"` for that part) and nothing is registered; a
+//! well-formed one in the format earlier commits wrote still loads and
+//! predicts the same bits.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -46,15 +47,17 @@ const GOOD_OUTPUT: f64 = -4.125;
 /// Registering `json` must fail with the typed surrogate error and leave
 /// the registry empty; a valid bundle registered afterwards serves.
 fn assert_refused(json: &str) {
+    assert_refused_as(json, "bad surrogate:");
+}
+
+/// [`assert_refused`] for the bundle part whose error starts with `part`.
+fn assert_refused_as(json: &str, part: &str) {
     let orc = Orchestrator::builder().build();
     match orc.register_model_from_json("m", json) {
         Err(RuntimeError::Inference(msg)) => {
-            assert!(
-                msg.starts_with("bad surrogate:"),
-                "unexpected message: {msg}"
-            )
+            assert!(msg.starts_with(part), "unexpected message: {msg}")
         }
-        other => panic!("expected a typed `bad surrogate` error, got {other:?}"),
+        other => panic!("expected a typed `{part}` error, got {other:?}"),
     }
     assert!(!orc.has_model("m"));
     assert!(ModelBundle::from_json(json).is_err());
@@ -98,6 +101,58 @@ fn dimensions_whose_product_overflows_are_refused() {
     let mut layers = good_layers();
     layers[0] = layer(1 << 40, 1 << 40, "", "", "Relu");
     assert_refused(&bundle_json(&layers));
+}
+
+/// [`good_layers`] behind a 4 → 2 → 3 → 4 autoencoder whose header
+/// claims `latent_idx`, `input_dim` and `latent_dim`; `(1, 4, 2)` is the
+/// truth.
+fn bundle_with_autoencoder(latent_idx: u64, input_dim: u64, latent_dim: u64) -> String {
+    let net = [
+        layer(
+            4,
+            2,
+            "0.5,-0.25,1.0,0.125,2.0,-1.5,0.25,0.75",
+            "0.0,0.0",
+            "Identity",
+        ),
+        layer(2, 3, W1, B1, "Tanh"),
+        layer(
+            3,
+            4,
+            "1.0,0.5,0.25,2.0,-1.0,0.5,0.125,4.0,-2.0,1.5,0.75,1.0",
+            "0.0,0.0,0.0,0.0",
+            "Identity",
+        ),
+    ];
+    format!(
+        r#"{{"surrogate":{{"Mlp":{{"layers":[{}]}}}},"autoencoder":{{"net":{{"layers":[{}]}},"latent_idx":{latent_idx},"input_dim":{input_dim},"latent_dim":{latent_dim}}},"scaler":null,"output_scaler":null}}"#,
+        good_layers().join(","),
+        net.join(",")
+    )
+}
+
+#[test]
+fn autoencoder_latent_index_outside_its_layers_is_refused() {
+    // The truthful header loads and encodes with the first layer only.
+    let bundle = ModelBundle::from_json(&bundle_with_autoencoder(1, 4, 2)).unwrap();
+    let ae = bundle.autoencoder.unwrap();
+    assert_eq!(ae.encode(&[1.0, 0.0, 0.0, 0.0]).unwrap(), vec![0.5, -0.25]);
+    // 0 used to register and panic on the first sparse or batched
+    // encode; so did 4 of 3.
+    assert_refused_as(&bundle_with_autoencoder(0, 4, 2), "bad autoencoder:");
+    assert_refused_as(&bundle_with_autoencoder(4, 4, 2), "bad autoencoder:");
+}
+
+#[test]
+fn autoencoder_input_width_other_than_its_network_s_is_refused() {
+    assert_refused_as(&bundle_with_autoencoder(1, 5, 2), "bad autoencoder:");
+}
+
+#[test]
+fn autoencoder_latent_width_other_than_the_latent_layer_s_is_refused() {
+    assert_refused_as(&bundle_with_autoencoder(1, 4, 3), "bad autoencoder:");
+    // Layer 2 does produce 3 wide, so (2, 4, 3) is a consistent header.
+    assert!(ModelBundle::from_json(&bundle_with_autoencoder(2, 4, 3)).is_ok());
 }
 
 #[test]

@@ -16,6 +16,99 @@ use crate::{Result, TensorError};
 /// dominates for the small layers typical of surrogate models.
 const PAR_THRESHOLD: usize = 64;
 
+/// Bytes of the right-hand operand that one tile of [`tiled_product`]
+/// covers: a quarter of a 1 MiB L2, which leaves room for the output
+/// segments and left-hand rows that travel with it. A right-hand side no
+/// larger than this is one tile (every serving shape is); a larger one —
+/// the 20 880-wide autoencoder layers of offline training — is cut so
+/// each tile is fetched from memory once and then reused from cache by
+/// every row of the block.
+const TILE_BYTES: usize = 256 * 1024;
+
+/// `(k, columns)` of the tiles a `k_dim × cols` right-hand side is cut
+/// into. The whole operand when it fits [`TILE_BYTES`]. Otherwise a
+/// strip of all `k` — each output segment is then finished in one visit —
+/// unless that strip would be narrower than a square tile, and then a
+/// square-ish tile whose `k` side is a multiple of the kernels' 4-wide
+/// unroll.
+fn tile_shape<T>(k_dim: usize, cols: usize) -> (usize, usize) {
+    let budget = TILE_BYTES / std::mem::size_of::<T>();
+    if k_dim.saturating_mul(cols) <= budget {
+        return (k_dim, cols);
+    }
+    let tile_cols = cols.min((budget / k_dim).max(budget.isqrt()));
+    let rows_that_fit = budget / tile_cols;
+    if rows_that_fit >= k_dim {
+        (k_dim, tile_cols)
+    } else {
+        (rows_that_fit.max(4) & !3, tile_cols)
+    }
+}
+
+/// The one loop nest behind [`MatrixOf::matmul`] and
+/// [`Matrix::at_matmul`]: `out += A · rhs` for an `out.rows × k_dim` left
+/// operand that only `row_kernel` knows how to read —
+/// `row_kernel(i, k, b, out_seg)` adds `A[i, k] · B` to `out_seg`, where
+/// `B` is the tile of `rhs` at `b` (`k.len()` rows, `out_seg.len()`
+/// columns, stride `rhs.cols`; see [`kernels`]).
+///
+/// The nest runs `k`-tiles ascending, then column tiles, then the rows of
+/// a block, so a tile is read from memory once per block and every
+/// output element still accumulates in strictly increasing `k`: tiling
+/// changes which element is updated next, never the order of one
+/// element's updates, and the product stays bit-identical to
+/// [`kernels::naive_matmul`] for every tile shape. With one tile the
+/// traversal is row by row over the whole of `rhs`.
+///
+/// Row blocks are the rayon task unit: the rows split evenly over the
+/// pool when there are many of them (at least 8 to a task, which keeps
+/// task overhead off the 512-row coalesced serving batches) or, for a
+/// short batch, when the product is big enough to pay for the fork-join
+/// (wide-layer training with small batches); otherwise one block on the
+/// calling thread.
+fn tiled_product<T: Scalar>(
+    out: &mut MatrixOf<T>,
+    k_dim: usize,
+    rhs: &MatrixOf<T>,
+    row_kernel: impl Fn(usize, std::ops::Range<usize>, &[T], &mut [T]) + Sync,
+) {
+    let (rows, cols) = (out.rows, out.cols);
+    // Degenerate shapes (0 rows, 0 cols, or an empty inner dim) have an
+    // all-zero product; returning keeps `chunks_mut(0)` and a zero tile
+    // step out of the nest.
+    if out.data.is_empty() || k_dim == 0 {
+        return;
+    }
+    let (tile_k, tile_cols) = tile_shape::<T>(k_dim, cols);
+    let block = |first_row: usize, out_block: &mut [T]| {
+        for k0 in (0..k_dim).step_by(tile_k) {
+            let k = k0..(k0 + tile_k).min(k_dim);
+            for j0 in (0..cols).step_by(tile_cols) {
+                let j = j0..(j0 + tile_cols).min(cols);
+                let b = &rhs.data[k0 * cols + j0..];
+                for (r, out_row) in out_block.chunks_mut(cols).enumerate() {
+                    row_kernel(first_row + r, k.clone(), b, &mut out_row[j.clone()]);
+                }
+            }
+        }
+    };
+    let block_rows = if rows >= PAR_THRESHOLD {
+        rows.div_ceil(rayon::current_num_threads()).max(8)
+    } else if rows > 1 && rows * k_dim * cols >= (1 << 20) {
+        rows.div_ceil(rayon::current_num_threads())
+    } else {
+        rows
+    };
+    if block_rows >= rows {
+        block(0, &mut out.data);
+    } else {
+        out.data
+            .par_chunks_mut(block_rows * cols)
+            .enumerate()
+            .for_each(|(n, out_block)| block(n * block_rows, out_block));
+    }
+}
+
 /// A row-major dense matrix of `T`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixOf<T> {
@@ -93,8 +186,8 @@ impl<T: Scalar> MatrixOf<T> {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Dense matrix product `self * rhs`, parallelized over output rows
-    /// when the problem is large enough to amortize the fork-join cost.
+    /// Dense matrix product `self * rhs`: the kernel for this operand's
+    /// density, driven through `tiled_product`.
     pub fn matmul(&self, rhs: &Self) -> Result<Self> {
         if self.cols != rhs.rows {
             return Err(TensorError::ShapeMismatch(
@@ -106,51 +199,22 @@ impl<T: Scalar> MatrixOf<T> {
         let mut out = Self::zeros(self.rows, rhs.cols);
         let cols = rhs.cols;
         let k_dim = self.cols;
-        // Degenerate shapes (0 rows, 0 cols, or an empty inner dim) have
-        // an all-zero product; returning early keeps `chunks(0)` out of
-        // the kernel dispatch below.
-        if out.data.is_empty() || k_dim == 0 {
-            return Ok(out);
-        }
         // One density probe for the whole left operand: every row takes
         // the same kernel, and because the probe is a pure function of
         // `self.data`, a 1-row matmul agrees with `vecmat_into` over the
         // same buffer (their cross-path test is `assert_eq!`).
         let sparse = kernels::is_sparse(&self.data);
-        let kernel = |(out_row, a_row): (&mut [T], &[T])| {
-            // i-k-j loop order keeps both `rhs` and `out_row` accesses
+        tiled_product(&mut out, k_dim, rhs, |i, k, b, out_seg| {
+            // i-k-j loop order keeps both `rhs` and `out_seg` accesses
             // sequential; the branchless unrolled kernel is what lets
             // LLVM vectorize the inner loop (DESIGN.md §14).
+            let a = &self.data[i * k_dim..][k];
             if sparse {
-                kernels::gemm_row_zskip(a_row, &rhs.data, cols, out_row);
+                kernels::gemm_row_zskip(a, b, cols, out_seg);
             } else {
-                kernels::gemm_row(a_row, &rhs.data, cols, out_row);
+                kernels::gemm_row(a, b, cols, out_seg);
             }
-        };
-        // Parallelize when either many rows or enough total work per row
-        // exists to amortize the fork-join (wide-layer NN training hits
-        // the second case with small batches). For row-rich batches (the
-        // orchestrator coalesces up to 512 rows) a minimum block of 8
-        // rows per rayon task keeps splitting overhead off the profile;
-        // the work-driven case keeps single-row granularity.
-        let work = self.rows * k_dim * cols;
-        if self.rows >= PAR_THRESHOLD {
-            out.data
-                .par_chunks_mut(cols)
-                .zip(self.data.par_chunks(k_dim))
-                .with_min_len(8)
-                .for_each(kernel);
-        } else if self.rows > 1 && work >= (1 << 20) {
-            out.data
-                .par_chunks_mut(cols)
-                .zip(self.data.par_chunks(k_dim))
-                .for_each(kernel);
-        } else {
-            out.data
-                .chunks_mut(cols)
-                .zip(self.data.chunks(k_dim))
-                .for_each(kernel);
-        }
+        });
         Ok(out)
     }
 
@@ -281,30 +345,18 @@ impl Matrix {
         }
         let n = self.cols;
         let cols = rhs.cols;
-        let kmax = self.rows;
         let mut out = Matrix::zeros(n, cols);
-        if out.data.is_empty() || kmax == 0 {
-            return Ok(out);
-        }
         let sparse = kernels::is_sparse(&self.data);
         // One output row per column of `self`; the strided gathers of
         // `self` are amortized by the sequential sweeps of `rhs`/`out`.
-        let kernel = |(i, out_row): (usize, &mut [f64])| {
+        tiled_product(&mut out, self.rows, rhs, |i, k, b, out_seg| {
+            let a = &self.data[k.start * n + i..];
             if sparse {
-                kernels::gemm_row_strided_zskip(kmax, &self.data, n, i, &rhs.data, cols, out_row);
+                kernels::gemm_row_strided_zskip(k.len(), a, n, b, cols, out_seg);
             } else {
-                kernels::gemm_row_strided(kmax, &self.data, n, i, &rhs.data, cols, out_row);
+                kernels::gemm_row_strided(k.len(), a, n, b, cols, out_seg);
             }
-        };
-        if n >= PAR_THRESHOLD {
-            out.data
-                .par_chunks_mut(cols)
-                .enumerate()
-                .with_min_len(8)
-                .for_each(kernel);
-        } else {
-            out.data.chunks_mut(cols).enumerate().for_each(kernel);
-        }
+        });
         Ok(out)
     }
 
@@ -583,6 +635,58 @@ mod tests {
         assert!(w.vecmat_into(&x, &mut short).is_err());
     }
 
+    /// Values whose products and partial sums round, so a different
+    /// accumulation order gives different bits (the integer `ramp` sums
+    /// exactly in any order). One element in `keep_one_in` is non-zero,
+    /// chosen by a hash so the strided density probe sees the same share.
+    fn rough<T: Scalar>(n: usize, salt: usize, keep_one_in: usize, lift: fn(f64) -> T) -> Vec<T> {
+        (0..n)
+            .map(|i| {
+                let h = (i + salt).wrapping_mul(2_654_435_761) >> 7;
+                match h % keep_one_in {
+                    0 => lift((h % 1009) as f64 * 0.003 - 1.5),
+                    _ => T::ZERO,
+                }
+            })
+            .collect()
+    }
+
+    /// `(rows, k, cols)` on both sides of [`TILE_BYTES`] at either
+    /// precision (`tile_shape_cuts_only_what_exceeds_the_budget` pins how
+    /// each is cut): one tile; strips of all `k`, ragged in columns, `k`
+    /// not a multiple of 4; square-ish tiles, ragged in both directions;
+    /// a long `k` over a few columns (the shape of `dX`).
+    const STRADDLING: [(usize, usize, usize); 4] =
+        [(5, 40, 30), (3, 37, 1801), (3, 1203, 211), (4, 9411, 7)];
+
+    fn tiled_matmul_is_bitwise_naive<T: Scalar + std::fmt::Debug>(lift: fn(f64) -> T) {
+        for (m, k, n) in STRADDLING {
+            for keep_one_in in [1, 8] {
+                let a = MatrixOf::from_vec(m, k, rough(m * k, 1, keep_one_in, lift)).unwrap();
+                assert_eq!(kernels::is_sparse(a.as_slice()), keep_one_in == 8);
+                let b = MatrixOf::from_vec(k, n, rough(k * n, 2, 1, lift)).unwrap();
+                let reference = kernels::naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
+                assert_eq!(
+                    a.matmul(&b).unwrap().as_slice(),
+                    &reference[..],
+                    "{m}x{k} · {k}x{n}, one in {keep_one_in} kept"
+                );
+            }
+        }
+    }
+
+    fn one_row_matmul_over_the_budget_is_vecmat_into<T: Scalar + std::fmt::Debug>(
+        lift: fn(f64) -> T,
+    ) {
+        let (k, n) = (37, 1801);
+        let w = MatrixOf::from_vec(k, n, rough(k * n, 3, 1, lift)).unwrap();
+        let x = rough(k, 4, 1, lift);
+        let mut out = vec![T::ZERO; n];
+        w.vecmat_into(&x, &mut out).unwrap();
+        let batch = MatrixOf::from_vec(1, k, x).unwrap().matmul(&w).unwrap();
+        assert_eq!(out.as_slice(), batch.as_slice());
+    }
+
     fn shape_errors<T: Scalar>() {
         let a = MatrixOf::<T>::zeros(2, 3);
         let b = MatrixOf::<T>::zeros(2, 3);
@@ -596,15 +700,62 @@ mod tests {
     #[test]
     fn dense_contracts_hold_at_f64() {
         matmul_is_bitwise_naive_on_the_rayon_path::<f64>(|v| v);
+        tiled_matmul_is_bitwise_naive::<f64>(|v| v);
         vecmat_into_is_one_row_matmul::<f64>(|v| v);
+        one_row_matmul_over_the_budget_is_vecmat_into::<f64>(|v| v);
         shape_errors::<f64>();
     }
 
     #[test]
     fn dense_contracts_hold_at_f32() {
         matmul_is_bitwise_naive_on_the_rayon_path::<f32>(|v| v as f32);
+        tiled_matmul_is_bitwise_naive::<f32>(|v| v as f32);
         vecmat_into_is_one_row_matmul::<f32>(|v| v as f32);
+        one_row_matmul_over_the_budget_is_vecmat_into::<f32>(|v| v as f32);
         shape_errors::<f32>();
+    }
+
+    #[test]
+    fn tile_shape_cuts_only_what_exceeds_the_budget() {
+        // Under the budget, the serving shapes among them: one tile.
+        assert_eq!(tile_shape::<f64>(40, 30), (40, 30));
+        assert_eq!(tile_shape::<f64>(192, 96), (192, 96));
+        assert_eq!(tile_shape::<f32>(256, 256), (256, 256));
+        // `STRADDLING`, at the precision that cuts each.
+        assert_eq!(tile_shape::<f64>(37, 1801), (37, 885));
+        assert_eq!(tile_shape::<f32>(37, 1801), (37, 1771));
+        assert_eq!(tile_shape::<f64>(1203, 211), (180, 181));
+        assert_eq!(tile_shape::<f32>(1203, 211), (308, 211));
+        assert_eq!(tile_shape::<f64>(9411, 7), (4680, 7));
+        assert_eq!(tile_shape::<f32>(9411, 7), (9360, 7));
+        // The autoencoder step on a 20 880-wide input, 16 rows, mid 128:
+        // forward, `dW` (through `at_matmul`), `dX`.
+        assert_eq!(tile_shape::<f64>(128, 20_880), (128, 256));
+        assert_eq!(tile_shape::<f64>(16, 20_880), (16, 2048));
+        assert_eq!(tile_shape::<f64>(20_880, 16), (2048, 16));
+        // A degenerate strip still advances.
+        assert_eq!(tile_shape::<f64>(1, 100_000), (1, 32_768));
+    }
+
+    #[test]
+    fn tiled_at_matmul_is_bitwise_transpose_then_matmul() {
+        // `STRADDLING` read as (n, k, cols): `self` is k x n, `rhs` the
+        // k x cols operand that is cut into tiles.
+        for (n, k, cols) in STRADDLING {
+            for keep_one_in in [1, 8] {
+                let a = Matrix::from_vec(k, n, rough(k * n, 5, keep_one_in, |v| v)).unwrap();
+                let b = Matrix::from_vec(k, cols, rough(k * cols, 6, 1, |v| v)).unwrap();
+                let fused = a.at_matmul(&b).unwrap();
+                let at = a.transpose();
+                assert_eq!(fused, at.matmul(&b).unwrap());
+                let reference = kernels::naive_matmul(at.as_slice(), b.as_slice(), n, k, cols);
+                assert_eq!(
+                    fused.as_slice(),
+                    &reference[..],
+                    "({k}x{n})ᵀ · {k}x{cols}, one in {keep_one_in} kept"
+                );
+            }
+        }
     }
 
     #[test]

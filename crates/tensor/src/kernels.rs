@@ -26,8 +26,19 @@
 //! unsuffixed float literal in a `T` position is a type error, so the
 //! compiler keeps a stray `f64` constant out of the `f32` instantiation.
 //!
-//! The module is deliberately dependency-free (no rayon/serde): callers
-//! own the parallel row-blocking.
+//! **Tiles.** Every kernel adds the contribution of one *tile* of the
+//! right-hand side to one segment of an output row: `b` begins at the
+//! tile's first element, row `k` of the tile is
+//! `b[k * stride..][..out_row.len()]`, and `stride` is the full width of
+//! the matrix the tile was cut from. A whole operand is the tile with
+//! `stride == out_row.len()`. Because a kernel only ever *adds* to
+//! `out_row`, in increasing `k`, a caller that visits the `k`-tiles of one
+//! output element in ascending order performs the rounding sequence of
+//! rule 1 whatever the tile shape.
+//!
+//! The module is deliberately dependency-free (no rayon/serde): the one
+//! caller, `dense::tiled_product`, owns the tile shape, the loop nest over
+//! tiles and the parallel row blocks.
 
 /// The element types the dense stack is instantiated at: `f64` and `f32`.
 ///
@@ -117,61 +128,70 @@ pub fn is_sparse<T: Scalar>(data: &[T]) -> bool {
     zeros * 4 >= samples * 3
 }
 
-/// One output row of a row-major GEMM: `out_row += a_row · B`, where `b`
-/// is the flat row-major right-hand side (`a_row.len()` rows of `cols`).
+/// Four consecutive rows of the tile at `b`, each `width` long, starting
+/// at row `k`. Slicing here, once per four `k`, is what keeps the bounds
+/// checks out of the inner loops below (rule 3).
+#[inline(always)]
+fn four_rows<T>(b: &[T], k: usize, stride: usize, width: usize) -> [&[T]; 4] {
+    [
+        &b[k * stride..][..width],
+        &b[(k + 1) * stride..][..width],
+        &b[(k + 2) * stride..][..width],
+        &b[(k + 3) * stride..][..width],
+    ]
+}
+
+/// One tile's contribution to one output row of a row-major GEMM:
+/// `out_row += a · B`, where `B` is the `a.len() × out_row.len()` tile at
+/// `b` (see the module doc for `stride`).
 ///
 /// `k` is unrolled 4-wide so four `B` rows stream through one fused,
 /// branchless inner loop; each output element still accumulates in
 /// strictly increasing-`k` order (rule 1 above).
 ///
-/// `out_row` is **not** cleared; callers zero it first.
-pub fn gemm_row<T: Scalar>(a_row: &[T], b: &[T], cols: usize, out_row: &mut [T]) {
-    debug_assert_eq!(b.len(), a_row.len() * cols);
-    debug_assert_eq!(out_row.len(), cols);
-    let kmax = a_row.len();
+/// `out_row` is **not** cleared; callers zero it before the first tile.
+pub fn gemm_row<T: Scalar>(a: &[T], b: &[T], stride: usize, out_row: &mut [T]) {
+    let width = out_row.len();
+    debug_assert!(width <= stride);
+    let kmax = a.len();
     let mut k = 0usize;
     while k + 4 <= kmax {
-        let (a0, a1, a2, a3) = (a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]);
-        let (b0, rest) = b[k * cols..].split_at(cols);
-        let (b1, rest) = rest.split_at(cols);
-        let (b2, rest) = rest.split_at(cols);
-        let (b3, _) = rest.split_at(cols);
+        let (a0, a1, a2, a3) = (a[k], a[k + 1], a[k + 2], a[k + 3]);
+        let [b0, b1, b2, b3] = four_rows(b, k, stride, width);
         for ((((o, &x0), &x1), &x2), &x3) in out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
             *o = *o + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
         }
         k += 4;
     }
     while k < kmax {
-        let a = a_row[k];
-        let b_row = &b[k * cols..(k + 1) * cols];
-        for (o, &x) in out_row.iter_mut().zip(b_row) {
-            *o += a * x;
+        let a_k = a[k];
+        for (o, &x) in out_row.iter_mut().zip(&b[k * stride..][..width]) {
+            *o += a_k * x;
         }
         k += 1;
     }
 }
 
-/// The zero-skip variant of [`gemm_row`], for rows the density probe
+/// The zero-skip variant of [`gemm_row`], for operands the density probe
 /// classified as sparse. This is the seed's original kernel; on dense
 /// data it costs a branch per `k` and blocks vectorization, which is why
 /// it is no longer unconditional.
-pub fn gemm_row_zskip<T: Scalar>(a_row: &[T], b: &[T], cols: usize, out_row: &mut [T]) {
-    debug_assert_eq!(b.len(), a_row.len() * cols);
-    debug_assert_eq!(out_row.len(), cols);
-    for (k, &a) in a_row.iter().enumerate() {
-        if a == T::ZERO {
+pub fn gemm_row_zskip<T: Scalar>(a: &[T], b: &[T], stride: usize, out_row: &mut [T]) {
+    let width = out_row.len();
+    debug_assert!(width <= stride);
+    for (k, &a_k) in a.iter().enumerate() {
+        if a_k == T::ZERO {
             continue;
         }
-        let b_row = &b[k * cols..(k + 1) * cols];
-        for (o, &x) in out_row.iter_mut().zip(b_row) {
-            *o += a * x;
+        for (o, &x) in out_row.iter_mut().zip(&b[k * stride..][..width]) {
+            *o += a_k * x;
         }
     }
 }
 
-/// One output row of a fused transpose-GEMM: `out_row += Aᵀ[i] · B` where
-/// the `a` values are read with stride `stride` at offset `offset`
-/// (`a[offset + k*stride]`, `k` in `0..kmax`).
+/// [`gemm_row`] for a fused transpose-GEMM, `out_row += Aᵀ[i] · B`: the
+/// left-hand values are gathered with stride `a_stride` (`a[k * a_stride]`,
+/// `k` in `0..kmax`; `a` begins at the first one).
 ///
 /// Same 4-wide unroll and accumulation order as [`gemm_row`]; only the
 /// left-hand loads are strided gathers, which the sequential sweeps of
@@ -179,34 +199,29 @@ pub fn gemm_row_zskip<T: Scalar>(a_row: &[T], b: &[T], cols: usize, out_row: &mu
 pub fn gemm_row_strided<T: Scalar>(
     kmax: usize,
     a: &[T],
-    stride: usize,
-    offset: usize,
+    a_stride: usize,
     b: &[T],
-    cols: usize,
+    stride: usize,
     out_row: &mut [T],
 ) {
-    debug_assert!(kmax == 0 || offset + (kmax - 1) * stride < a.len());
-    debug_assert_eq!(b.len(), kmax * cols);
-    debug_assert_eq!(out_row.len(), cols);
+    let width = out_row.len();
+    debug_assert!(width <= stride);
+    debug_assert!(kmax == 0 || (kmax - 1) * a_stride < a.len());
     let mut k = 0usize;
     while k + 4 <= kmax {
-        let a0 = a[offset + k * stride];
-        let a1 = a[offset + (k + 1) * stride];
-        let a2 = a[offset + (k + 2) * stride];
-        let a3 = a[offset + (k + 3) * stride];
-        let (b0, rest) = b[k * cols..].split_at(cols);
-        let (b1, rest) = rest.split_at(cols);
-        let (b2, rest) = rest.split_at(cols);
-        let (b3, _) = rest.split_at(cols);
+        let a0 = a[k * a_stride];
+        let a1 = a[(k + 1) * a_stride];
+        let a2 = a[(k + 2) * a_stride];
+        let a3 = a[(k + 3) * a_stride];
+        let [b0, b1, b2, b3] = four_rows(b, k, stride, width);
         for ((((o, &x0), &x1), &x2), &x3) in out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
             *o = *o + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
         }
         k += 4;
     }
     while k < kmax {
-        let a_k = a[offset + k * stride];
-        let b_row = &b[k * cols..(k + 1) * cols];
-        for (o, &x) in out_row.iter_mut().zip(b_row) {
+        let a_k = a[k * a_stride];
+        for (o, &x) in out_row.iter_mut().zip(&b[k * stride..][..width]) {
             *o += a_k * x;
         }
         k += 1;
@@ -217,19 +232,19 @@ pub fn gemm_row_strided<T: Scalar>(
 pub fn gemm_row_strided_zskip<T: Scalar>(
     kmax: usize,
     a: &[T],
-    stride: usize,
-    offset: usize,
+    a_stride: usize,
     b: &[T],
-    cols: usize,
+    stride: usize,
     out_row: &mut [T],
 ) {
+    let width = out_row.len();
+    debug_assert!(width <= stride);
     for k in 0..kmax {
-        let a_k = a[offset + k * stride];
+        let a_k = a[k * a_stride];
         if a_k == T::ZERO {
             continue;
         }
-        let b_row = &b[k * cols..(k + 1) * cols];
-        for (o, &x) in out_row.iter_mut().zip(b_row) {
+        for (o, &x) in out_row.iter_mut().zip(&b[k * stride..][..width]) {
             *o += a_k * x;
         }
     }
@@ -304,11 +319,43 @@ mod tests {
         let reference = naive_matmul(&at, &b, n, rows, cols);
         for i in 0..n {
             let mut out = vec![0.0; cols];
-            gemm_row_strided(rows, &a, n, i, &b, cols, &mut out);
+            gemm_row_strided(rows, &a[i..], n, &b, cols, &mut out);
             assert_eq!(out, reference[i * cols..(i + 1) * cols], "row {i}");
             let mut out2 = vec![0.0; cols];
-            gemm_row_strided_zskip(rows, &a, n, i, &b, cols, &mut out2);
+            gemm_row_strided_zskip(rows, &a[i..], n, &b, cols, &mut out2);
             assert_eq!(out, out2, "zskip row {i}");
+        }
+    }
+
+    #[test]
+    fn tiles_visited_in_ascending_k_rebuild_the_whole_row() {
+        // A 3-wide column tile and k-tiles of 5 (neither a multiple of the
+        // 4-wide unroll nor a divisor of k = 13 or cols = 7): every kernel,
+        // fed tile by tile, ends on the bits of one whole-operand call.
+        let (k, cols, kt, jt) = (13usize, 7usize, 5usize, 3usize);
+        let a = fill(k, |i| {
+            if i % 4 == 1 {
+                0.0
+            } else {
+                i as f64 * 0.3 - 1.7
+            }
+        });
+        let b = fill(k * cols, |i| (i % 9) as f64 * 0.7 - 2.9);
+        let whole = naive_matmul(&a, &b, 1, k, cols);
+        type Kernel = fn(&[f64], &[f64], usize, &mut [f64]);
+        let strided: Kernel = |a, b, stride, out| gemm_row_strided(a.len(), a, 1, b, stride, out);
+        let strided_zskip: Kernel =
+            |a, b, stride, out| gemm_row_strided_zskip(a.len(), a, 1, b, stride, out);
+        for kernel in [gemm_row, gemm_row_zskip, strided, strided_zskip] {
+            let mut out = vec![0.0; cols];
+            for k0 in (0..k).step_by(kt) {
+                let k1 = (k0 + kt).min(k);
+                for j0 in (0..cols).step_by(jt) {
+                    let j1 = (j0 + jt).min(cols);
+                    kernel(&a[k0..k1], &b[k0 * cols + j0..], cols, &mut out[j0..j1]);
+                }
+            }
+            assert_eq!(out, whole);
         }
     }
 
